@@ -9,10 +9,8 @@ digits.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +19,7 @@ from . import __version__
 from .analysis import classify_equilibrium
 from .dynamics import check_interactions, interaction_from_names
 from .errors import ConfigError, PositivityFailureError, TooManyCandidatesError, WtaError
-from .experiments import EXPERIMENTS, run_experiment
+from .experiments import EXPERIMENTS, _canonical_hash, _write_json, run_experiment
 from .graph import graph_from_json_dict, load_graph, random_graph
 from .integrate import IntegratorOptions, simulate, simulate_reverse
 from .optimize import (
@@ -38,12 +36,6 @@ __all__ = ["main"]
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); keep exit codes stable
         raise ConfigError(message)
-
-
-def _canonical_hash(obj) -> str:
-    return hashlib.sha256(
-        json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
 
 
 def _load_config(path) -> dict:
@@ -136,12 +128,6 @@ def _fmt(value):
     return value
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
@@ -160,10 +146,8 @@ def cmd_simulate(args) -> int:
     opts = _options_from_config(cfg.get("integrator"))
     interaction = _interaction_from_config(cfg.get("interaction"))
 
-    t0 = time.perf_counter()
     run = simulate if direction == "forward" else simulate_reverse
     traj, audit = run(g, x0, opts, interaction=interaction, seed=args.seed)
-    elapsed = time.perf_counter() - t0
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -180,7 +164,6 @@ def cmd_simulate(args) -> int:
         "stopped_at_equilibrium": traj.metadata["stopped_at_equilibrium"],
         "steps_taken": traj.metadata["steps_taken"],
         "final_time": traj.metadata["final_time"],
-        "timings": {"simulate_seconds": elapsed},
     }
     _write_json(out / "report.json", report)
     if args.svg:

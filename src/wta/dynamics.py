@@ -7,12 +7,18 @@ state-dependent Laplacian with off-diagonal entries -a_ij y_i y_j.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyStateError, NegativeStateError
+from .errors import (
+    DimensionMismatchError,
+    EmptyStateError,
+    NegativeStateError,
+    NonFiniteStateError,
+)
 from .graph import Graph
 
 __all__ = [
@@ -40,14 +46,18 @@ def prepare_state(x, n: int) -> np.ndarray:
     """Validate a state vector against a graph of size n.
 
     Returns a float array with tiny negative round-off clamped to zero.
-    Raises DimensionMismatchError / NegativeStateError / EmptyStateError.
+    Raises DimensionMismatchError / NegativeStateError / EmptyStateError /
+    NonFiniteStateError.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise EmptyStateError(f"state must be a nonempty 1-d vector, got shape {arr.shape}")
     if arr.shape[0] != n:
         raise DimensionMismatchError(f"state has length {arr.shape[0]}, graph has n={n}")
-    lo = arr.min()
+    # minimum propagates NaN, so the extremes are finite iff every entry is
+    lo = np.minimum.reduce(arr)
+    if not (math.isfinite(lo) and math.isfinite(np.maximum.reduce(arr))):
+        raise NonFiniteStateError("state has a NaN or infinite component")
     if lo < -CLAMP:
         raise NegativeStateError(f"state component {lo} below -{CLAMP}")
     if lo < 0.0:
@@ -55,25 +65,29 @@ def prepare_state(x, n: int) -> np.ndarray:
     return arr
 
 
-def _edge_field(g: Graph, x: np.ndarray, f=None, gfun=None) -> np.ndarray:
-    """Accumulate per-edge terms w * f(x_i - x_j) * g(x_i, x_j) into dx_i.
+def _edge_field(src, dst, w, x: np.ndarray, f=None, gfun=None) -> np.ndarray:
+    """Accumulate per-edge terms w * f(x_i - x_j) * g(x_i, x_j) into dx_i
+    over directed edge arrays (src, dst, w) indexing into x.
 
     Each undirected edge contributes twice, once per endpoint, keeping the
     per-agent sum literal. The default f/g path and the generalized path
     run the identical arithmetic, so identity/product specs are bit-equal
-    to the plain field.
+    to the plain field. Terms are summed per entry in edge order, so any
+    edge arrays that list an entry's edges in the same order give the same
+    bits: a graph's own arrays and the lane-offset arrays of a block of
+    lanes (integrate._lane_field) share this kernel.
     """
-    xs = x[g.edge_src]
-    xd = x[g.edge_dst]
+    xs = x[src]
+    xd = x[dst]
     fd = (xs - xd) if f is None else f(xs - xd)
     gv = (xs * xd) if gfun is None else gfun(xs, xd)
-    terms = (g.edge_w * fd) * gv
-    return np.bincount(g.edge_src, weights=terms, minlength=g.n)
+    terms = (w * fd) * gv
+    return np.bincount(src, weights=terms, minlength=x.size)
 
 
 def vector_field(g: Graph, x) -> np.ndarray:
     """dx_i = sum_j a_ij (x_i - x_j) x_i x_j; zero-sum up to rounding."""
-    return _edge_field(g, prepare_state(x, g.n))
+    return _edge_field(g.edge_src, g.edge_dst, g.edge_w, prepare_state(x, g.n))
 
 
 def reverse_vector_field(g: Graph, y) -> np.ndarray:
@@ -154,7 +168,9 @@ def interaction_from_names(f: str = "identity", g: str = "product") -> Interacti
 
 def generalized_vector_field(g: Graph, x, spec: InteractionSpec) -> np.ndarray:
     """dx_i = sum_j a_ij f(x_i - x_j) g(x_i, x_j)."""
-    return _edge_field(g, prepare_state(x, g.n), spec.f, spec.g)
+    return _edge_field(
+        g.edge_src, g.edge_dst, g.edge_w, prepare_state(x, g.n), spec.f, spec.g
+    )
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,10 @@ class EmptyStateError(WtaError):
     pass
 
 
+class NonFiniteStateError(WtaError):
+    """A state component is NaN or infinite."""
+
+
 # integration
 class PositivityFailureError(WtaError):
     """A step left the nonnegative orthant and halving could not recover it."""

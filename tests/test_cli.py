@@ -58,6 +58,21 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_reruns_byte_identical(self, tmp_path):
+        cfg = run_config(tmp_path)
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        for out in (out_a, out_b):
+            assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        for name in ("trajectory.csv", "report.json"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_non_finite_state_exits_1(self, tmp_path, capsys):
+        cfg = run_config(tmp_path, x0={"inline": [float("nan"), 1.0]})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "NaN or infinite" in err and "stiffness" not in err
+
     def test_svg_does_not_alter_data(self, tmp_path):
         cfg = run_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -10,7 +10,8 @@ from wta import (
     step,
     vector_field,
 )
-from wta.errors import ConfigError
+from wta.errors import ConfigError, NonFiniteStateError, WtaError
+from wta.integrate import _simulate
 
 
 def pair():
@@ -159,6 +160,71 @@ class TestSimulateReverse:
             traj, _ = simulate_reverse(g, y0, IntegratorOptions(dt=1e-3, t_end=5.0))
             spread = traj.state_max - traj.state_min
             assert np.all(np.diff(spread) <= 1e-9)
+
+
+class TestNonFiniteState:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejected_before_integrating(self, bad):
+        for run in (simulate, simulate_reverse):
+            with pytest.raises(NonFiniteStateError):
+                run(pair(), [bad, 1.0], IntegratorOptions(t_end=0.1))
+        with pytest.raises(WtaError):
+            step(pair(), [1.0, bad], 0.1)
+
+
+def assert_lanes_match_single_runs(g, x0, opts, keep=None):
+    """Run the rows of x0 as one block (every lane on all of g unless keep
+    says otherwise) and check each lane against its own simulate call on g
+    restricted to its kept edges."""
+    if keep is None:
+        keep = np.ones((len(x0), g.edge_src.size), dtype=bool)
+    run = _simulate(g, x0, opts, "forward", None, keep=keep)
+    for lane, x in enumerate(x0):
+        sel = keep[lane] & (g.edge_src < g.edge_dst)
+        lane_g = new_graph(g.n, zip(g.edge_src[sel].tolist(),
+                                    g.edge_dst[sel].tolist(),
+                                    g.edge_w[sel].tolist()))
+        traj, audit = simulate(lane_g, x, opts)
+        assert np.array_equal(run.states[lane], traj.final_state)
+        assert run.steps[lane] == traj.metadata["steps_taken"]
+        assert run.stopped[lane] == traj.metadata["stopped_at_equilibrium"]
+        assert run.final_time[lane] == traj.metadata["final_time"]
+        assert run.max_drift[lane] == audit.max_abs_drift
+        assert np.all(run.states[lane] >= 0.0)
+        assert abs(run.states[lane].sum() - x.sum()) <= 1e-9 * x.sum()
+    return run
+
+
+class TestLaneBlock:
+    def test_one_lane_halves_while_another_does_not(self):
+        x0 = np.array([[5.0, 1.0], [1.0, 0.9], [0.0, 1.0]])
+        opts = IntegratorOptions(dt=0.5, t_end=2.0, method="euler")
+        assert step(pair(), x0[0], 0.5, method="euler")[1] < 0.5
+        assert step(pair(), x0[1], 0.5, method="euler")[1] == 0.5
+        assert_lanes_match_single_runs(pair(), x0, opts)
+
+    def test_lanes_stop_on_different_steps(self):
+        g = random_graph(5, 0.8, "unit", seed=3)
+        rng = np.random.default_rng(4)
+        x0 = np.vstack([rng.uniform(0.1, 1.0, (3, 5)), np.full((1, 5), 0.5)])
+        x0[1, :3] = 0.0
+        opts = IntegratorOptions(dt=1e-2, t_end=30.0, stop_on_equilibrium=True,
+                                 equilibrium_tol=1e-9)
+        run = assert_lanes_match_single_runs(g, x0, opts)
+        assert run.stopped.all()
+        assert len(set(run.steps.tolist())) == len(x0)
+
+    def test_renormalize_block_with_lane_edge_subsets(self):
+        g = random_graph(7, 0.7, ("uniform", 0.3, 1.5), seed=5)
+        rng = np.random.default_rng(6)
+        x0 = rng.uniform(0.0, 1.0, (4, 7))
+        undirected = rng.random((4, g.n, g.n)) < 0.6
+        lo = np.minimum(g.edge_src, g.edge_dst)
+        hi = np.maximum(g.edge_src, g.edge_dst)
+        keep = undirected[:, lo, hi]
+        opts = IntegratorOptions(dt=5e-2, t_end=3.0, conservation_mode="renormalize",
+                                 stop_on_equilibrium=True, equilibrium_tol=1e-7)
+        assert_lanes_match_single_runs(g, x0, opts, keep=keep)
 
 
 class TestTrajectoryCsv:

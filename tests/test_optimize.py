@@ -4,6 +4,7 @@ import pytest
 from wta import (
     IntegratorOptions,
     OptimizeProblem,
+    connected_components,
     evaluate_choice,
     exhaustive_search,
     greedy_search,
@@ -12,7 +13,7 @@ from wta import (
     sweep_initial_value,
 )
 from wta.errors import ConfigError, TooManyCandidatesError
-from wta.optimize import bits_to_mask, mask_to_bits
+from wta.optimize import TIE_TOL, bits_to_mask, mask_to_bits
 
 
 def two_agent_problem(x_alpha0=2.0, other=1.0, horizon=10.0):
@@ -44,6 +45,39 @@ def nine_agent_problem(seed=0, horizon=5.0):
     )
 
 
+def acceptance_seven_problem():
+    # the instance of tests/test_acceptance.py::test_7_optimizer
+    for k in range(100):
+        arena = random_graph(9, 0.4, "unit", seed=40 + 1000 * k)
+        if len(connected_components(arena)) == 1:
+            break
+    base = new_graph(9, [(i, j, w) for i, j, w in arena.edges() if 0 not in (i, j)])
+    x0 = np.random.default_rng(41).uniform(0.05, 1.0, 9)
+    return OptimizeProblem(
+        base_graph=base,
+        alpha=0,
+        x_alpha0=float(x0[0]),
+        x0_others=tuple(float(v) for v in x0[1:]),
+        horizon=5.0,
+        options=IntegratorOptions(dt=1e-2, stop_on_equilibrium=True,
+                                  equilibrium_tol=1e-9),
+    )
+
+
+def scalar_argmax(values):
+    """The ascending-mask tie-break reduction, as a one-mask-at-a-time loop."""
+    best_mask, best_value, tie = 0, -np.inf, False
+    for mask, v in enumerate(values):
+        if v > best_value + TIE_TOL:
+            best_mask, best_value = mask, v
+        elif v >= best_value - TIE_TOL:
+            tie = True
+            best_value = max(best_value, v)
+            if (bin(mask).count("1"), mask) < (bin(best_mask).count("1"), best_mask):
+                best_mask = mask
+    return best_mask, best_value, tie
+
+
 class TestProblem:
     def test_alpha_edges_in_base_graph_rejected(self):
         with pytest.raises(ConfigError):
@@ -52,6 +86,19 @@ class TestProblem:
                 alpha=0,
                 x_alpha0=1.0,
                 x0_others=(1.0,),
+                horizon=1.0,
+            )
+
+    @pytest.mark.parametrize("x_alpha0, others", [
+        (float("nan"), (1.0,)), (float("inf"), (1.0,)), (1.0, (float("nan"),)),
+    ])
+    def test_non_finite_initial_values_rejected(self, x_alpha0, others):
+        with pytest.raises(ConfigError):
+            OptimizeProblem(
+                base_graph=new_graph(2, []),
+                alpha=0,
+                x_alpha0=x_alpha0,
+                x0_others=others,
                 horizon=1.0,
             )
 
@@ -105,6 +152,20 @@ class TestExhaustive:
         assert res.tie_break_applied
         assert res.best_value == 1.0
 
+    def test_lanes_bit_identical_to_evaluate_choice(self):
+        # exhaustive search integrates its masks as lanes of one block; every
+        # value, the argmax and the tie flag must equal the one-mask-at-a-time
+        # evaluation and reduction exactly
+        p = acceptance_seven_problem()
+        res = exhaustive_search(p)
+        scalar = [evaluate_choice(p, mask) for mask in range(256)]
+        assert [v for _mask, v in res.table] == scalar
+        assert [mask for mask, _v in res.table] == list(range(256))
+        best_mask, best_value, tie = scalar_argmax(scalar)
+        assert (res.best_mask, res.best_value, res.tie_break_applied) == (
+            best_mask, best_value, tie)
+        assert (res.value_min, res.value_max) == (min(scalar), max(scalar))
+
     def test_guard(self):
         with pytest.raises(TooManyCandidatesError):
             exhaustive_search(
@@ -142,6 +203,31 @@ class TestSweep:
         p = two_agent_problem(2.0, 1.0, horizon=2.0)
         sweep = sweep_initial_value(p, [0.0])
         assert all(v == 0.0 for _x0, _mask, v in sweep.rows)
+
+    def test_lanes_bit_identical_to_evaluate_choice(self):
+        g = random_graph(6, 0.6, ("uniform", 0.5, 1.5), seed=8)
+        base = new_graph(6, [(i, j, w) for i, j, w in g.edges() if 2 not in (i, j)])
+        x0 = np.random.default_rng(9).uniform(0.05, 1.0, 6)
+        p = OptimizeProblem(
+            base_graph=base,
+            alpha=2,
+            x_alpha0=float(x0[2]),
+            x0_others=tuple(float(v) for j, v in enumerate(x0) if j != 2),
+            horizon=2.0,
+            candidate_weight=0.7,
+            options=IntegratorOptions(dt=2e-2, stop_on_equilibrium=True,
+                                      equilibrium_tol=1e-9),
+        )
+        grid = [0.0, 0.25, 0.8, 1.6]
+        sweep = sweep_initial_value(p, grid)
+        assert [(x0, mask) for x0, mask, _v in sweep.rows] == [
+            (x0, mask) for x0 in grid for mask in range(32)]
+        for x0, mask, v in sweep.rows:
+            assert v == evaluate_choice(p, mask, x_alpha0=x0)
+
+    def test_non_finite_grid_rejected(self):
+        with pytest.raises(ConfigError):
+            sweep_initial_value(two_agent_problem(), [0.5, float("nan")])
 
     def test_cap_and_csv(self, tmp_path):
         p = two_agent_problem(2.0, 1.0, horizon=2.0)
