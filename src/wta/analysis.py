@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import prepare_state, vector_field
+from .dynamics import laplacian, prepare_state, vector_field
 from .errors import (
     ComponentTooSmallError,
     EmptyStateError,
@@ -128,53 +128,17 @@ def classify_equilibrium(
     )
 
 
-def symmetric_eigenvalues(m, tol_scale: float = 1e-12) -> np.ndarray:
-    """All eigenvalues of a symmetric real matrix, sorted ascending.
-
-    Cyclic Jacobi rotations until the off-diagonal Frobenius norm drops
-    below 1e-12 times the matrix Frobenius norm. Dependency-free by design;
-    numpy's eigensolver is used only as an independent oracle in the tests.
-    """
+def symmetric_eigenvalues(m) -> np.ndarray:
+    """All eigenvalues of a symmetric real matrix, sorted ascending: numpy's
+    ``eigvalsh`` of its symmetric part, once the matrix is found symmetric
+    within 1e-12 relative to its largest entry."""
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetricError(f"matrix must be square, got shape {a.shape}")
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.T).max()) > 1e-12 * scale:
         raise NotSymmetricError("matrix is not symmetric within 1e-12 relative")
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy()
-    fro = float(np.sqrt((a * a).sum()))
-    if fro == 0.0:
-        return np.zeros(n)
-    target = tol_scale * fro
-    for _sweep in range(100):
-        off = a - np.diag(np.diag(a))
-        if float(np.sqrt((off * off).sum())) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-2 * target / n:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # two-sided rotation on rows/columns p and q
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                a[p, q] = a[q, p] = 0.0
-    return np.sort(np.diag(a))
+    return np.linalg.eigvalsh(0.5 * (a + a.T))
 
 
 @dataclass(frozen=True)
@@ -218,8 +182,7 @@ def linearize_at(
             f"winner component {nodes} has fewer than 2 nodes"
         )
     sub, _mapping = induced_subgraph(g, nodes)
-    lap = np.diag(sub.weights.sum(axis=1)) - sub.weights
-    eigs = symmetric_eigenvalues((c * c) * lap)
+    eigs = symmetric_eigenvalues(laplacian(sub, np.full(sub.n, c)))
     verdict = "unstable" if len(eigs) >= 2 and eigs[1] > 1e-10 else "inconclusive"
     return SpectrumReport(
         subgraph=nodes,

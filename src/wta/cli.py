@@ -76,6 +76,8 @@ def _graph_from_config(cfg: dict, default_seed: int):
     if src == "file":
         return load_graph(cfg["file"])
     spec = cfg["random"]
+    if not (isinstance(spec, dict) and "n" in spec and "p" in spec):
+        raise ConfigError(f'random graph needs "n" and "p", got {spec!r}')
     return random_graph(
         int(spec["n"]),
         float(spec["p"]),
@@ -106,7 +108,10 @@ def _options_from_config(cfg) -> IntegratorOptions:
     unknown = set(cfg) - allowed
     if unknown:
         raise ConfigError(f"unknown integrator options {sorted(unknown)}")
-    return IntegratorOptions(**cfg)
+    try:
+        return IntegratorOptions(**cfg)
+    except TypeError as exc:  # a value of the wrong type, such as "dt": "0.1"
+        raise ConfigError(f"bad integrator options {cfg}: {exc}") from exc
 
 
 def _interaction_from_config(cfg):
@@ -195,6 +200,8 @@ def cmd_classify(args) -> int:
         raise ConfigError(f"cannot read state {args.state}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {args.state}: {exc}") from exc
+    if isinstance(payload, dict) and "x" not in payload:
+        raise ConfigError(f'state object needs an "x" field, got {sorted(payload)}')
     x = payload["x"] if isinstance(payload, dict) else payload
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):

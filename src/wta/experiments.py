@@ -218,9 +218,7 @@ def _run_fig5(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
 
     # the original topology's mask, marked like the paper's * point
     candidates = problem.candidates
-    orig_mask = sum(
-        1 << k for k, j in enumerate(candidates) if g.weights[alpha, j] > 0.0
-    )
+    orig_mask = sum(1 << k for k, j in enumerate(candidates) if g.has_edge(alpha, j))
     star_value = evaluate_choice(problem, orig_mask)
     values_by_grid = {}
     for gx, _mask, v in sweep.rows:

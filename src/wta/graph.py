@@ -1,8 +1,8 @@
 """Weighted undirected simple graphs.
 
-Node ids are dense integers in [0, n). A graph stores both the symmetric
-weight matrix (for linearization / spectral work) and flattened directed
-edge arrays in adjacency-list order (for fast field evaluation). Graphs are
+Node ids are dense integers in [0, n). A graph is stored once, as
+compressed sparse rows: directed edge arrays in adjacency-list order plus
+row offsets; the dense weight matrix is built on demand. Graphs are
 immutable after construction.
 """
 
@@ -41,22 +41,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable weighted undirected graph without self-loops."""
+    """Immutable weighted undirected graph without self-loops, stored as CSR."""
 
     n: int
-    weights: np.ndarray  # (n, n) symmetric, zero diagonal, nonnegative
+    # node i's edges are entries indptr[i]:indptr[i + 1] of the arrays below
+    indptr: np.ndarray = field(repr=False)
     # directed edge arrays, ordered by source then target; each undirected
-    # edge appears twice (once per endpoint)
+    # edge appears twice (once per endpoint). edge_dst is the CSR index array.
     edge_src: np.ndarray = field(repr=False)
     edge_dst: np.ndarray = field(repr=False)
     edge_w: np.ndarray = field(repr=False)
     hash_hex: str = field(repr=False, default="")
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Dense (n, n) symmetric weight matrix, built from the edges on
+        every access: O(n^2) time and memory, for small graphs and tests."""
+        w = np.zeros((self.n, self.n))
+        w[self.edge_src, self.edge_dst] = self.edge_w
+        return w
+
     def neighbors(self, i: int) -> list[tuple[int, float]]:
         """Adjacency-list view of node i: list of (neighbor, weight)."""
         _check_node(i, self.n)
-        sel = self.edge_src == i
-        return list(zip(self.edge_dst[sel].tolist(), self.edge_w[sel].tolist()))
+        row = slice(self.indptr[i], self.indptr[i + 1])
+        return list(zip(self.edge_dst[row].tolist(), self.edge_w[row].tolist()))
 
     def edges(self) -> list[tuple[int, int, float]]:
         """Undirected edge list with i < j per entry."""
@@ -74,9 +83,8 @@ class Graph:
         return len(self.edge_src) // 2
 
     def has_edge(self, i: int, j: int) -> bool:
-        _check_node(i, self.n)
         _check_node(j, self.n)
-        return self.weights[i, j] > 0.0
+        return any(k == j for k, _w in self.neighbors(i))
 
 
 def _check_node(i: int, n: int) -> None:
@@ -92,22 +100,26 @@ def validate_nodes(nodes: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _finish(n: int, weights: np.ndarray) -> Graph:
-    src, dst = np.nonzero(weights)  # row-major order == adjacency-list order
-    w = weights[src, dst]
-    for a in (weights, src, dst, w):
+def _finish(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> Graph:
+    """Graph from undirected edges i < j (intp arrays), in (i, j) order."""
+    src = np.concatenate((j, i))
+    # a stable sort by source keeps each row's edges to lower ids (listed
+    # first, ascending as i is) ahead of its edges to higher ids (ascending j)
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], np.concatenate((i, j))[order]
+    edge_w = np.concatenate((w, w))[order]
+    indptr = np.searchsorted(src, np.arange(n + 1))
+    for a in (indptr, src, dst, edge_w):
         a.setflags(write=False)
-    digest = hashlib.sha256()
-    digest.update(str(n).encode())
-    for i, j, wt in zip(src.tolist(), dst.tolist(), w.tolist()):
-        if i < j:
-            digest.update(f"{i},{j},{wt!r};".encode())
+    digest = hashlib.sha256(str(n).encode())
+    for u, v, wt in zip(i.tolist(), j.tolist(), w.tolist()):
+        digest.update(f"{u},{v},{wt!r};".encode())
     return Graph(
         n=n,
-        weights=weights,
+        indptr=indptr,
         edge_src=src,
         edge_dst=dst,
-        edge_w=w,
+        edge_w=edge_w,
         hash_hex=digest.hexdigest(),
     )
 
@@ -116,7 +128,6 @@ def new_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> Graph:
     """Build a graph from an undirected edge list (i, j, w)."""
     if not (isinstance(n, (int, np.integer)) and n > 0):
         raise ConfigError(f"agent count must be a positive integer, got {n!r}")
-    weights = np.zeros((int(n), int(n)))
     seen: dict[tuple[int, int], float] = {}
     for i, j, w in edges:
         _check_node(i, n)
@@ -126,16 +137,19 @@ def new_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> Graph:
             raise SelfLoopError(f"self-loop at node {i}")
         if not w > 0.0:
             raise NonpositiveWeightError(f"edge ({i},{j}) has weight {w} <= 0")
+        if w == float("inf"):  # NaN and -inf fail the check above
+            raise ConfigError(f"edge ({i},{j}) has non-finite weight {w}")
         key = (min(i, j), max(i, j))
-        if key in seen:
-            if seen[key] != w:
-                raise DuplicateEdgeError(
-                    f"edge {key} given twice with weights {seen[key]} and {w}"
-                )
-            continue
-        seen[key] = w
-        weights[i, j] = weights[j, i] = w
-    return _finish(int(n), weights)
+        if seen.setdefault(key, w) != w:
+            raise DuplicateEdgeError(
+                f"edge {key} given twice with weights {seen[key]} and {w}"
+            )
+    keys = sorted(seen)
+    i, j = np.array(keys, dtype=np.intp).reshape(-1, 2).T
+    return _finish(int(n), i, j, np.array([seen[k] for k in keys]))
+
+
+_DRAW_CHUNK = 1 << 20  # most doubles one draw of random_graph holds in memory
 
 
 def random_graph(
@@ -148,11 +162,16 @@ def random_graph(
 
     ``weight_mode`` is either "unit" or ("uniform", lo, hi) with lo > 0.
     Uses numpy's PCG64 generator; the same (n, p, weight_mode, seed) always
-    produces the same graph.
+    produces the same graph. Pairs (i, j), i < j, are visited in row-major
+    order, each included when its draw is below p; in uniform mode an
+    included pair's weight comes from the draw right after its own.
     """
+    if not (isinstance(n, (int, np.integer)) and n > 0):
+        raise ConfigError(f"agent count must be a positive integer, got {n!r}")
     p = float(edge_probability)
     if not (0.0 <= p <= 1.0):
         raise InvalidProbabilityError(f"edge probability {p} not in [0, 1]")
+    rng = np.random.default_rng(seed)
     if weight_mode != "unit":
         try:
             mode, lo, hi = weight_mode
@@ -161,14 +180,25 @@ def random_graph(
         if mode != "uniform" or not (0.0 < float(lo) <= float(hi)):
             raise ConfigError(f"bad weight_mode {weight_mode!r}")
         lo, hi = float(lo), float(hi)
-    rng = np.random.default_rng(seed)
-    weights = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                w = 1.0 if weight_mode == "unit" else rng.uniform(lo, hi)
-                weights[i, j] = weights[j, i] = w
-    return _finish(n, weights)
+        # the weight draws interleave with the inclusion draws: one pair at a time
+        edges = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    edges.append((i, j, rng.uniform(lo, hi)))
+        return new_graph(n, edges)
+    # Generator.random(k) yields the same doubles as k scalar calls, so
+    # drawing the pairs in chunks keeps the scalar stream
+    row_start = np.cumsum(np.arange(n, 0, -1)) - n  # flat index of pair (i, i + 1)
+    pairs = n * (n - 1) // 2
+    hits = [
+        start + np.flatnonzero(rng.random(min(_DRAW_CHUNK, pairs - start)) < p)
+        for start in range(0, pairs, _DRAW_CHUNK)
+    ]
+    k = np.concatenate(hits) if hits else np.zeros(0, dtype=np.intp)
+    i = np.searchsorted(row_start, k, side="right") - 1
+    j = k - row_start[i] + i + 1
+    return _finish(n, i, j, np.ones(k.size))
 
 
 def induced_subgraph(
@@ -182,14 +212,19 @@ def induced_subgraph(
     s = validate_nodes(nodes, g.n)
     if not s:
         raise ConfigError("induced subgraph over the empty node set")
-    idx = np.array(s)
-    sub = np.array(g.weights[np.ix_(idx, idx)])
-    return _finish(len(s), sub), s
+    label = np.full(g.n, -1, dtype=np.intp)
+    label[list(s)] = np.arange(len(s))
+    i, j = label[g.edge_src], label[g.edge_dst]
+    # labels rise with node ids, so the kept edges stay in row-major order
+    keep = (i >= 0) & (i < j)
+    return _finish(len(s), i[keep], j[keep], g.edge_w[keep]), s
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
     """Partition of [0, n) into maximal connected node sets (BFS over
     positive-weight edges), ordered by smallest member."""
+    indptr = g.indptr.tolist()
+    targets = g.edge_dst.tolist()
     seen = [False] * g.n
     comps: list[tuple[int, ...]] = []
     for start in range(g.n):
@@ -201,7 +236,7 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
         while queue:
             u = queue.pop()
             members.append(u)
-            for v, _w in g.neighbors(u):
+            for v in targets[indptr[u]:indptr[u + 1]]:
                 if not seen[v]:
                     seen[v] = True
                     queue.append(v)
@@ -211,12 +246,9 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
 
 def is_independent_set(g: Graph, nodes: Iterable[int]) -> bool:
     """True iff no edge of g has both endpoints in the node set."""
-    s = set(validate_nodes(nodes, g.n))
-    for i in s:
-        for j, _w in g.neighbors(i):
-            if j in s:
-                return False
-    return True
+    member = np.zeros(g.n, dtype=bool)
+    member[list(validate_nodes(nodes, g.n))] = True
+    return not (member[g.edge_src] & member[g.edge_dst]).any()
 
 
 # --- JSON schema: {"n": int, "edges": [[i, j, w], ...]} with i < j ---
@@ -230,17 +262,15 @@ def graph_from_json_dict(d: dict) -> Graph:
     if not isinstance(d, dict) or "n" not in d or "edges" not in d:
         raise ConfigError('graph JSON must be {"n": int, "edges": [[i,j,w],...]}')
     n = d["n"]
-    if not isinstance(n, int) or n <= 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise ConfigError(f'graph JSON field "n" must be a positive integer, got {n!r}')
     edges = []
     for entry in d["edges"]:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
             raise ConfigError(f"bad edge entry {entry!r}")
         i, j, w = entry
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (i, j)):
             raise ConfigError(f"edge endpoints must be integers, got {entry!r}")
-        if i == j:
-            raise SelfLoopError(f"self-loop at node {i}")
         if i > j:
             raise ConfigError(f"edge entry {entry!r} must have i < j")
         edges.append((i, j, float(w)))

@@ -78,7 +78,7 @@ class OptimizeProblem:
         n = self.base_graph.n
         if not (0 <= self.alpha < n):
             raise ConfigError(f"alpha={self.alpha} not a node of the {n}-agent graph")
-        if self.base_graph.weights[self.alpha].any():
+        if self.base_graph.neighbors(self.alpha):
             raise ConfigError("base graph must not contain edges at agent alpha")
         if len(self.x0_others) != n - 1:
             raise ConfigError(

@@ -73,6 +73,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "NaN or infinite" in err and "stiffness" not in err
 
+    @pytest.mark.parametrize("overrides", [
+        {"graph": {"random": {"p": 0.1}}},
+        {"integrator": {"dt": "0.1"}},
+    ])
+    def test_bad_config_value_exits_1(self, tmp_path, capsys, overrides):
+        cfg = run_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_svg_does_not_alter_data(self, tmp_path):
         cfg = run_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -118,6 +130,11 @@ class TestClassify:
         code, = (main(["classify", "--graph", self.graph_file(tmp_path),
                        "--state", write(tmp_path / "s4.json", {"x": [1.0]})]),)
         assert code == 1
+
+    def test_state_object_without_x_exit_1(self, tmp_path, capsys):
+        sf = write(tmp_path / "s5.json", {"y": [1.0, 2.0]})
+        assert main(["classify", "--graph", self.graph_file(tmp_path), "--state", sf]) == 1
+        assert '"x"' in capsys.readouterr().err
 
 
 def optimize_config(tmp_path, n=2, **overrides):

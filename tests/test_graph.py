@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import wta.graph
 from wta import (
     connected_components,
     dump_graph,
@@ -21,6 +23,7 @@ from wta.errors import (
     InvalidProbabilityError,
     NonpositiveWeightError,
     SelfLoopError,
+    WtaError,
 )
 
 
@@ -60,6 +63,11 @@ class TestConstruction:
         # identical re-specification is tolerated
         g = new_graph(2, [(0, 1, 1.0), (1, 0, 1.0)])
         assert g.num_edges == 1
+
+    @pytest.mark.parametrize("w", [float("inf"), float("nan")])
+    def test_non_finite_weight_rejected(self, w):
+        with pytest.raises(WtaError):
+            new_graph(2, [(0, 1, w)])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(IndexOutOfRangeError):
@@ -171,6 +179,71 @@ class TestRandomGraph:
         with pytest.raises(InvalidProbabilityError):
             random_graph(3, 1.5, "unit", seed=0)
 
+    @pytest.mark.parametrize("n", [0, -1, 2.0])
+    def test_bad_agent_count(self, n):
+        with pytest.raises(ConfigError):
+            random_graph(n, 0.5, "unit", seed=0)
+
+    # hashes recorded from the dense-matrix generator that drew one pair at
+    # a time; a changed stream or edge order changes them
+    @pytest.mark.parametrize("args, digest", [
+        ((1000, 5 / 999, "unit", 0),
+         "6f3d0f2ff2de582a06d2d109510ba5520dba37fff9815e836babee89df4dc0f5"),
+        ((1000, 5 / 999, "unit", 3),
+         "f5b6995c4509278c657026b1cf16b5e82d3088323cd253531888ee3d97c2914b"),
+        ((100, 0.8),
+         "9263861569a9f23a8a0b1b471604850c4f6b081aeae262196d19eb86ca9dd442"),
+        ((40, 0.5, ("uniform", 0.2, 1.5), 9),
+         "4f0c22a9a14645ef52f229f740ffddc233b77178210158b8f8c137f610e1a05f"),
+        ((10, 0.0, "unit", 2),
+         "4a44dc15364204a80fe80e9039455cc1608281820fe2b24f1e5233ade6af1dd5"),
+        ((10, 1.0, "unit", 2),
+         "cc338da4232768f9ed31735da4042f5916adfa03ca2112c0dc5ecadf3df41961"),
+        ((1, 0.5, "unit", 0),
+         "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"),
+    ])
+    def test_hash_pinned(self, args, digest):
+        assert random_graph(*args).hash_hex == digest
+
+    @pytest.mark.parametrize("chunk", [1, 999, 4096])
+    def test_chunk_size_keeps_stream(self, monkeypatch, chunk):
+        whole = random_graph(300, 0.02, "unit", seed=4)
+        monkeypatch.setattr(wta.graph, "_DRAW_CHUNK", chunk)
+        chunked = random_graph(300, 0.02, "unit", seed=4)
+        assert chunked.hash_hex == whole.hash_hex
+        assert np.array_equal(chunked.edge_dst, whole.edge_dst)
+
+    def test_queries_against_dense_oracle(self):
+        rng = np.random.default_rng(5)
+        for trial, (n, p) in enumerate([(30, 0.1), (25, 0.4), (40, 0.05)]):
+            mode = "unit" if trial % 2 == 0 else ("uniform", 0.2, 1.5)
+            g = random_graph(n, p, mode, seed=trial)
+            a = g.weights
+            assert np.array_equal(a, a.T) and not a.diagonal().any()
+            for i in range(n):
+                # in ascending order: the field sums each row in this order
+                assert g.neighbors(i) == [(j, a[i, j]) for j in np.flatnonzero(a[i])]
+                for j in range(n):
+                    assert g.has_edge(i, j) == (a[i, j] > 0.0)
+            for _ in range(10):
+                s = sorted(rng.choice(n, size=rng.integers(1, n), replace=False).tolist())
+                sub, mapping = induced_subgraph(g, s)
+                assert mapping == tuple(s)
+                inner = a[np.ix_(s, s)]
+                expect = new_graph(len(s), [(u, v, inner[u, v])
+                                            for u, v in zip(*np.nonzero(np.triu(inner)))])
+                assert sub.hash_hex == expect.hash_hex
+                for name in ("indptr", "edge_src", "edge_dst", "edge_w"):
+                    assert np.array_equal(getattr(sub, name), getattr(expect, name))
+                assert is_independent_set(g, s) == (not inner.any())
+
+    def test_stores_no_dense_matrix(self):
+        n = 2000
+        g = random_graph(n, 5 / (n - 1), "unit", seed=1)
+        for f in dataclasses.fields(g):
+            value = getattr(g, f.name)
+            assert not (isinstance(value, np.ndarray) and value.size >= n * n), f.name
+
 
 class TestJson:
     def test_round_trip(self, tmp_path):
@@ -179,6 +252,14 @@ class TestJson:
         dump_graph(g, path)
         h = load_graph(path)
         assert np.array_equal(g.weights, h.weights)
+
+    @pytest.mark.parametrize("d", [
+        {"n": True, "edges": []},
+        {"n": 2, "edges": [[False, True, 1.0]]},
+    ])
+    def test_schema_rejects_booleans(self, d):
+        with pytest.raises(ConfigError):
+            graph_from_json_dict(d)
 
     def test_schema_requires_i_less_than_j(self):
         with pytest.raises(ConfigError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -55,11 +57,11 @@ class TestStep:
 class TestSimulateForward:
     def test_two_agent_oracle(self):
         # conserved mass 3, larger agent wins: limit (3, 0); cross-checked
-        # below against a tiny-step reference integration
+        # below against the closed-form solution
         traj, audit = simulate(pair(), [2.0, 1.0], IntegratorOptions(dt=1e-3, t_end=10.0))
         assert abs(traj.final_state[0] - 3.0) < 1e-6
         assert abs(traj.final_state[1]) < 1e-6
-        ref = _reference_two_agent(2.0, 1.0, t_end=10.0, dt=1e-5)
+        ref = _reference_two_agent(2.0, 1.0, t=10.0)
         assert np.abs(traj.final_state - ref).max() < 1e-8
 
     def test_origin_is_fixed(self):
@@ -140,7 +142,7 @@ class TestSimulateReverse:
     def test_two_agent_consensus_oracle(self):
         traj, _ = simulate_reverse(pair(), [2.0, 1.0], IntegratorOptions(dt=1e-3, t_end=10.0))
         assert np.abs(traj.final_state - 1.5).max() < 1e-6
-        ref = _reference_two_agent(2.0, 1.0, t_end=10.0, dt=1e-5, sign=-1.0)
+        ref = _reference_two_agent(2.0, 1.0, t=10.0, sign=-1.0)
         assert np.abs(traj.final_state - ref).max() < 1e-8
 
     def test_uniform_already_consensus(self):
@@ -242,21 +244,17 @@ class TestTrajectoryCsv:
         assert np.array_equal(data[:, 5], traj.mass)
 
 
-def _reference_two_agent(a, b, t_end, dt, sign=1.0):
-    """Tiny-step RK4 reference for the single-edge pair, built separately
-    from the library integrator."""
-    x = np.array([a, b], dtype=float)
+def _reference_two_agent(a, b, t, sign=1.0):
+    """Closed-form state at time t of the single-edge pair started at (a, b),
+    forward (sign=+1) or reverse (sign=-1), built separately from the
+    library integrator.
 
-    def f(s):
-        d = sign * (s[0] - s[1]) * s[0] * s[1]
-        return np.array([d, -d])
-
-    steps = int(round(t_end / dt))
-    for _ in range(steps):
-        k1 = f(x)
-        k2 = f(x + dt / 2 * k1)
-        k3 = f(x + dt / 2 * k2)
-        k4 = f(x + dt * k3)
-        x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        x = np.maximum(x, 0.0)
-    return x
+    With mass M = a + b and gap u = x0 - x1, the gap obeys
+    u' = sign * u (M^2 - u^2) / 2, so q = u^2 / (M^2 - u^2) grows as
+    q0 * exp(sign * M^2 * t). The smaller agent, (M - |u|) / 2, is written
+    without the cancellation of that difference.
+    """
+    m = a + b
+    q = (a - b) ** 2 / (m * m - (a - b) ** 2) * math.exp(sign * m * m * t)
+    small = (m / 2) / ((1 + q) * (1 + math.sqrt(q / (1 + q))))
+    return np.array([m - small, small] if a >= b else [small, m - small])
