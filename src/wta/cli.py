@@ -54,6 +54,8 @@ def _load_config(path) -> dict:
 
 
 def _one_of(d: dict, keys, what: str) -> str:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {d!r}")
     present = [k for k in keys if k in d]
     if len(present) != 1:
         raise ConfigError(f"exactly one {what} source of {keys} required, got {present}")
@@ -64,8 +66,11 @@ def _weight_mode(spec):
     if spec in (None, "unit"):
         return "unit"
     if isinstance(spec, dict) and set(spec) == {"uniform"}:
-        lo, hi = spec["uniform"]
-        return ("uniform", float(lo), float(hi))
+        try:
+            lo, hi = spec["uniform"]
+            return ("uniform", float(lo), float(hi))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad weight_mode {spec!r}: {exc}") from exc
     raise ConfigError(f'bad weight_mode {spec!r}; use "unit" or {{"uniform": [lo, hi]}}')
 
 
@@ -78,25 +83,36 @@ def _graph_from_config(cfg: dict, default_seed: int):
     spec = cfg["random"]
     if not (isinstance(spec, dict) and "n" in spec and "p" in spec):
         raise ConfigError(f'random graph needs "n" and "p", got {spec!r}')
-    return random_graph(
-        int(spec["n"]),
-        float(spec["p"]),
-        _weight_mode(spec.get("weight_mode")),
-        int(spec.get("seed", default_seed)),
-    )
+    try:
+        n, p = int(spec["n"]), float(spec["p"])
+        seed = int(spec.get("seed", default_seed))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad random graph {spec!r}: {exc}") from exc
+    return random_graph(n, p, _weight_mode(spec.get("weight_mode")), seed)
+
+
+def _state_array(values) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"state must be a list of numbers, got {values!r}") from exc
 
 
 def _x0_from_config(cfg: dict, n: int, default_seed: int) -> np.ndarray:
     src = _one_of(cfg, ("inline", "random"), "initial state")
     if src == "inline":
-        x = np.asarray(cfg["inline"], dtype=float)
+        x = _state_array(cfg["inline"])
         if x.shape != (n,):
             raise ConfigError(f"initial state has length {x.size}, graph has n={n}")
         return x
     spec = cfg["random"]
-    rng = np.random.default_rng(int(spec.get("seed", default_seed)))
-    lo = float(spec.get("low", 0.0))
-    hi = float(spec.get("high", 1.0))
+    try:
+        seed = int(spec.get("seed", default_seed))
+        lo = float(spec.get("low", 0.0))
+        hi = float(spec.get("high", 1.0))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad random initial state {spec!r}: {exc}") from exc
+    rng = np.random.default_rng(seed)
     if lo < 0.0 or hi <= lo:
         raise ConfigError(f"random initial state needs 0 <= low < high, got [{lo}, {hi}]")
     return rng.uniform(lo, hi, n)
@@ -163,6 +179,7 @@ def cmd_simulate(args) -> int:
         "seed": args.seed,
         "direction": direction,
         "graph_hash": g.hash_hex,
+        "field_kernel": traj.metadata["field_kernel"],
         "audit": audit.to_json_dict(),
         "classification": classify_equilibrium(g, traj.final_state).to_json_dict(),
         "final_state": [_fmt(float(v)) for v in traj.final_state],
@@ -203,7 +220,7 @@ def cmd_classify(args) -> int:
     if isinstance(payload, dict) and "x" not in payload:
         raise ConfigError(f'state object needs an "x" field, got {sorted(payload)}')
     x = payload["x"] if isinstance(payload, dict) else payload
-    x = np.asarray(x, dtype=float)
+    x = _state_array(x)
     if x.shape != (g.n,):
         raise ConfigError(f"state has length {x.size}, graph has n={g.n}")
     report = classify_equilibrium(g, x, zero_tol=args.zero_tol, equal_tol=args.equal_tol)
@@ -216,13 +233,20 @@ def _problem_from_config(cfg: dict, default_seed: int) -> OptimizeProblem:
     for key in ("alpha", "x_alpha0", "x0_others", "horizon"):
         if key not in cfg:
             raise ConfigError(f"optimize config missing {key!r}")
+    try:
+        alpha, x_alpha0 = int(cfg["alpha"]), float(cfg["x_alpha0"])
+        x0_others = tuple(float(v) for v in cfg["x0_others"])
+        horizon = float(cfg["horizon"])
+        candidate_weight = float(cfg.get("candidate_weight", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad optimize config value: {exc}") from exc
     return OptimizeProblem(
         base_graph=base,
-        alpha=int(cfg["alpha"]),
-        x_alpha0=float(cfg["x_alpha0"]),
-        x0_others=tuple(float(v) for v in cfg["x0_others"]),
-        horizon=float(cfg["horizon"]),
-        candidate_weight=float(cfg.get("candidate_weight", 1.0)),
+        alpha=alpha,
+        x_alpha0=x_alpha0,
+        x0_others=x0_others,
+        horizon=horizon,
+        candidate_weight=candidate_weight,
         options=_options_from_config(cfg.get("integrator"))
         if cfg.get("integrator")
         else OptimizeProblem.__dataclass_fields__["options"].default_factory(),
@@ -232,14 +256,17 @@ def _problem_from_config(cfg: dict, default_seed: int) -> OptimizeProblem:
 def _grid_from_config(cfg) -> np.ndarray:
     if cfg is None:
         return np.linspace(0.0, 1.5, 31)
-    if isinstance(cfg, list):
-        return np.asarray(cfg, dtype=float)
-    if isinstance(cfg, dict):
-        return np.linspace(
-            float(cfg.get("start", 0.0)),
-            float(cfg.get("stop", 1.5)),
-            int(cfg.get("count", 31)),
-        )
+    try:
+        if isinstance(cfg, list):
+            return np.asarray(cfg, dtype=float)
+        if isinstance(cfg, dict):
+            return np.linspace(
+                float(cfg.get("start", 0.0)),
+                float(cfg.get("stop", 1.5)),
+                int(cfg.get("count", 31)),
+            )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sweep_grid {cfg!r}: {exc}") from exc
     raise ConfigError(f"bad sweep_grid {cfg!r}")
 
 
@@ -247,9 +274,9 @@ def cmd_optimize(args) -> int:
     cfg = _load_config(args.config)
     problem = _problem_from_config(cfg, args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.sweep:
         sweep = sweep_initial_value(problem, _grid_from_config(cfg.get("sweep_grid")))
+        out.mkdir(parents=True, exist_ok=True)
         sweep.write_csv(out / "sweep.csv")
         if args.svg:
             svg.scatter_chart(
@@ -266,11 +293,13 @@ def cmd_optimize(args) -> int:
         result = exhaustive_search(problem)
     else:
         greedy_cfg = cfg.get("greedy", {})
-        result = greedy_search(
-            problem,
-            restarts=int(greedy_cfg.get("restarts", 8)),
-            seed=int(greedy_cfg.get("seed", args.seed)),
-        )
+        try:
+            restarts = int(greedy_cfg.get("restarts", 8))
+            seed = int(greedy_cfg.get("seed", args.seed))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad greedy config {greedy_cfg!r}: {exc}") from exc
+        result = greedy_search(problem, restarts=restarts, seed=seed)
+    out.mkdir(parents=True, exist_ok=True)
     payload = result.to_json_dict()
     payload["version"] = __version__
     payload["config_hash"] = _canonical_hash(cfg)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -85,9 +85,55 @@ def _edge_field(src, dst, w, x: np.ndarray, f=None, gfun=None) -> np.ndarray:
     return np.bincount(src, weights=terms, minlength=x.size)
 
 
+def _dense_field(W: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The default field through the symmetric weight matrix W:
+    x_i^2 (Wx)_i - x_i (W x^2)_i = sum_j a_ij (x_i - x_j) x_i x_j.
+
+    Both terms carry a factor x_i and W, x >= 0, so an entry at zero gets
+    exactly +0.0; the sum is zero up to rounding by symmetry of W.
+    """
+    x2 = x * x
+    return x2 * (W @ x) - x * (W @ x2)
+
+
+# The dense kernel is used iff n >= DENSE_MIN_N and the directed edges fill
+# at least 1/DENSE_FILL_DIV of the n^2 entries. Field time in microseconds,
+# edge vs dense, on 2 vCPUs with numpy 2.4.6: n=100 p=0.8 75.6 vs 8.8;
+# n=64 p=0.5 18.5 vs 5.6; n=32 p=0.3 5.4 vs 4.6; n=16 p=0.8 4.6 vs 4.4;
+# n=8 about 3.2 vs 4.3 at any p; n=1000 mean degree 5 39 vs 430.
+DENSE_MIN_N = 32
+DENSE_FILL_DIV = 4
+
+
+def _field_kernel(g: Graph, spec: Optional[InteractionSpec] = None) -> str:
+    """Kernel that evaluates the field of g under spec (None: the default
+    interaction): "dense" for the default interaction on a graph that is
+    large and dense enough, else "edge". Generalized specs use "edge"."""
+    if spec is not None and not spec.is_default:
+        return "edge"
+    if g.n >= DENSE_MIN_N and 2 * g.num_edges * DENSE_FILL_DIV >= g.n * g.n:
+        return "dense"
+    return "edge"
+
+
+def _edge_fn(src, dst, w, spec: Optional[InteractionSpec] = None) -> Callable:
+    """_edge_field over fixed edge arrays under spec, as a function of x."""
+    f, gfun = (None, None) if spec is None or spec.is_default else (spec.f, spec.g)
+    return lambda x: _edge_field(src, dst, w, x, f, gfun)
+
+
+def _field_fn(g: Graph, spec: Optional[InteractionSpec] = None) -> Callable:
+    """The field of g under spec as a function of a clean state, through
+    the kernel _field_kernel picks; the dense one builds W once, here."""
+    if _field_kernel(g, spec) == "dense":
+        W = g.weights
+        return lambda x: _dense_field(W, x)
+    return _edge_fn(g.edge_src, g.edge_dst, g.edge_w, spec)
+
+
 def vector_field(g: Graph, x) -> np.ndarray:
     """dx_i = sum_j a_ij (x_i - x_j) x_i x_j; zero-sum up to rounding."""
-    return _edge_field(g.edge_src, g.edge_dst, g.edge_w, prepare_state(x, g.n))
+    return _field_fn(g)(prepare_state(x, g.n))
 
 
 def reverse_vector_field(g: Graph, y) -> np.ndarray:
@@ -168,9 +214,7 @@ def interaction_from_names(f: str = "identity", g: str = "product") -> Interacti
 
 def generalized_vector_field(g: Graph, x, spec: InteractionSpec) -> np.ndarray:
     """dx_i = sum_j a_ij f(x_i - x_j) g(x_i, x_j)."""
-    return _edge_field(
-        g.edge_src, g.edge_dst, g.edge_w, prepare_state(x, g.n), spec.f, spec.g
-    )
+    return _field_fn(g, spec)(prepare_state(x, g.n))
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable weighted undirected graph without self-loops, stored as CSR."""
+    """Immutable weighted undirected graph without self-loops, stored as CSR.
+
+    Graphs compare and hash by hash_hex, which covers n and every edge
+    with its weight."""
 
     n: int
     # node i's edges are entries indptr[i]:indptr[i + 1] of the arrays below
@@ -60,6 +63,14 @@ class Graph:
         w = np.zeros((self.n, self.n))
         w[self.edge_src, self.edge_dst] = self.edge_w
         return w
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.hash_hex == other.hash_hex
+
+    def __hash__(self) -> int:
+        return hash(self.hash_hex)
 
     def neighbors(self, i: int) -> list[tuple[int, float]]:
         """Adjacency-list view of node i: list of (neighbor, weight)."""
@@ -273,7 +284,10 @@ def graph_from_json_dict(d: dict) -> Graph:
             raise ConfigError(f"edge endpoints must be integers, got {entry!r}")
         if i > j:
             raise ConfigError(f"edge entry {entry!r} must have i < j")
-        edges.append((i, j, float(w)))
+        try:
+            edges.append((i, j, float(w)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"edge weight must be a number, got {entry!r}") from exc
     return new_graph(n, edges)
 
 

@@ -17,7 +17,9 @@ import numpy as np
 from .dynamics import (
     CLAMP,
     InteractionSpec,
-    _edge_field,
+    _edge_fn,
+    _field_fn,
+    _field_kernel,
     prepare_state,
 )
 from .errors import ConfigError, PositivityFailureError
@@ -119,10 +121,10 @@ class Trajectory:
             + ",".join(f"x_{i}" for i in range(self.n))
             + ",mass,entropy,max,min,residual"
         )
+        row = ",".join(["%.17g"] * cols.shape[1]) + "\n"
         with open(path, "w") as fh:
             fh.write(header + "\n")
-            for row in cols:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.writelines(row % tuple(values.tolist()) for values in cols)
 
 
 def _raw_step(f: Callable, x: np.ndarray, h, method: str,
@@ -199,21 +201,20 @@ def _lane_field(g: Graph, keep: Optional[np.ndarray], direction: str,
                 interaction: Optional[InteractionSpec]) -> Callable:
     """Field of a block of lanes over a flat state: lane l is g restricted
     to the directed edges its row of keep (B, 2*num_edges) enables, acting
-    on entries [l*n, (l+1)*n). keep=None is the single lane of all of g."""
+    on entries [l*n, (l+1)*n). keep=None is the single lane of all of g,
+    through the kernel dynamics picks for g; a block of lanes always uses
+    the edge kernel."""
     if keep is None:
-        src, dst, w = g.edge_src, g.edge_dst, g.edge_w
+        fn = _field_fn(g, interaction)
     else:
         offset = g.n * np.arange(len(keep))[:, None]
         src = (g.edge_src + offset)[keep]
         dst = (g.edge_dst + offset)[keep]
         w = np.broadcast_to(g.edge_w, keep.shape)[keep]
-    if interaction is None or interaction.is_default:
-        fd = gv = None
-    else:
-        fd, gv = interaction.f, interaction.g
+        fn = _edge_fn(src, dst, w, interaction)
     if direction == "forward":
-        return lambda s: _edge_field(src, dst, w, s, fd, gv)
-    return lambda s: -_edge_field(src, dst, w, s, fd, gv)
+        return fn
+    return lambda s: -fn(s)
 
 
 @dataclass
@@ -351,6 +352,7 @@ def _trajectory(g: Graph, x0, opts: IntegratorOptions, direction: str,
         direction=direction,
         metadata={
             "graph_hash": g.hash_hex,
+            "field_kernel": _field_kernel(g, interaction),
             "options": opts.to_json_dict(),
             "direction": direction,
             "seed": seed,

@@ -76,6 +76,10 @@ class TestSimulate:
     @pytest.mark.parametrize("overrides", [
         {"graph": {"random": {"p": 0.1}}},
         {"integrator": {"dt": "0.1"}},
+        {"graph": {"random": {"n": "abc", "p": 0.1}}},
+        {"x0": {"inline": ["a", 1]}},
+        {"graph": {"inline": {"n": 2, "edges": [[0, 1, "x"]]}}},
+        {"x0": "inline"},
     ])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, overrides):
         cfg = run_config(tmp_path, **overrides)
@@ -84,6 +88,24 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_report_names_the_field_kernel(self, tmp_path):
+        out = tmp_path / "pair"
+        assert main(["simulate", "--config", run_config(tmp_path),
+                     "--out", str(out), "--quiet"]) == 0
+        assert json.loads((out / "report.json").read_text())["field_kernel"] == "edge"
+        cfg = run_config(
+            tmp_path,
+            graph={"random": {"n": 100, "p": 0.8, "seed": 0}},
+            x0={"random": {"seed": 1}},
+            integrator={"dt": 1e-3, "t_end": 0.05, "record_stride": 10},
+        )
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        for out in (out_a, out_b):
+            assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        assert json.loads((out_a / "report.json").read_text())["field_kernel"] == "dense"
+        for name in ("trajectory.csv", "report.json"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_svg_does_not_alter_data(self, tmp_path):
         cfg = run_config(tmp_path)
@@ -169,6 +191,20 @@ class TestOptimize:
         assert (out_a / "optimize.json").read_bytes() == (
             out_b / "optimize.json"
         ).read_bytes()
+
+    @pytest.mark.parametrize("flags, overrides", [
+        ([], {"x_alpha0": "abc"}),
+        (["--mode", "greedy"], {"greedy": {"restarts": "x"}}),
+        (["--sweep"], {"sweep_grid": {"count": "x"}}),
+    ])
+    def test_bad_config_value_exits_1(self, tmp_path, capsys, flags, overrides):
+        cfg = optimize_config(tmp_path, **overrides)
+        out = tmp_path / "o"
+        assert main(["optimize", "--config", cfg, "--out", str(out),
+                     "--quiet", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_guard_exit_3(self, tmp_path):
         cfg = optimize_config(tmp_path, n=26, x0_others=[1.0] * 25)

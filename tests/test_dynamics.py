@@ -12,7 +12,12 @@ from wta import (
     reverse_vector_field,
     vector_field,
 )
-from wta.dynamics import InteractionSpec
+from wta.dynamics import (
+    DENSE_MIN_N,
+    InteractionSpec,
+    _edge_field,
+    _field_kernel,
+)
 from wta.errors import DimensionMismatchError, NegativeStateError
 
 
@@ -136,6 +141,84 @@ class TestGeneralized:
             g = random_graph(7, 0.7, "unit", seed=5)
             dx = generalized_vector_field(g, np.full(7, 1.3), spec)
             assert np.all(dx == 0.0)
+
+
+def dense_graphs():
+    """Graphs the dense kernel evaluates: n >= 32 at a fill the rule accepts."""
+    for n, p, weights in [
+        (32, 0.6, "unit"),
+        (32, 1.0, ("uniform", 0.1, 2.0)),
+        (64, 0.3, "unit"),
+        (64, 0.5, ("uniform", 0.5, 1.5)),
+        (100, 0.8, "unit"),
+        (100, 0.8, ("uniform", 0.2, 3.0)),
+    ]:
+        g = random_graph(n, p, weights, seed=n)
+        assert _field_kernel(g) == "dense"
+        yield g
+
+
+class TestDenseKernel:
+    def test_agrees_with_edge_kernel(self):
+        for g in dense_graphs():
+            degree = g.weights.sum(axis=1).max()
+            rng = np.random.default_rng(g.n)
+            states = [rng.uniform(0, 1.5, g.n), rng.uniform(0, 100, g.n),
+                      np.full(g.n, 0.7), np.full(g.n, 3.0)]
+            for x in states:
+                edge = _edge_field(g.edge_src, g.edge_dst, g.edge_w, x)
+                dense = vector_field(g, x)
+                tol = 1e-12 * np.abs(x).max() ** 3 * degree
+                assert np.abs(dense - edge).max() <= tol
+
+    def test_zero_stays_zero_exactly(self):
+        for g in dense_graphs():
+            x = np.random.default_rng(g.n + 1).uniform(0.1, 1, g.n)
+            x[::7] = 0.0
+            for dx in (vector_field(g, x), reverse_vector_field(g, x)):
+                assert np.all(dx[::7] == 0.0)
+            assert not np.signbit(vector_field(g, x)[::7]).any()
+
+    def test_reverse_laplacian_identity(self):
+        for g in dense_graphs():
+            y = np.random.default_rng(g.n + 2).uniform(0, 2, g.n)
+            rev = reverse_vector_field(g, y)
+            assert np.array_equal(rev, -vector_field(g, y))
+            diff = np.abs(-laplacian(g, y) @ y - rev)
+            assert diff.max() <= 1e-12 * g.n * np.abs(y).max()
+
+    def test_default_spec_bit_identical_on_dense_graph(self):
+        spec = default_interaction()
+        for trial in range(20):
+            g = random_graph(100, 0.8, ("uniform", 0.1, 2.0), seed=trial)
+            assert _field_kernel(g, spec) == "dense"
+            x = np.random.default_rng(trial).uniform(0, 1.5, 100)
+            assert np.array_equal(
+                generalized_vector_field(g, x, spec), vector_field(g, x)
+            )
+
+    def test_generalized_specs_stay_on_edge_kernel(self):
+        g = random_graph(100, 0.8, "unit", seed=3)
+        spec = interaction_from_names("cubic", "product")
+        assert _field_kernel(g, spec) == "edge"
+        x = np.random.default_rng(4).uniform(0, 1, 100)
+        assert np.array_equal(
+            generalized_vector_field(g, x, spec),
+            _edge_field(g.edge_src, g.edge_dst, g.edge_w, x, spec.f, spec.g),
+        )
+
+    def test_small_and_sparse_graphs_use_edge_kernel(self):
+        for n in range(1, DENSE_MIN_N):
+            assert _field_kernel(random_graph(n, 1.0, "unit", seed=0)) == "edge"
+        # the sparse_large benchmark shape: n=1000, mean degree 5
+        assert _field_kernel(random_graph(1000, 5 / 999, "unit", seed=0)) == "edge"
+
+    def test_optimizer_arenas_are_below_the_dense_size(self):
+        # exhaustive and sweep lanes run the edge kernel; evaluate_choice
+        # must too, so that they stay bit-identical to it
+        from wta.optimize import EXHAUSTIVE_GUARD_BITS
+
+        assert EXHAUSTIVE_GUARD_BITS + 1 < DENSE_MIN_N
 
 
 class TestCheckInteractions:

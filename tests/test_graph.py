@@ -175,6 +175,15 @@ class TestRandomGraph:
         assert np.array_equal(a.weights, b.weights)
         assert a.hash_hex == b.hash_hex
 
+    def test_equality_and_hash_follow_hash_hex(self):
+        a = random_graph(5, 0.5, "unit", 1)
+        b = random_graph(5, 0.5, "unit", 1)
+        c = random_graph(5, 0.5, "unit", 2)
+        assert a == b and hash(a) == hash(b)
+        assert a != c and a.hash_hex != c.hash_hex
+        assert len({a, b, c}) == 2
+        assert a != a.hash_hex
+
     def test_bad_probability(self):
         with pytest.raises(InvalidProbabilityError):
             random_graph(3, 1.5, "unit", seed=0)

@@ -12,8 +12,9 @@ from wta import (
     step,
     vector_field,
 )
+import wta.dynamics
 from wta.errors import ConfigError, NonFiniteStateError, WtaError
-from wta.integrate import _simulate
+from wta.integrate import Trajectory, _simulate
 
 
 def pair():
@@ -229,7 +230,75 @@ class TestLaneBlock:
         assert_lanes_match_single_runs(g, x0, opts, keep=keep)
 
 
+def fig2_instance():
+    """The fig2_trajectories preset at seed 0: n=100, p=0.8, x0 ~ U(0, 1)."""
+    g = random_graph(100, 0.8, "unit", seed=0)
+    return g, np.random.default_rng(1).uniform(0.0, 1.0, 100)
+
+
+class TestDenseKernel:
+    def test_matches_forced_edge_run(self, monkeypatch):
+        g, x0 = fig2_instance()
+        opts = IntegratorOptions(dt=1e-3, t_end=1.0, record_stride=100)
+        runs = {}
+        for kernel in ("dense", "edge"):
+            if kernel == "edge":
+                monkeypatch.setattr(wta.dynamics, "DENSE_MIN_N", g.n + 1)
+            for run in (simulate, simulate_reverse):
+                traj, audit = run(g, x0, opts)
+                assert traj.metadata["field_kernel"] == kernel
+                assert audit.max_abs_drift <= 1e-9 * audit.initial_mass
+                runs[kernel, run] = traj
+        for run in (simulate, simulate_reverse):
+            dense, edge = runs["dense", run], runs["edge", run]
+            assert np.array_equal(dense.times, edge.times)
+            assert np.abs(dense.final_state - edge.final_state).max() <= 1e-10
+
+    def test_zero_component_stays_zero(self):
+        g, x0 = fig2_instance()
+        x0[::9] = 0.0
+        opts = IntegratorOptions(dt=1e-3, t_end=0.2, record_stride=1)
+        for run in (simulate, simulate_reverse):
+            traj, _ = run(g, x0, opts)
+            assert traj.metadata["field_kernel"] == "dense"
+            assert np.all(traj.states[:, ::9] == 0.0)
+            assert np.all(traj.states >= 0.0)
+
+    def test_integrator_uses_the_vector_field_kernel(self):
+        g, x0 = fig2_instance()
+        euler = x0 + 1e-3 * vector_field(g, x0)
+        opts = IntegratorOptions(dt=1e-3, t_end=1e-3, method="euler")
+        assert np.array_equal(simulate(g, x0, opts)[0].final_state, euler)
+        assert np.array_equal(step(g, x0, 1e-3, method="euler")[0], euler)
+
+    def test_metadata_names_the_kernel(self):
+        opts = IntegratorOptions(dt=1e-3, t_end=0.002)
+        g, x0 = fig2_instance()
+        assert simulate(g, x0, opts)[0].metadata["field_kernel"] == "dense"
+        sparse = random_graph(1000, 5 / 999, "unit", seed=0)
+        x = np.random.default_rng(2).uniform(0, 1, 1000)
+        assert simulate(sparse, x, opts)[0].metadata["field_kernel"] == "edge"
+
+
 class TestTrajectoryCsv:
+    def test_same_bytes_as_per_value_formatting(self, tmp_path):
+        values = np.array([[0.0, -0.0, 5e-324, 1e300],
+                           [0.1, 1 / 3, 2.2250738585072014e-308, -1e300]])
+        traj = Trajectory(
+            times=np.array([0.0, 0.5]), states=values, mass=values.sum(axis=1),
+            entropy=np.array([1e-17, 3.0]), state_max=values.max(axis=1),
+            state_min=values.min(axis=1), residual=np.array([-0.0, 7.25]),
+            direction="forward",
+        )
+        path = tmp_path / "t.csv"
+        traj.write_csv(path)
+        cols = np.column_stack([traj.times, traj.states, traj.mass, traj.entropy,
+                                traj.state_max, traj.state_min, traj.residual])
+        rows = [",".join(f"{v:.17g}" for v in row) for row in cols]
+        header = "t,x_0,x_1,x_2,x_3,mass,entropy,max,min,residual"
+        assert path.read_text() == "\n".join([header, *rows]) + "\n"
+
+
     def test_round_trip_17_digits(self, tmp_path):
         g = random_graph(4, 0.8, ("uniform", 0.3, 1.2), seed=30)
         x0 = np.random.default_rng(31).uniform(0, 1, 4)
