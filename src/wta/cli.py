@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 config/parse error, 2 numerical failure
 (positivity loss), 3 search-guard violation. JSON configs use the schemas
 defined by the library modules; all numeric output carries 17 significant
-digits.
+digits. Config leaves and numeric flags are read by the typed readers below.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ import numpy as np
 
 from . import __version__
 from .analysis import classify_equilibrium
-from .dynamics import check_interactions, interaction_from_names
+from .dynamics import BUILTIN_F, BUILTIN_G, check_interactions, interaction_from_names
 from .errors import ConfigError, PositivityFailureError, TooManyCandidatesError, WtaError
 from .experiments import EXPERIMENTS, _canonical_hash, _write_json, run_experiment
 from .graph import graph_from_json_dict, load_graph, random_graph
 from .integrate import IntegratorOptions, simulate, simulate_reverse
 from .optimize import (
+    EXHAUSTIVE_GUARD_BITS,
     OptimizeProblem,
     exhaustive_search,
     greedy_search,
@@ -32,121 +33,171 @@ from . import svg
 
 __all__ = ["main"]
 
+SEED_MAX = 2**64 - 1
+GRID_MAX = 1 << EXHAUSTIVE_GUARD_BITS  # most sweep grid points
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); keep exit codes stable
         raise ConfigError(message)
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        raise ConfigError("--config is required for this subcommand")
+# --- typed readers ---
+
+
+def _read_json(path, what: str):
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    return cfg
 
 
-def _one_of(d: dict, keys, what: str) -> str:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {d!r}")
-    present = [k for k in keys if k in d]
+def _integer(value, key: str, lo: int = 0, hi: int | None = None) -> int:
+    """A JSON integer (not a bool, a float or a numeric string) in [lo, hi]."""
+    if (isinstance(value, bool) or not isinstance(value, int) or value < lo
+            or (hi is not None and value > hi)):
+        upper = "" if hi is None else f" and <= {hi}"
+        raise ConfigError(f"{key} must be an integer >= {lo}{upper}, got {value!r}")
+    return value
+
+
+def _number(value, key: str, lo=None, hi=None, gt=None) -> float:
+    """A finite number, not a bool or a numeric string, with value >= lo,
+    value <= hi and value > gt for each bound given."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # also an int too large for a double
+        raise ConfigError(f"{key} must be finite, got {value!r} (NaN or infinite)")
+    if not ((lo is None or value >= lo) and (hi is None or value <= hi)
+            and (gt is None or value > gt)):
+        want = " and ".join(f"{op} {b}" for op, b in ((">=", lo), ("<=", hi), (">", gt))
+                            if b is not None)
+        raise ConfigError(f"{key} must be {want}, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, key: str, lo=None) -> list[float]:
+    """A list of finite numbers, each >= lo when lo is given."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+    return [_number(v, f"{key}[{i}]", lo) for i, v in enumerate(value)]
+
+
+def _object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _choice(value, key: str, choices) -> str:
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigError(f"{key} must be one of {sorted(choices)}, got {value!r}")
+    return value
+
+
+def _path(value, key: str) -> str:
+    if not (isinstance(value, str) and value):
+        raise ConfigError(f"{key} must be a path string, got {value!r}")
+    return value
+
+
+def _flag(name: str, read, **bounds):
+    """argparse type= for a numeric flag: the text goes through int (for
+    _integer) or float, whose ValueError argparse reports, then through read."""
+    parse_text = int if read is _integer else float
+
+    def parse(text):
+        return read(parse_text(text), name, **bounds)
+
+    parse.__name__ = parse_text.__name__  # argparse says "invalid int value"
+    return parse
+
+
+def _seed(spec: dict, key: str, default: int) -> int:
+    return _integer(spec["seed"], key, 0, SEED_MAX) if "seed" in spec else default
+
+
+def _one_of(d, keys, key: str) -> str:
+    present = [k for k in keys if k in _object(d, key)]
     if len(present) != 1:
-        raise ConfigError(f"exactly one {what} source of {keys} required, got {present}")
+        raise ConfigError(f"{key} needs exactly one of {keys}, got {present}")
     return present[0]
 
 
-def _weight_mode(spec):
+# --- config blocks ---
+
+
+def _load_config(path) -> dict:
+    if path is None:
+        raise ConfigError("--config is required for this subcommand")
+    return _object(_read_json(path, "config"), "config root")
+
+
+def _weight_mode(spec, key: str):
     if spec in (None, "unit"):
         return "unit"
     if isinstance(spec, dict) and set(spec) == {"uniform"}:
-        try:
-            lo, hi = spec["uniform"]
-            return ("uniform", float(lo), float(hi))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad weight_mode {spec!r}: {exc}") from exc
-    raise ConfigError(f'bad weight_mode {spec!r}; use "unit" or {{"uniform": [lo, hi]}}')
+        bounds = _numbers(spec["uniform"], f"{key}.uniform")
+        if len(bounds) == 2:
+            return ("uniform", *bounds)
+    raise ConfigError(f'{key} must be "unit" or {{"uniform": [lo, hi]}}, got {spec!r}')
 
 
-def _graph_from_config(cfg: dict, default_seed: int):
+def _graph_from_config(cfg, default_seed: int):
     src = _one_of(cfg, ("inline", "file", "random"), "graph")
     if src == "inline":
         return graph_from_json_dict(cfg["inline"])
     if src == "file":
-        return load_graph(cfg["file"])
-    spec = cfg["random"]
-    if not (isinstance(spec, dict) and "n" in spec and "p" in spec):
-        raise ConfigError(f'random graph needs "n" and "p", got {spec!r}')
-    try:
-        n, p = int(spec["n"]), float(spec["p"])
-        seed = int(spec.get("seed", default_seed))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad random graph {spec!r}: {exc}") from exc
-    return random_graph(n, p, _weight_mode(spec.get("weight_mode")), seed)
+        return load_graph(_path(cfg["file"], "graph.file"))
+    spec = _object(cfg["random"], "graph.random")
+    return random_graph(
+        _integer(spec.get("n"), "graph.random.n", lo=1),
+        _number(spec.get("p"), "graph.random.p", lo=0.0, hi=1.0),
+        _weight_mode(spec.get("weight_mode"), "graph.random.weight_mode"),
+        _seed(spec, "graph.random.seed", default_seed),
+    )
 
 
-def _state_array(values) -> np.ndarray:
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"state must be a list of numbers, got {values!r}") from exc
+def _state(values, key: str, n: int) -> np.ndarray:
+    x = np.array(_numbers(values, key))
+    if x.shape != (n,):
+        raise ConfigError(f"{key} has length {x.size}, graph has n={n}")
+    return x
 
 
-def _x0_from_config(cfg: dict, n: int, default_seed: int) -> np.ndarray:
-    src = _one_of(cfg, ("inline", "random"), "initial state")
-    if src == "inline":
-        x = _state_array(cfg["inline"])
-        if x.shape != (n,):
-            raise ConfigError(f"initial state has length {x.size}, graph has n={n}")
-        return x
-    spec = cfg["random"]
-    try:
-        seed = int(spec.get("seed", default_seed))
-        lo = float(spec.get("low", 0.0))
-        hi = float(spec.get("high", 1.0))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad random initial state {spec!r}: {exc}") from exc
-    rng = np.random.default_rng(seed)
-    if lo < 0.0 or hi <= lo:
-        raise ConfigError(f"random initial state needs 0 <= low < high, got [{lo}, {hi}]")
-    return rng.uniform(lo, hi, n)
+def _x0_from_config(cfg, n: int, default_seed: int) -> np.ndarray:
+    if _one_of(cfg, ("inline", "random"), "x0") == "inline":
+        return _state(cfg["inline"], "x0.inline", n)
+    spec = _object(cfg["random"], "x0.random")
+    lo = _number(spec.get("low", 0.0), "x0.random.low", lo=0.0)
+    hi = _number(spec.get("high", 1.0), "x0.random.high", gt=lo)
+    return np.random.default_rng(_seed(spec, "x0.random.seed", default_seed)).uniform(lo, hi, n)
 
 
-def _options_from_config(cfg) -> IntegratorOptions:
-    cfg = cfg or {}
-    allowed = set(IntegratorOptions.__dataclass_fields__)
-    unknown = set(cfg) - allowed
+def _options_from_config(cfg, default: IntegratorOptions) -> IntegratorOptions:
+    """The integrator block, whose fields IntegratorOptions checks; an
+    empty block means default."""
+    unknown = set(_object(cfg, "integrator")) - set(IntegratorOptions.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown integrator options {sorted(unknown)}")
-    try:
-        return IntegratorOptions(**cfg)
-    except TypeError as exc:  # a value of the wrong type, such as "dt": "0.1"
-        raise ConfigError(f"bad integrator options {cfg}: {exc}") from exc
+    return IntegratorOptions(**cfg) if cfg else default
 
 
 def _interaction_from_config(cfg):
-    if not cfg:
+    if cfg is None:
         return None
-    try:
-        spec = interaction_from_names(cfg.get("f", "identity"), cfg.get("g", "product"))
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = _object(cfg, "interaction")
+    spec = interaction_from_names(
+        _choice(cfg.get("f", "identity"), "interaction.f", BUILTIN_F),
+        _choice(cfg.get("g", "product"), "interaction.g", BUILTIN_G),
+    )
     check = check_interactions(spec)
     if not check.passed:
         raise ConfigError(f"interaction spec failed validation: {check.violations}")
     return spec
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return float(f"{value:.17g}")
-    return value
 
 
 def _say(args, message: str) -> None:
@@ -161,10 +212,8 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     g = _graph_from_config(cfg.get("graph", {}), args.seed)
     x0 = _x0_from_config(cfg.get("x0", {}), g.n, args.seed + 1)
-    direction = cfg.get("direction", "forward")
-    if direction not in ("forward", "reverse"):
-        raise ConfigError(f'direction must be "forward" or "reverse", got {direction!r}')
-    opts = _options_from_config(cfg.get("integrator"))
+    direction = _choice(cfg.get("direction", "forward"), "direction", ("forward", "reverse"))
+    opts = _options_from_config(cfg.get("integrator", {}), IntegratorOptions())
     interaction = _interaction_from_config(cfg.get("interaction"))
 
     run = simulate if direction == "forward" else simulate_reverse
@@ -182,7 +231,7 @@ def cmd_simulate(args) -> int:
         "field_kernel": traj.metadata["field_kernel"],
         "audit": audit.to_json_dict(),
         "classification": classify_equilibrium(g, traj.final_state).to_json_dict(),
-        "final_state": [_fmt(float(v)) for v in traj.final_state],
+        "final_state": traj.final_state.tolist(),
         "stopped_at_equilibrium": traj.metadata["stopped_at_equilibrium"],
         "steps_taken": traj.metadata["steps_taken"],
         "final_time": traj.metadata["final_time"],
@@ -210,19 +259,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_classify(args) -> int:
     g = load_graph(args.graph)
-    try:
-        with open(args.state) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read state {args.state}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {args.state}: {exc}") from exc
-    if isinstance(payload, dict) and "x" not in payload:
-        raise ConfigError(f'state object needs an "x" field, got {sorted(payload)}')
-    x = payload["x"] if isinstance(payload, dict) else payload
-    x = _state_array(x)
-    if x.shape != (g.n,):
-        raise ConfigError(f"state has length {x.size}, graph has n={g.n}")
+    payload = _read_json(args.state, "state")
+    if isinstance(payload, dict):
+        if "x" not in payload:
+            raise ConfigError(f'state object needs an "x" field, got {sorted(payload)}')
+        payload = payload["x"]
+    x = _state(payload, "state", g.n)
     report = classify_equilibrium(g, x, zero_tol=args.zero_tol, equal_tol=args.equal_tol)
     print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
     return 0
@@ -230,44 +272,29 @@ def cmd_classify(args) -> int:
 
 def _problem_from_config(cfg: dict, default_seed: int) -> OptimizeProblem:
     base = _graph_from_config(cfg.get("graph", {}), default_seed)
-    for key in ("alpha", "x_alpha0", "x0_others", "horizon"):
-        if key not in cfg:
-            raise ConfigError(f"optimize config missing {key!r}")
-    try:
-        alpha, x_alpha0 = int(cfg["alpha"]), float(cfg["x_alpha0"])
-        x0_others = tuple(float(v) for v in cfg["x0_others"])
-        horizon = float(cfg["horizon"])
-        candidate_weight = float(cfg.get("candidate_weight", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad optimize config value: {exc}") from exc
     return OptimizeProblem(
         base_graph=base,
-        alpha=alpha,
-        x_alpha0=x_alpha0,
-        x0_others=x0_others,
-        horizon=horizon,
-        candidate_weight=candidate_weight,
-        options=_options_from_config(cfg.get("integrator"))
-        if cfg.get("integrator")
-        else OptimizeProblem.__dataclass_fields__["options"].default_factory(),
+        alpha=_integer(cfg.get("alpha"), "alpha", 0, base.n - 1),
+        x_alpha0=_number(cfg.get("x_alpha0"), "x_alpha0", lo=0.0),
+        x0_others=tuple(_numbers(cfg.get("x0_others"), "x0_others", lo=0.0)),
+        horizon=_number(cfg.get("horizon"), "horizon", gt=0.0),
+        candidate_weight=_number(cfg.get("candidate_weight", 1.0), "candidate_weight", gt=0.0),
+        options=_options_from_config(
+            cfg.get("integrator", {}),
+            OptimizeProblem.__dataclass_fields__["options"].default_factory(),
+        ),
     )
 
 
 def _grid_from_config(cfg) -> np.ndarray:
-    if cfg is None:
-        return np.linspace(0.0, 1.5, 31)
-    try:
-        if isinstance(cfg, list):
-            return np.asarray(cfg, dtype=float)
-        if isinstance(cfg, dict):
-            return np.linspace(
-                float(cfg.get("start", 0.0)),
-                float(cfg.get("stop", 1.5)),
-                int(cfg.get("count", 31)),
-            )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sweep_grid {cfg!r}: {exc}") from exc
-    raise ConfigError(f"bad sweep_grid {cfg!r}")
+    if isinstance(cfg, list):
+        return np.array(_numbers(cfg, "sweep_grid", lo=0.0))
+    cfg = _object(cfg, "sweep_grid")
+    return np.linspace(
+        _number(cfg.get("start", 0.0), "sweep_grid.start", lo=0.0),
+        _number(cfg.get("stop", 1.5), "sweep_grid.stop", lo=0.0),
+        _integer(cfg.get("count", 31), "sweep_grid.count", 1, GRID_MAX),
+    )
 
 
 def cmd_optimize(args) -> int:
@@ -275,7 +302,7 @@ def cmd_optimize(args) -> int:
     problem = _problem_from_config(cfg, args.seed)
     out = Path(args.out)
     if args.sweep:
-        sweep = sweep_initial_value(problem, _grid_from_config(cfg.get("sweep_grid")))
+        sweep = sweep_initial_value(problem, _grid_from_config(cfg.get("sweep_grid", {})))
         out.mkdir(parents=True, exist_ok=True)
         sweep.write_csv(out / "sweep.csv")
         if args.svg:
@@ -292,13 +319,12 @@ def cmd_optimize(args) -> int:
     if args.mode == "exhaustive":
         result = exhaustive_search(problem)
     else:
-        greedy_cfg = cfg.get("greedy", {})
-        try:
-            restarts = int(greedy_cfg.get("restarts", 8))
-            seed = int(greedy_cfg.get("seed", args.seed))
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad greedy config {greedy_cfg!r}: {exc}") from exc
-        result = greedy_search(problem, restarts=restarts, seed=seed)
+        greedy = _object(cfg.get("greedy", {}), "greedy")
+        result = greedy_search(
+            problem,
+            restarts=_integer(greedy.get("restarts", 8), "greedy.restarts", lo=1),
+            seed=_seed(greedy, "greedy.seed", args.seed),
+        )
     out.mkdir(parents=True, exist_ok=True)
     payload = result.to_json_dict()
     payload["version"] = __version__
@@ -312,19 +338,12 @@ def cmd_optimize(args) -> int:
     return 0
 
 
+_OVERRIDES = ("agents", "edge_prob", "t_end", "dt", "horizon", "grid_count", "grid_max")
+
+
 def cmd_experiment(args) -> int:
-    overrides = {}
-    for key, flag in (
-        ("agents", args.agents),
-        ("edge_prob", args.edge_prob),
-        ("t_end", args.t_end),
-        ("dt", args.dt),
-        ("horizon", args.horizon),
-        ("grid_count", args.grid_count),
-        ("grid_max", args.grid_max),
-    ):
-        if flag is not None:
-            overrides[key] = flag
+    overrides = {key: getattr(args, key) for key in _OVERRIDES
+                 if getattr(args, key) is not None}
     run_experiment(
         args.name,
         args.out,
@@ -342,7 +361,8 @@ def cmd_experiment(args) -> int:
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON config path")
-    common.add_argument("--seed", type=int, default=0, help="default seed (u64)")
+    common.add_argument("--seed", type=_flag("--seed", _integer, lo=0, hi=SEED_MAX),
+                        default=0, help="default seed (u64)")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--svg", action="store_true", help="also emit SVG charts")
     common.add_argument("--quiet", action="store_true", help="suppress progress chatter")
@@ -359,8 +379,8 @@ def build_parser() -> _Parser:
                            help="classify a state on a graph, print report JSON")
     p_cls.add_argument("--graph", required=True, help="graph JSON file")
     p_cls.add_argument("--state", required=True, help="state JSON file")
-    p_cls.add_argument("--zero-tol", type=float, default=1e-8, dest="zero_tol")
-    p_cls.add_argument("--equal-tol", type=float, default=1e-6, dest="equal_tol")
+    p_cls.add_argument("--zero-tol", type=_flag("--zero-tol", _number, lo=0.0), default=1e-8)
+    p_cls.add_argument("--equal-tol", type=_flag("--equal-tol", _number, lo=0.0), default=1e-6)
     p_cls.set_defaults(func=cmd_classify)
 
     p_opt = sub.add_parser("optimize", parents=[common],
@@ -373,13 +393,13 @@ def build_parser() -> _Parser:
     p_exp = sub.add_parser("experiment", parents=[common],
                            help="run a named experiment manifest")
     p_exp.add_argument("name", help=f"one of {sorted(EXPERIMENTS)}")
-    p_exp.add_argument("--agents", type=int)
-    p_exp.add_argument("--edge-prob", type=float, dest="edge_prob")
-    p_exp.add_argument("--t-end", type=float, dest="t_end")
-    p_exp.add_argument("--dt", type=float)
-    p_exp.add_argument("--horizon", type=float)
-    p_exp.add_argument("--grid-count", type=int, dest="grid_count")
-    p_exp.add_argument("--grid-max", type=float, dest="grid_max")
+    p_exp.add_argument("--agents", type=_flag("--agents", _integer, lo=1))
+    p_exp.add_argument("--edge-prob", type=_flag("--edge-prob", _number, lo=0.0, hi=1.0))
+    p_exp.add_argument("--t-end", type=_flag("--t-end", _number, gt=0.0))
+    p_exp.add_argument("--dt", type=_flag("--dt", _number, gt=0.0))
+    p_exp.add_argument("--horizon", type=_flag("--horizon", _number, gt=0.0))
+    p_exp.add_argument("--grid-count", type=_flag("--grid-count", _integer, lo=1, hi=GRID_MAX))
+    p_exp.add_argument("--grid-max", type=_flag("--grid-max", _number, lo=0.0))
     p_exp.set_defaults(func=cmd_experiment)
 
     return parser

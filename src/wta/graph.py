@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -275,6 +277,8 @@ def graph_from_json_dict(d: dict) -> Graph:
     n = d["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise ConfigError(f'graph JSON field "n" must be a positive integer, got {n!r}')
+    if not isinstance(d["edges"], (list, tuple)):
+        raise ConfigError(f'graph JSON field "edges" must be a list, got {d["edges"]!r}')
     edges = []
     for entry in d["edges"]:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
@@ -284,19 +288,21 @@ def graph_from_json_dict(d: dict) -> Graph:
             raise ConfigError(f"edge endpoints must be integers, got {entry!r}")
         if i > j:
             raise ConfigError(f"edge entry {entry!r} must have i < j")
-        try:
-            edges.append((i, j, float(w)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"edge weight must be a number, got {entry!r}") from exc
+        # NaN passes here, to fail new_graph's positivity check
+        if isinstance(w, bool) or not isinstance(w, numbers.Real) or abs(w) > sys.float_info.max:
+            raise ConfigError(f"edge weight must be a finite number, got {entry!r}")
+        edges.append((i, j, w))
     return new_graph(n, edges)
 
 
 def load_graph(path) -> Graph:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read graph {path}: {exc}") from exc
+    except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
+        raise ConfigError(f"{path}: {exc}") from exc
     return graph_from_json_dict(d)
 
 

@@ -9,6 +9,8 @@ inside the round-off window are clamped to zero. Total mass is audited
 from __future__ import annotations
 
 import dataclasses
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -50,14 +52,22 @@ class IntegratorOptions:
     positivity_shrink: int = 40
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if not self.t_end > 0.0:
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
-        if self.record_stride < 1:
-            raise ConfigError("record_stride must be >= 1")
-        if not self.equilibrium_tol > 0.0:
-            raise ConfigError("equilibrium_tol must be positive")
+        for name in ("dt", "t_end", "equilibrium_tol"):
+            v = getattr(self, name)
+            # bools are Integral; NaN and +-inf fail the range test
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or not 0.0 < v <= sys.float_info.max):
+                raise ConfigError(f"{name} must be a positive finite number, got {v!r}")
+        for name, lo in (("record_stride", 1), ("positivity_shrink", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < lo:
+                raise ConfigError(f"{name} must be an integer >= {lo}, got {v!r}")
+        if not isinstance(self.stop_on_equilibrium, (bool, np.bool_)):
+            raise ConfigError(
+                f"stop_on_equilibrium must be true or false, got {self.stop_on_equilibrium!r}"
+            )
+        if not self.t_end / self.dt <= sys.float_info.max:
+            raise ConfigError(f"t_end / dt overflows: {self.t_end} / {self.dt}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.conservation_mode not in CONSERVATION_MODES:
@@ -161,6 +171,11 @@ def _substep(f: Callable, x: np.ndarray, h, method: str, positivity_shrink: int,
     if lo >= -CLAMP:
         # lanes without entries <= 0 pass through unchanged
         return np.where(cand <= 0.0, 0.0, cand), h
+    if lo != lo:  # NaN fails both tests above: the field overflowed
+        raise PositivityFailureError(
+            "the field overflowed: a step produced NaN, so the state or the edge "
+            "weights are too large for double precision"
+        )
     used = np.full(x.size // n, h, dtype=float)
     for _ in range(positivity_shrink):
         used[cand.reshape(-1, n).min(axis=1) < -CLAMP] *= 0.5

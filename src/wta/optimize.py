@@ -326,12 +326,15 @@ class SweepResult:
 
 
 def sweep_initial_value(p: OptimizeProblem, x_alpha0_grid) -> SweepResult:
-    """Evaluate every mask at every grid value of alpha's initial state."""
+    """Evaluate every mask at every grid value of alpha's initial state.
+
+    Guarded at 2^24 evaluations in all: grid points times 2^m masks.
+    """
     m = p.num_candidates
-    if m > EXHAUSTIVE_GUARD_BITS:
+    if len(x_alpha0_grid) << m > 1 << EXHAUSTIVE_GUARD_BITS:
         raise TooManyCandidatesError(
-            f"{m} candidates means 2^{m} evaluations per grid point; "
-            f"guard is 2^{EXHAUSTIVE_GUARD_BITS}"
+            f"{len(x_alpha0_grid)} grid points x 2^{m} masks is more than the "
+            f"2^{EXHAUSTIVE_GUARD_BITS} evaluations the guard allows"
         )
     grid = tuple(float(v) for v in x_alpha0_grid)
     if not np.isfinite(grid).all() or any(v < 0.0 for v in grid):

@@ -1,4 +1,6 @@
 import json
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +82,20 @@ class TestSimulate:
         {"x0": {"inline": ["a", 1]}},
         {"graph": {"inline": {"n": 2, "edges": [[0, 1, "x"]]}}},
         {"x0": "inline"},
+        {"graph": {"file": "/nonexistent/graph.json"}},
+        {"graph": {"inline": {"n": 2, "edges": 5}}},
+        {"graph": {"file": 5}},
+        {"graph": {"random": {"n": "5", "p": 0.5}}},
+        {"graph": {"random": {"n": 2, "p": 0.5, "seed": -3}}},
+        {"integrator": 5},
+        {"integrator": {"record_stride": 1.5}},
+        {"integrator": {"dt": True}},
+        {"integrator": {"positivity_shrink": "a"}},
+        {"integrator": {"t_end": float("inf")}},
+        {"interaction": {"f": ["x"]}},
+        {"interaction": "cubic"},
+        {"x0": {"random": {"seed": -1}}},
+        {"x0": {"random": {"low": float("nan")}}},
     ])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, overrides):
         cfg = run_config(tmp_path, **overrides)
@@ -88,6 +104,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_overflow_is_reported_as_overflow(self, tmp_path, capsys):
+        cfg = run_config(tmp_path, graph={"inline": {"n": 2, "edges": [[0, 1, 1e300]]}},
+                         x0={"inline": [1e100, 2e100]})
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning):
+            code = main(["simulate", "--config", cfg, "--out", str(out), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert "overflowed" in err and "halved" not in err
 
     def test_report_names_the_field_kernel(self, tmp_path):
         out = tmp_path / "pair"
@@ -196,6 +222,15 @@ class TestOptimize:
         ([], {"x_alpha0": "abc"}),
         (["--mode", "greedy"], {"greedy": {"restarts": "x"}}),
         (["--sweep"], {"sweep_grid": {"count": "x"}}),
+        ([], {"horizon": float("inf")}),
+        ([], {"alpha": 1.7}),
+        ([], {"alpha": True}),
+        (["--mode", "greedy"], {"greedy": {"seed": -1}}),
+        (["--mode", "greedy"], {"greedy": {"restarts": -5}}),
+        (["--mode", "greedy"], {"greedy": {"restarts": 2.5}}),
+        (["--sweep"], {"sweep_grid": {"count": 1e9}}),
+        (["--sweep"], {"sweep_grid": {"count": 2**24 + 1}}),
+        (["--sweep"], {"sweep_grid": {"count": 0}}),
     ])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, flags, overrides):
         cfg = optimize_config(tmp_path, **overrides)
@@ -210,6 +245,15 @@ class TestOptimize:
         cfg = optimize_config(tmp_path, n=26, x0_others=[1.0] * 25)
         assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--quiet"]) == 3
+
+    def test_sweep_guard_counts_grid_points_times_masks(self, tmp_path):
+        # 2^8 masks at each of 2^16 + 1 grid points is just over 2^24
+        cfg = optimize_config(tmp_path, n=9, x0_others=[1.0] * 8,
+                              sweep_grid={"count": 2**16 + 1})
+        out = tmp_path / "o"
+        assert main(["optimize", "--config", cfg, "--sweep", "--out", str(out),
+                     "--quiet"]) == 3
+        assert not out.exists()
 
     def test_sweep_csv(self, tmp_path):
         cfg = optimize_config(
@@ -246,3 +290,88 @@ class TestExperiment:
         assert main(args + ["--out", str(out_b)]) == 0
         for name in ("fig3_entropy.csv", "manifest.json", "report.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "-1"],
+    ["simulate", "--seed", str(2**64)],
+    ["simulate", "--seed", "1.5"],
+    ["classify", "--zero-tol", "nan"],
+    ["classify", "--equal-tol", "-1"],
+    ["classify", "--graph", "/nonexistent/graph.json"],
+    ["experiment", "fig5_sweep", "--grid-count", str(2**24 + 1)],
+    ["experiment", "fig1_bars", "--t-end", "inf"],
+    ["experiment", "fig1_bars", "--agents", "0"],
+])
+def test_bad_flag_exits_1(tmp_path, capsys, argv):
+    if argv[0] == "simulate":
+        argv = [argv[0], "--config", run_config(tmp_path), *argv[1:]]
+    if argv[0] == "classify":
+        graph = write(tmp_path / "g.json", {"n": 2, "edges": [[0, 1, 1.0]]})
+        state = write(tmp_path / "s.json", {"x": [1.0, 1.0]})
+        # a later --graph in argv wins over this one
+        argv = [argv[0], "--graph", graph, "--state", state, *argv[1:]]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# --- the README's example configs, and every leaf of them mutated ---
+
+README_CONFIGS = {  # subcommand -> its example config
+    "optimize" if "alpha" in cfg else "simulate": cfg
+    for cfg in map(json.loads, re.findall(
+        r"```json\n(.*?)```", (Path(__file__).parents[1] / "README.md").read_text(), re.S))
+}
+MUTATIONS = [True, "x", [], {}, float("nan"), -1, 1.5]
+
+
+def leaf_paths(node, path=()):
+    """Key and index paths to every scalar in a JSON value."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from leaf_paths(child, path + (key,))
+    else:
+        yield path
+
+
+def replace_leaf(cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+def test_readme_config_leaf_mutations(tmp_path, capsys, command):
+    """Each README config runs; with any one leaf replaced by a value of
+    the wrong type or range, a run either succeeds or exits 1 with one
+    error line and no output directory, never with a traceback."""
+    cfg = README_CONFIGS[command]
+    out = tmp_path / "out"
+
+    def run(config, flags):
+        path = write(tmp_path / "cfg.json", config)
+        code = main([command, "--config", path, "--out", str(out), "--quiet", *flags])
+        err = capsys.readouterr().err
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert not out.exists()
+        shutil.rmtree(out, ignore_errors=True)
+        return code
+
+    modes = [[], ["--mode", "greedy"], ["--sweep"]] if command == "optimize" else [[]]
+    for flags in modes:
+        assert run(cfg, flags) == 0
+    for path in leaf_paths(cfg):
+        # greedy and sweep_grid are read only in their own mode; all modes
+        # read the other leaves alike before they start, so exhaustive does
+        flags = {"greedy": ["--mode", "greedy"], "sweep_grid": ["--sweep"]}.get(path[0], [])
+        for value in MUTATIONS:
+            mutated = replace_leaf(cfg, path, value)
+            if json.dumps(mutated) != json.dumps(cfg):  # 1.5 may be the leaf's own value
+                assert run(mutated, flags) in (0, 1), (path, value)
