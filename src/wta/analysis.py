@@ -38,17 +38,12 @@ __all__ = [
 
 
 def entropy(x) -> float:
-    """Population variance of the state: (1/n) sum_i (x_i - mean)^2.
-
-    Two-pass computation: mean first, then squared deviations.
-    """
+    """Population variance of the state: (1/n) sum_i (x_i - mean)^2,
+    computed by np.var in two passes, mean first."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise EmptyStateError(f"entropy needs a nonempty 1-d vector, got shape {arr.shape}")
-    n = arr.size
-    mean = arr.sum() / n
-    dev = arr - mean
-    return float((dev * dev).sum() / n)
+    return float(np.var(arr))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .analysis import classify_equilibrium
 from .dynamics import BUILTIN_F, BUILTIN_G, check_interactions, interaction_from_names
 from .errors import ConfigError, PositivityFailureError, TooManyCandidatesError, WtaError
 from .experiments import EXPERIMENTS, _canonical_hash, _write_json, run_experiment
-from .graph import graph_from_json_dict, load_graph, random_graph
+from .graph import MAX_AGENTS, _read_json, graph_from_json_dict, load_graph, random_graph
 from .integrate import IntegratorOptions, simulate, simulate_reverse
 from .optimize import (
     EXHAUSTIVE_GUARD_BITS,
@@ -43,16 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 # --- typed readers ---
-
-
-def _read_json(path, what: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def _integer(value, key: str, lo: int = 0, hi: int | None = None) -> int:
@@ -393,7 +383,7 @@ def build_parser() -> _Parser:
     p_exp = sub.add_parser("experiment", parents=[common],
                            help="run a named experiment manifest")
     p_exp.add_argument("name", help=f"one of {sorted(EXPERIMENTS)}")
-    p_exp.add_argument("--agents", type=_flag("--agents", _integer, lo=1))
+    p_exp.add_argument("--agents", type=_flag("--agents", _integer, lo=1, hi=MAX_AGENTS))
     p_exp.add_argument("--edge-prob", type=_flag("--edge-prob", _number, lo=0.0, hi=1.0))
     p_exp.add_argument("--t-end", type=_flag("--t-end", _number, gt=0.0))
     p_exp.add_argument("--dt", type=_flag("--dt", _number, gt=0.0))

@@ -75,7 +75,7 @@ def _edge_field(src, dst, w, x: np.ndarray, f=None, gfun=None) -> np.ndarray:
     to the plain field. Terms are summed per entry in edge order, so any
     edge arrays that list an entry's edges in the same order give the same
     bits: a graph's own arrays and the lane-offset arrays of a block of
-    lanes (integrate._lane_field) share this kernel.
+    lanes (_field) share this kernel.
     """
     xs = x[src]
     xd = x[dst]
@@ -116,30 +116,43 @@ def _field_kernel(g: Graph, spec: Optional[InteractionSpec] = None) -> str:
     return "edge"
 
 
-def _edge_fn(src, dst, w, spec: Optional[InteractionSpec] = None) -> Callable:
-    """_edge_field over fixed edge arrays under spec, as a function of x."""
-    f, gfun = (None, None) if spec is None or spec.is_default else (spec.f, spec.g)
-    return lambda x: _edge_field(src, dst, w, x, f, gfun)
+def _field(g: Graph, spec: Optional[InteractionSpec] = None,
+           keep: Optional[np.ndarray] = None, reverse: bool = False) -> Callable:
+    """The field of g under spec (None: the default interaction) as a
+    function of a clean state, negated for reverse runs: the one builder of
+    every field closure.
 
-
-def _field_fn(g: Graph, spec: Optional[InteractionSpec] = None) -> Callable:
-    """The field of g under spec as a function of a clean state, through
-    the kernel _field_kernel picks; the dense one builds W once, here."""
-    if _field_kernel(g, spec) == "dense":
+    keep=None is the single lane of all of g, through the kernel
+    _field_kernel picks; the dense one builds W once, here. Otherwise keep
+    (B, 2*num_edges) lays out a block of B lanes over a flat state: lane l
+    is g restricted to the directed edges its row of keep enables, acting
+    on entries [l*n, (l+1)*n), always through the edge kernel.
+    """
+    if keep is None and _field_kernel(g, spec) == "dense":
         W = g.weights
-        return lambda x: _dense_field(W, x)
-    return _edge_fn(g.edge_src, g.edge_dst, g.edge_w, spec)
+        fn = lambda x: _dense_field(W, x)
+    else:
+        f, gfun = (None, None) if spec is None or spec.is_default else (spec.f, spec.g)
+        src, dst, w = g.edge_src, g.edge_dst, g.edge_w
+        if keep is not None:
+            offset = g.n * np.arange(len(keep))[:, None]
+            src, dst = (src + offset)[keep], (dst + offset)[keep]
+            w = np.broadcast_to(w, keep.shape)[keep]
+        fn = lambda x: _edge_field(src, dst, w, x, f, gfun)
+    if reverse:
+        return lambda x: -fn(x)
+    return fn
 
 
 def vector_field(g: Graph, x) -> np.ndarray:
     """dx_i = sum_j a_ij (x_i - x_j) x_i x_j; zero-sum up to rounding."""
-    return _field_fn(g)(prepare_state(x, g.n))
+    return _field(g)(prepare_state(x, g.n))
 
 
 def reverse_vector_field(g: Graph, y) -> np.ndarray:
     """Reverse-time (consensus) field: exact entrywise negation of the
     forward field, so dy = -dx holds bit-for-bit."""
-    return -vector_field(g, y)
+    return _field(g, reverse=True)(prepare_state(y, g.n))
 
 
 def laplacian(g: Graph, y) -> np.ndarray:
@@ -214,7 +227,7 @@ def interaction_from_names(f: str = "identity", g: str = "product") -> Interacti
 
 def generalized_vector_field(g: Graph, x, spec: InteractionSpec) -> np.ndarray:
     """dx_i = sum_j a_ij f(x_i - x_j) g(x_i, x_j)."""
-    return _field_fn(g, spec)(prepare_state(x, g.n))
+    return _field(g, spec)(prepare_state(x, g.n))
 
 
 @dataclass(frozen=True)

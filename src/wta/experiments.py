@@ -299,6 +299,8 @@ def run_experiment(
         if key not in params:
             raise ConfigError(f"unknown override {key!r} for {name}")
         params[key] = type(defaults[key])(value)
+    # check the step count (IntegratorOptions) before any output is written
+    IntegratorOptions(dt=params["dt"], t_end=params.get("t_end", params.get("horizon")))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(name, seed, params)

@@ -40,6 +40,10 @@ __all__ = [
     "dump_graph",
 ]
 
+# Most agents a graph may have, so that a typo such as n = 10^10 fails at
+# once instead of allocating O(n) arrays of any size.
+MAX_AGENTS = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class Graph:
@@ -62,9 +66,9 @@ class Graph:
     def weights(self) -> np.ndarray:
         """Dense (n, n) symmetric weight matrix, built from the edges on
         every access: O(n^2) time and memory, for small graphs and tests."""
-        w = np.zeros((self.n, self.n))
-        w[self.edge_src, self.edge_dst] = self.edge_w
-        return w
+        w = np.zeros(self.n * self.n)
+        w[self.edge_src * self.n + self.edge_dst] = self.edge_w
+        return w.reshape(self.n, self.n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -100,17 +104,27 @@ class Graph:
         return any(k == j for k, _w in self.neighbors(i))
 
 
-def _check_node(i: int, n: int) -> None:
-    if not (isinstance(i, (int, np.integer)) and 0 <= int(i) < n):
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_agents(n) -> int:
+    if not (_is_int(n) and 0 < n <= MAX_AGENTS):
+        raise ConfigError(f"agent count must be an integer in [1, {MAX_AGENTS}], got {n!r}")
+    return int(n)
+
+
+def _check_node(i, n: int) -> int:
+    if not _is_int(i):
+        raise ConfigError(f"node id must be an integer, got {i!r}")
+    if not 0 <= i < n:
         raise IndexOutOfRangeError(f"node id {i!r} not in [0, {n})")
+    return int(i)
 
 
 def validate_nodes(nodes: Iterable[int], n: int) -> tuple[int, ...]:
-    """Sorted, duplicate-free node set with range checking."""
-    out = sorted({int(i) for i in nodes})
-    for i in out:
-        _check_node(i, n)
-    return tuple(out)
+    """Sorted, duplicate-free node set with type and range checking."""
+    return tuple(sorted({_check_node(i, n) for i in nodes}))
 
 
 def _finish(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> Graph:
@@ -138,20 +152,22 @@ def _finish(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> Graph:
 
 
 def new_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> Graph:
-    """Build a graph from an undirected edge list (i, j, w)."""
-    if not (isinstance(n, (int, np.integer)) and n > 0):
-        raise ConfigError(f"agent count must be a positive integer, got {n!r}")
+    """Build a graph from an undirected edge list (i, j, w): the one place
+    that checks graph input. The agent count and the node ids must be
+    integers (not bools), and each weight a finite positive real number
+    (not a bool or a string)."""
+    n = _check_agents(n)
     seen: dict[tuple[int, int], float] = {}
     for i, j, w in edges:
-        _check_node(i, n)
-        _check_node(j, n)
-        i, j, w = int(i), int(j), float(w)
+        i, j = _check_node(i, n), _check_node(j, n)
         if i == j:
             raise SelfLoopError(f"self-loop at node {i}")
+        # abs(NaN) passes here, to fail the positivity check below
+        if isinstance(w, bool) or not isinstance(w, numbers.Real) or abs(w) > sys.float_info.max:
+            raise ConfigError(f"edge ({i},{j}) weight must be a finite number, got {w!r}")
+        w = float(w)
         if not w > 0.0:
             raise NonpositiveWeightError(f"edge ({i},{j}) has weight {w} <= 0")
-        if w == float("inf"):  # NaN and -inf fail the check above
-            raise ConfigError(f"edge ({i},{j}) has non-finite weight {w}")
         key = (min(i, j), max(i, j))
         if seen.setdefault(key, w) != w:
             raise DuplicateEdgeError(
@@ -159,7 +175,7 @@ def new_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> Graph:
             )
     keys = sorted(seen)
     i, j = np.array(keys, dtype=np.intp).reshape(-1, 2).T
-    return _finish(int(n), i, j, np.array([seen[k] for k in keys]))
+    return _finish(n, i, j, np.array([seen[k] for k in keys]))
 
 
 _DRAW_CHUNK = 1 << 20  # most doubles one draw of random_graph holds in memory
@@ -179,8 +195,7 @@ def random_graph(
     order, each included when its draw is below p; in uniform mode an
     included pair's weight comes from the draw right after its own.
     """
-    if not (isinstance(n, (int, np.integer)) and n > 0):
-        raise ConfigError(f"agent count must be a positive integer, got {n!r}")
+    n = _check_agents(n)
     p = float(edge_probability)
     if not (0.0 <= p <= 1.0):
         raise InvalidProbabilityError(f"edge probability {p} not in [0, 1]")
@@ -272,38 +287,37 @@ def graph_to_json_dict(g: Graph) -> dict:
 
 
 def graph_from_json_dict(d: dict) -> Graph:
+    """Graph from its JSON object; new_graph checks the values."""
     if not isinstance(d, dict) or "n" not in d or "edges" not in d:
         raise ConfigError('graph JSON must be {"n": int, "edges": [[i,j,w],...]}')
-    n = d["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-        raise ConfigError(f'graph JSON field "n" must be a positive integer, got {n!r}')
-    if not isinstance(d["edges"], (list, tuple)):
-        raise ConfigError(f'graph JSON field "edges" must be a list, got {d["edges"]!r}')
-    edges = []
-    for entry in d["edges"]:
+    edges = d["edges"]
+    if not isinstance(edges, (list, tuple)):
+        raise ConfigError(f'graph JSON field "edges" must be a list, got {edges!r}')
+    for entry in edges:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
             raise ConfigError(f"bad edge entry {entry!r}")
-        i, j, w = entry
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (i, j)):
-            raise ConfigError(f"edge endpoints must be integers, got {entry!r}")
-        if i > j:
+    g = new_graph(d["n"], edges)
+    # the endpoints are integers now, so they compare
+    for entry in edges:
+        if entry[0] > entry[1]:
             raise ConfigError(f"edge entry {entry!r} must have i < j")
-        # NaN passes here, to fail new_graph's positivity check
-        if isinstance(w, bool) or not isinstance(w, numbers.Real) or abs(w) > sys.float_info.max:
-            raise ConfigError(f"edge weight must be a finite number, got {entry!r}")
-        edges.append((i, j, w))
-    return new_graph(n, edges)
+    return g
+
+
+def _read_json(path, what: str):
+    """The JSON value in the file at path; a file that cannot be read or
+    parsed raises ConfigError naming what it should hold."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
+        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def load_graph(path) -> Graph:
-    try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read graph {path}: {exc}") from exc
-    except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
-        raise ConfigError(f"{path}: {exc}") from exc
-    return graph_from_json_dict(d)
+    return graph_from_json_dict(_read_json(path, "graph"))
 
 
 def dump_graph(g: Graph, path) -> None:

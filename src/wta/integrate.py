@@ -16,14 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import (
-    CLAMP,
-    InteractionSpec,
-    _edge_fn,
-    _field_fn,
-    _field_kernel,
-    prepare_state,
-)
+from .dynamics import CLAMP, InteractionSpec, _field, _field_kernel, prepare_state
 from .errors import ConfigError, PositivityFailureError
 from .graph import Graph
 
@@ -38,6 +31,9 @@ __all__ = [
 
 METHODS = ("rk4", "euler")
 CONSERVATION_MODES = ("audit", "renormalize")
+# Most fixed steps a run may take: about an hour at 37 us a step (RK4 on a
+# 60-agent sparse graph, 2 vCPUs).
+MAX_STEPS = 10**8
 
 
 @dataclass(frozen=True)
@@ -66,8 +62,11 @@ class IntegratorOptions:
             raise ConfigError(
                 f"stop_on_equilibrium must be true or false, got {self.stop_on_equilibrium!r}"
             )
-        if not self.t_end / self.dt <= sys.float_info.max:
-            raise ConfigError(f"t_end / dt overflows: {self.t_end} / {self.dt}")
+        # ceil(t_end / dt - 1e-12) <= MAX_STEPS, as _simulate counts steps
+        if not self.t_end / self.dt - 1e-12 <= MAX_STEPS:
+            raise ConfigError(
+                f"t_end / dt = {self.t_end} / {self.dt} is more than {MAX_STEPS} steps"
+            )
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.conservation_mode not in CONSERVATION_MODES:
@@ -171,10 +170,11 @@ def _substep(f: Callable, x: np.ndarray, h, method: str, positivity_shrink: int,
     if lo >= -CLAMP:
         # lanes without entries <= 0 pass through unchanged
         return np.where(cand <= 0.0, 0.0, cand), h
-    if lo != lo:  # NaN fails both tests above: the field overflowed
+    # NaN fails both tests above; an infinite field at x stays so at any h
+    if lo != lo or not np.isfinite(k1).all():
         raise PositivityFailureError(
-            "the field overflowed: a step produced NaN, so the state or the edge "
-            "weights are too large for double precision"
+            "the field overflowed: a step produced NaN or infinity, so the state "
+            "or the edge weights are too large for double precision"
         )
     used = np.full(x.size // n, h, dtype=float)
     for _ in range(positivity_shrink):
@@ -189,13 +189,18 @@ def _substep(f: Callable, x: np.ndarray, h, method: str, positivity_shrink: int,
     )
 
 
+# the arithmetic of a run that overflows makes inf and NaN; _substep reports
+# that as one PositivityFailureError, and numpy's warnings would repeat it
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet_overflow
 def step(
     g: Graph,
     x,
     dt: float,
     method: str = "rk4",
     positivity_shrink: int = 40,
-    field_fn: Optional[Callable] = None,
 ) -> tuple[np.ndarray, float]:
     """One explicit step of size dt (or less).
 
@@ -207,29 +212,8 @@ def step(
     if method not in METHODS:
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
     x = prepare_state(x, g.n)
-    f = field_fn if field_fn is not None else _lane_field(g, None, "forward", None)
-    x, used = _substep(f, x, float(dt), method, positivity_shrink, g.n)
+    x, used = _substep(_field(g), x, float(dt), method, positivity_shrink, g.n)
     return x, float(np.min(used))
-
-
-def _lane_field(g: Graph, keep: Optional[np.ndarray], direction: str,
-                interaction: Optional[InteractionSpec]) -> Callable:
-    """Field of a block of lanes over a flat state: lane l is g restricted
-    to the directed edges its row of keep (B, 2*num_edges) enables, acting
-    on entries [l*n, (l+1)*n). keep=None is the single lane of all of g,
-    through the kernel dynamics picks for g; a block of lanes always uses
-    the edge kernel."""
-    if keep is None:
-        fn = _field_fn(g, interaction)
-    else:
-        offset = g.n * np.arange(len(keep))[:, None]
-        src = (g.edge_src + offset)[keep]
-        dst = (g.edge_dst + offset)[keep]
-        w = np.broadcast_to(g.edge_w, keep.shape)[keep]
-        fn = _edge_fn(src, dst, w, interaction)
-    if direction == "forward":
-        return fn
-    return lambda s: -fn(s)
 
 
 @dataclass
@@ -248,6 +232,7 @@ class _Run:
     residuals: list = field(default_factory=list)
 
 
+@_quiet_overflow
 def _simulate(
     g: Graph,
     x0: np.ndarray,
@@ -280,7 +265,8 @@ def _simulate(
     )
     lanes = np.arange(b)  # row in x0 of each lane still in the block
     max_drift = run.max_drift.copy()
-    f = _lane_field(g, keep, direction, interaction)
+    reverse = direction == "reverse"
+    f = _field(g, interaction, keep, reverse)
     renormalize = opts.conservation_mode == "renormalize"
     # the field at x when a residual needed it: the next step's k1
     fx = None
@@ -341,7 +327,7 @@ def _simulate(
             x = x.reshape(-1, n)[live].ravel()
             fx = fx.reshape(-1, n)[live].ravel()
             keep = keep[live]
-            f = _lane_field(g, keep, direction, interaction)
+            f = _field(g, interaction, keep, reverse)
     run.states[lanes] = x.reshape(-1, n)
     run.max_drift[lanes] = max_drift
     return run
@@ -353,14 +339,12 @@ def _trajectory(g: Graph, x0, opts: IntegratorOptions, direction: str,
     x = prepare_state(x0, g.n)
     run = _simulate(g, x[None, :], opts, direction, interaction, record=True)
     st = np.array(run.records)
-    n = g.n
-    mean = st.sum(axis=1) / n
     final_t = float(run.final_time[0])
     traj = Trajectory(
         times=np.array(run.times),
         states=st,
         mass=st.sum(axis=1),
-        entropy=((st - mean[:, None]) ** 2).sum(axis=1) / n,
+        entropy=np.var(st, axis=1),
         state_max=st.max(axis=1),
         state_min=st.min(axis=1),
         residual=np.array(run.residuals),

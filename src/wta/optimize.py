@@ -203,6 +203,18 @@ def _tie_key(mask: int) -> tuple[int, int]:
     return (bin(mask).count("1"), mask)
 
 
+def _fold(best: tuple[int, float, bool], mask: int, v: float) -> tuple[int, float, bool]:
+    """Fold (mask, v) into the running (best mask, best value, tie applied):
+    a value more than TIE_TOL above the best replaces it; one within TIE_TOL
+    is a tie, which keeps the larger value and the mask first by _tie_key."""
+    best_mask, best_value, tie = best
+    if v > best_value + TIE_TOL:
+        return mask, v, tie
+    if v >= best_value - TIE_TOL:
+        return min(best_mask, mask, key=_tie_key), max(best_value, v), True
+    return best
+
+
 def exhaustive_search(p: OptimizeProblem) -> OptimizeResult:
     """Evaluate every opponent mask and return the argmax.
 
@@ -217,23 +229,15 @@ def exhaustive_search(p: OptimizeProblem) -> OptimizeResult:
         )
     keep_table = m <= TABLE_LIMIT_BITS
     table: list[tuple[int, float]] = []
-    best_mask = 0
-    best_value = -np.inf
-    tie_applied = False
+    best = (0, -np.inf, False)
     vmin, vmax = np.inf, -np.inf
     for _x0, mask, v in _lane_values(p, (p.x_alpha0,)):
         if keep_table:
             table.append((mask, v))
         vmin = min(vmin, v)
         vmax = max(vmax, v)
-        if v > best_value + TIE_TOL:
-            best_mask, best_value = mask, v
-        elif v >= best_value - TIE_TOL:
-            tie_applied = True
-            if v > best_value:
-                best_value = v
-            if _tie_key(mask) < _tie_key(best_mask):
-                best_mask = mask
+        best = _fold(best, mask, v)
+    best_mask, best_value, tie_applied = best
     return OptimizeResult(
         alpha=p.alpha,
         best_mask=best_mask,
@@ -266,9 +270,7 @@ def greedy_search(
             cache[mask] = evaluate_choice(p, mask)
         return cache[mask]
 
-    best_mask = 0
-    best_value = -np.inf
-    tie_applied = False
+    best = (0, -np.inf, False)
     for _ in range(max(1, restarts)):
         mask = int(rng.integers(0, 1 << m))
         cur = value(mask)
@@ -281,14 +283,8 @@ def greedy_search(
                 if v > cur + TIE_TOL:
                     mask, cur = cand, v
                     improved = True
-        if cur > best_value + TIE_TOL:
-            best_mask, best_value = mask, cur
-        elif cur >= best_value - TIE_TOL:
-            tie_applied = True
-            if cur > best_value:
-                best_value = cur
-            if _tie_key(mask) < _tie_key(best_mask):
-                best_mask = mask
+        best = _fold(best, mask, cur)
+    best_mask, best_value, tie_applied = best
     values = list(cache.values())
     return OptimizeResult(
         alpha=p.alpha,

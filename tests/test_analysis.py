@@ -52,6 +52,14 @@ class TestEntropy:
         with pytest.raises(EmptyStateError):
             entropy([])
 
+    def test_same_bits_as_two_pass_formula(self):
+        # the hand-written two-pass variance np.var replaced, as the reference
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            x = rng.uniform(0, rng.uniform(0.1, 100), rng.integers(1, 300))
+            dev = x - x.sum() / x.size
+            assert entropy(x) == (dev * dev).sum() / x.size
+
 
 class TestClassify:
     def test_independent_winners(self):

@@ -96,6 +96,9 @@ class TestSimulate:
         {"interaction": "cubic"},
         {"x0": {"random": {"seed": -1}}},
         {"x0": {"random": {"low": float("nan")}}},
+        {"graph": {"inline": {"n": 10**10, "edges": []}}},
+        {"graph": {"random": {"n": 10**10, "p": 0.0}}},
+        {"integrator": {"t_end": 2**64, "dt": 1e-3}},
     ])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, overrides):
         cfg = run_config(tmp_path, **overrides)
@@ -109,8 +112,7 @@ class TestSimulate:
         cfg = run_config(tmp_path, graph={"inline": {"n": 2, "edges": [[0, 1, 1e300]]}},
                          x0={"inline": [1e100, 2e100]})
         out = tmp_path / "out"
-        with pytest.warns(RuntimeWarning):
-            code = main(["simulate", "--config", cfg, "--out", str(out), "--quiet"])
+        code = main(["simulate", "--config", cfg, "--out", str(out), "--quiet"])
         err = capsys.readouterr().err
         assert code == 2 and err.count("\n") == 1
         assert "overflowed" in err and "halved" not in err
@@ -302,6 +304,9 @@ class TestExperiment:
     ["experiment", "fig5_sweep", "--grid-count", str(2**24 + 1)],
     ["experiment", "fig1_bars", "--t-end", "inf"],
     ["experiment", "fig1_bars", "--agents", "0"],
+    ["experiment", "fig1_bars", "--agents", "10000000000"],
+    ["experiment", "fig1_bars", "--t-end", "1e6"],
+    ["experiment", "fig5_sweep", "--horizon", "1e7"],
 ])
 def test_bad_flag_exits_1(tmp_path, capsys, argv):
     if argv[0] == "simulate":

@@ -214,8 +214,9 @@ class TestDenseKernel:
         assert _field_kernel(random_graph(1000, 5 / 999, "unit", seed=0)) == "edge"
 
     def test_optimizer_arenas_are_below_the_dense_size(self):
-        # exhaustive and sweep lanes run the edge kernel; evaluate_choice
-        # must too, so that they stay bit-identical to it
+        # exhaustive and sweep lanes run the edge kernel, so evaluate_choice
+        # must too on their arenas (at most 25 agents) to stay bit-identical
+        # to them; greedy arenas have no agent bound and may use the dense one
         from wta.optimize import EXHAUSTIVE_GUARD_BITS
 
         assert EXHAUSTIVE_GUARD_BITS + 1 < DENSE_MIN_N

@@ -73,6 +73,20 @@ class TestConstruction:
         with pytest.raises(IndexOutOfRangeError):
             new_graph(2, [(0, 2, 1.0)])
 
+    @pytest.mark.parametrize("n, edges", [
+        (True, []),
+        (2**20 + 1, []),
+        (2, [(0, True, 1.0)]),
+        (2, [(0.0, 1, 1.0)]),
+        (2, [(0, 1, "2.5")]),
+        (2, [(0, 1, True)]),
+        (2, [(0, 1, 10**400)]),
+        (2, [(0, 1, float("-inf"))]),
+    ])
+    def test_bad_input_is_config_error(self, n, edges):
+        with pytest.raises(ConfigError):
+            new_graph(n, edges)
+
     def test_matrix_and_adjacency_agree(self):
         rng = np.random.default_rng(3)
         for trial in range(20):
@@ -101,6 +115,11 @@ class TestInducedSubgraph:
         sub, mapping = induced_subgraph(g, [1, 2])
         assert mapping == (1, 2)
         assert sub.weights[0, 1] == 2.5
+
+    @pytest.mark.parametrize("nodes", [[1.7], [True], ["1"]])
+    def test_non_integer_node_rejected(self, nodes):
+        with pytest.raises(ConfigError):
+            induced_subgraph(path3(), nodes)
 
     def test_composition(self):
         rng = np.random.default_rng(11)
@@ -188,7 +207,7 @@ class TestRandomGraph:
         with pytest.raises(InvalidProbabilityError):
             random_graph(3, 1.5, "unit", seed=0)
 
-    @pytest.mark.parametrize("n", [0, -1, 2.0])
+    @pytest.mark.parametrize("n", [0, -1, 2.0, True, 10**10])
     def test_bad_agent_count(self, n):
         with pytest.raises(ConfigError):
             random_graph(n, 0.5, "unit", seed=0)
@@ -265,8 +284,18 @@ class TestJson:
     @pytest.mark.parametrize("d", [
         {"n": True, "edges": []},
         {"n": 2, "edges": [[False, True, 1.0]]},
+        {"n": 2, "edges": [[0, 1, True]]},
     ])
     def test_schema_rejects_booleans(self, d):
+        with pytest.raises(ConfigError):
+            graph_from_json_dict(d)
+
+    @pytest.mark.parametrize("d", [
+        {"n": 10**10, "edges": []},
+        # new_graph rejects the endpoint before the i < j check compares it
+        {"n": 2, "edges": [["a", 1, 1.0]]},
+    ])
+    def test_schema_rejects_bad_values(self, d):
         with pytest.raises(ConfigError):
             graph_from_json_dict(d)
 

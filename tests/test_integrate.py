@@ -13,7 +13,7 @@ from wta import (
     vector_field,
 )
 import wta.dynamics
-from wta.errors import ConfigError, NonFiniteStateError, WtaError
+from wta.errors import ConfigError, NonFiniteStateError, PositivityFailureError, WtaError
 from wta.integrate import Trajectory, _simulate
 
 
@@ -53,6 +53,22 @@ class TestStep:
         out, used = step(pair(), [5.0, 1.0], 1.0, method="euler")
         assert used < 1.0
         assert np.all(out >= 0.0)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_overflow_raises_without_warnings(self, method):
+        # the suite turns warnings into errors, so numpy's overflow warnings
+        # would fail this test before the PositivityFailureError
+        g = new_graph(2, [(0, 1, 1e300)])
+        with pytest.raises(PositivityFailureError, match="overflowed"):
+            step(g, [1e100, 2e100], 1e-3, method=method)
+
+
+class TestOptions:
+    def test_step_count_is_bounded(self):
+        assert IntegratorOptions(dt=0.5, t_end=5e7).t_end == 5e7  # 10^8 steps
+        for dt, t_end in [(0.5, 5e7 + 0.5), (1e-3, 2.0**64), (5e-324, 1.0)]:
+            with pytest.raises(ConfigError, match="steps"):
+                IntegratorOptions(dt=dt, t_end=t_end)
 
 
 class TestSimulateForward:
