@@ -23,7 +23,7 @@ from .errors import (
     NotSymmetricError,
 )
 from .graph import Graph, connected_components, induced_subgraph
-from .integrate import IntegratorOptions, simulate
+from .integrate import IntegratorOptions, _variance, simulate
 
 __all__ = [
     "entropy",
@@ -39,11 +39,12 @@ __all__ = [
 
 def entropy(x) -> float:
     """Population variance of the state: (1/n) sum_i (x_i - mean)^2,
-    computed by np.var in two passes, mean first."""
+    computed by np.var in two passes, mean first; inf when it is past the
+    double range."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise EmptyStateError(f"entropy needs a nonempty 1-d vector, got shape {arr.shape}")
-    return float(np.var(arr))
+    return float(_variance(arr))
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,9 @@ def _edge_field(src, dst, w, x: np.ndarray, f=None, gfun=None) -> np.ndarray:
     to the plain field. Terms are summed per entry in edge order, so any
     edge arrays that list an entry's edges in the same order give the same
     bits: a graph's own arrays and the lane-offset arrays of a block of
-    lanes (_field) share this kernel.
+    lanes (_field) share this kernel. Generalized specs run through it;
+    the default interaction runs through _edge_kernel, whose bits the tests
+    check against this plain form.
     """
     xs = x[src]
     xd = x[dst]
@@ -83,6 +85,28 @@ def _edge_field(src, dst, w, x: np.ndarray, f=None, gfun=None) -> np.ndarray:
     gv = (xs * xd) if gfun is None else gfun(xs, xd)
     terms = (w * fd) * gv
     return np.bincount(src, weights=terms, minlength=x.size)
+
+
+def _edge_kernel(src, dst, w) -> Callable:
+    """The default field over directed edge arrays as a closure: the
+    arithmetic of _edge_field bit for bit, in fewer numpy calls. It
+    multiplies the arrays it gathers in place and skips the w * multiply
+    when every weight is 1, where it is an exact identity. The integrator
+    calls it four times a RK4 step, and on small graphs the number of numpy
+    calls, not the arithmetic, sets the cost of a call."""
+    unit = np.count_nonzero(w != 1.0) == 0
+
+    def fn(x):
+        xs = x[src]
+        xd = x[dst]
+        d = xs - xd
+        if not unit:
+            d *= w
+        xs *= xd
+        d *= xs
+        return np.bincount(src, d, x.size)
+
+    return fn
 
 
 def _dense_field(W: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -132,13 +156,15 @@ def _field(g: Graph, spec: Optional[InteractionSpec] = None,
         W = g.weights
         fn = lambda x: _dense_field(W, x)
     else:
-        f, gfun = (None, None) if spec is None or spec.is_default else (spec.f, spec.g)
         src, dst, w = g.edge_src, g.edge_dst, g.edge_w
         if keep is not None:
             offset = g.n * np.arange(len(keep))[:, None]
             src, dst = (src + offset)[keep], (dst + offset)[keep]
             w = np.broadcast_to(w, keep.shape)[keep]
-        fn = lambda x: _edge_field(src, dst, w, x, f, gfun)
+        if spec is None or spec.is_default:
+            fn = _edge_kernel(src, dst, w)
+        else:
+            fn = lambda x: _edge_field(src, dst, w, x, spec.f, spec.g)
     if reverse:
         return lambda x: -fn(x)
     return fn

@@ -43,6 +43,10 @@ __all__ = [
 # Most agents a graph may have, so that a typo such as n = 10^10 fails at
 # once instead of allocating O(n) arrays of any size.
 MAX_AGENTS = 1 << 20
+# Most edges random_graph may expect to draw, n(n - 1)/2 * p: its directed
+# edge arrays then stay near 400 MB, where n = 2^20 at p = 1 would ask for
+# 5.5e11 pairs.
+MAX_EXPECTED_EDGES = 1 << 23
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,6 +194,8 @@ def random_graph(
     """Seeded G(n, p) graph; each unordered pair is included independently.
 
     ``weight_mode`` is either "unit" or ("uniform", lo, hi) with lo > 0.
+    The expected edge count n(n - 1)/2 * p may be at most
+    MAX_EXPECTED_EDGES (2^23), checked before any draw (ConfigError).
     Uses numpy's PCG64 generator; the same (n, p, weight_mode, seed) always
     produces the same graph. Pairs (i, j), i < j, are visited in row-major
     order, each included when its draw is below p; in uniform mode an
@@ -199,6 +205,12 @@ def random_graph(
     p = float(edge_probability)
     if not (0.0 <= p <= 1.0):
         raise InvalidProbabilityError(f"edge probability {p} not in [0, 1]")
+    pairs = n * (n - 1) // 2
+    if pairs * p > MAX_EXPECTED_EDGES:
+        raise ConfigError(
+            f"random graph with n={n}, p={p} expects {pairs * p:.4g} edges, "
+            f"more than {MAX_EXPECTED_EDGES}"
+        )
     rng = np.random.default_rng(seed)
     if weight_mode != "unit":
         try:
@@ -218,7 +230,6 @@ def random_graph(
     # Generator.random(k) yields the same doubles as k scalar calls, so
     # drawing the pairs in chunks keeps the scalar stream
     row_start = np.cumsum(np.arange(n, 0, -1)) - n  # flat index of pair (i, i + 1)
-    pairs = n * (n - 1) // 2
     hits = [
         start + np.flatnonzero(rng.random(min(_DRAW_CHUNK, pairs - start)) < p)
         for start in range(0, pairs, _DRAW_CHUNK)

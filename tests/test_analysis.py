@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,11 @@ class TestEntropy:
             x = rng.uniform(0, rng.uniform(0.1, 100), rng.integers(1, 300))
             dev = x - x.sum() / x.size
             assert entropy(x) == (dev * dev).sum() / x.size
+
+    def test_past_double_range_is_inf_without_warning(self):
+        # the true variance, about 6.7e399, is past the double range; the
+        # suite runs with warnings as errors, so an overflow warning fails it
+        assert entropy([1e200, 2e200, 0.0]) == math.inf
 
 
 class TestClassify:

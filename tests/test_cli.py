@@ -68,6 +68,17 @@ class TestSimulate:
         for name in ("trajectory.csv", "report.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_entropy_past_double_range_leaves_stderr_empty(self, tmp_path, capsys):
+        cfg = run_config(tmp_path, graph={"inline": {"n": 3, "edges": []}},
+                         x0={"inline": [1e200, 2e200, 0]},
+                         integrator={"dt": 0.1, "t_end": 0.3})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet", "--svg"]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        # columns t, x_0, x_1, x_2, mass, entropy, ...
+        assert [row.split(",")[5] for row in rows[1:]] == ["inf"] * 4
+
     def test_non_finite_state_exits_1(self, tmp_path, capsys):
         cfg = run_config(tmp_path, x0={"inline": [float("nan"), 1.0]})
         out = tmp_path / "out"
@@ -99,6 +110,7 @@ class TestSimulate:
         {"graph": {"inline": {"n": 10**10, "edges": []}}},
         {"graph": {"random": {"n": 10**10, "p": 0.0}}},
         {"integrator": {"t_end": 2**64, "dt": 1e-3}},
+        {"graph": {"random": {"n": 1048576, "p": 1.0}}},
     ])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, overrides):
         cfg = run_config(tmp_path, **overrides)

@@ -212,6 +212,18 @@ class TestRandomGraph:
         with pytest.raises(ConfigError):
             random_graph(n, 0.5, "unit", seed=0)
 
+    @pytest.mark.parametrize("weights", ["unit", ("uniform", 0.5, 1.5)])
+    def test_expected_edge_count_is_bounded(self, weights, monkeypatch):
+        # 5.5e11 expected edges: refused before the first draw
+        with pytest.raises(ConfigError, match="expects"):
+            random_graph(wta.graph.MAX_AGENTS, 1.0, weights, seed=0)
+        # the cap is on n(n - 1)/2 * p, inclusive
+        monkeypatch.setattr(wta.graph, "MAX_EXPECTED_EDGES", 10)
+        assert random_graph(5, 1.0, weights, seed=0).num_edges == 10
+        assert random_graph(6, 10 / 15, weights, seed=0).n == 6
+        with pytest.raises(ConfigError, match="expects"):
+            random_graph(6, 1.0, weights, seed=0)
+
     # hashes recorded from the dense-matrix generator that drew one pair at
     # a time; a changed stream or edge order changes them
     @pytest.mark.parametrize("args, digest", [

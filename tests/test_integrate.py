@@ -13,8 +13,9 @@ from wta import (
     vector_field,
 )
 import wta.dynamics
+from wta.dynamics import _dense_field, _edge_field, _field, _field_kernel
 from wta.errors import ConfigError, NonFiniteStateError, PositivityFailureError, WtaError
-from wta.integrate import Trajectory, _simulate
+from wta.integrate import _HISTORY_ROWS, Trajectory, _raw_step, _simulate
 
 
 def pair():
@@ -61,6 +62,107 @@ class TestStep:
         g = new_graph(2, [(0, 1, 1e300)])
         with pytest.raises(PositivityFailureError, match="overflowed"):
             step(g, [1e100, 2e100], 1e-3, method=method)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def textbook_rk4(field, x, h):
+    """RK4 as written, every intermediate a new array."""
+    k1 = field(x)
+    k2 = field(x + (0.5 * h) * k1)
+    k3 = field(x + (0.5 * h) * k2)
+    k4 = field(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def plain_field(g):
+    """The forward field of g through the plain form of its kernel."""
+    if _field_kernel(g) == "dense":
+        W = g.weights
+        return lambda x: _dense_field(W, x)
+    return lambda x: _edge_field(g.edge_src, g.edge_dst, g.edge_w, x)
+
+
+# (graph, kernel): unit and weighted graphs on each field kernel
+ORACLE_GRAPHS = {
+    "edge-unit": (lambda: random_graph(12, 0.4, "unit", seed=1), "edge"),
+    "edge-weighted": (lambda: random_graph(12, 0.4, ("uniform", 0.2, 2.0), seed=2), "edge"),
+    "dense-unit": (lambda: random_graph(40, 0.5, "unit", seed=3), "dense"),
+    "dense-weighted": (lambda: random_graph(40, 0.5, ("uniform", 0.2, 2.0), seed=4), "dense"),
+}
+
+
+class TestStepOracle:
+    """The integrator's RK4 step, with its reused buffers and in-place
+    products, gives the bits of textbook RK4 on fresh arrays."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_raw_step_is_textbook_rk4(self, name, reverse):
+        make, kernel = ORACLE_GRAPHS[name]
+        g = make()
+        assert _field_kernel(g) == kernel
+        plain = plain_field(g)
+        ref = (lambda x: -plain(x)) if reverse else plain
+        f = _field(g, reverse=reverse)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            x = rng.uniform(0.1, 1.0, g.n)
+            x[rng.integers(g.n)] = 0.0
+            x_before = x.copy()
+            k1 = f(x)
+            assert same_bits(k1, ref(x))
+            k1_before = k1.copy()
+            # one step size, and one per entry as a halving retry passes it
+            for h in (0.01, rng.uniform(0.001, 0.02, g.n)):
+                assert same_bits(_raw_step(f, x, h, "rk4", k1), textbook_rk4(ref, x, h))
+                assert same_bits(_raw_step(f, x, h, "euler", k1), x + h * k1)
+            assert same_bits(x, x_before) and same_bits(k1, k1_before)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_step_is_textbook_rk4(self, name):
+        g = ORACLE_GRAPHS[name][0]()
+        x = np.random.default_rng(6).uniform(0.1, 1.0, g.n)
+        out, used = step(g, x, 0.01)
+        assert used == 0.01 and np.all(out > 0.0)
+        assert same_bits(out, textbook_rk4(plain_field(g), x, 0.01))
+
+    def test_lane_block_field_is_the_edge_sum(self):
+        g = random_graph(9, 0.5, ("uniform", 0.2, 2.0), seed=7)
+        rng = np.random.default_rng(8)
+        keep = rng.random((3, g.edge_src.size)) < 0.7
+        x = rng.uniform(0.0, 1.0, 3 * g.n)
+        offset = g.n * np.arange(3)[:, None]
+        src, dst = (g.edge_src + offset)[keep], (g.edge_dst + offset)[keep]
+        w = np.broadcast_to(g.edge_w, keep.shape)[keep]
+        assert same_bits(_field(g, keep=keep)(x), _edge_field(src, dst, w, x))
+
+
+class TestMassAudit:
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    @pytest.mark.parametrize("t_end, stop", [(30.0, False), (30.0, True), (0.5, False)],
+                             ids=["full", "stopped", "short"])
+    def test_drift_is_max_over_every_step(self, direction, t_end, stop):
+        # full and stopped runs take more steps than one history block and
+        # end inside a block; the short run ends inside its first block
+        # (seed 22: the largest deviation lies above the initial mass in
+        # some of these runs and below it in others)
+        g = random_graph(20, 0.4, ("uniform", 0.2, 2.0), seed=22)
+        x0 = np.random.default_rng(23).uniform(0.0, 3.0, 20)
+        opts = IntegratorOptions(dt=1e-2, t_end=t_end, record_stride=1,
+                                 stop_on_equilibrium=stop, equilibrium_tol=1e-7)
+        run = simulate if direction == "forward" else simulate_reverse
+        traj, audit = run(g, x0, opts)
+        steps = traj.metadata["steps_taken"]
+        assert steps % _HISTORY_ROWS != 0 and (steps > _HISTORY_ROWS) == (t_end > 1.0)
+        assert traj.metadata["stopped_at_equilibrium"] == stop
+        assert len(traj.times) == steps + 1
+        drift = np.abs(traj.states.sum(axis=1) - audit.initial_mass).max()
+        assert drift > 0.0
+        assert audit.max_abs_drift == drift
 
 
 class TestOptions:
@@ -232,6 +334,19 @@ class TestLaneBlock:
         run = assert_lanes_match_single_runs(g, x0, opts)
         assert run.stopped.all()
         assert len(set(run.steps.tolist())) == len(x0)
+
+    def test_lanes_stop_mid_history_block_beside_zero_losers(self):
+        g = random_graph(8, 0.6, ("uniform", 0.3, 1.5), seed=11)
+        rng = np.random.default_rng(12)
+        x0 = rng.uniform(0.1, 1.0, (6, 8))
+        x0[3:, 2:7] = 0.0  # five exact-zero losers in each of the last lanes
+        opts = IntegratorOptions(dt=1e-2, t_end=40.0, stop_on_equilibrium=True,
+                                 equilibrium_tol=1e-9)
+        run = assert_lanes_match_single_runs(g, x0, opts)
+        steps = run.steps.tolist()
+        assert run.stopped.all() and len(set(steps)) == len(steps)
+        # every lane stops inside a history block
+        assert all(k % _HISTORY_ROWS for k in steps)
 
     def test_renormalize_block_with_lane_edge_subsets(self):
         g = random_graph(7, 0.7, ("uniform", 0.3, 1.5), seed=5)
