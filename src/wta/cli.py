@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 config/parse error, 2 numerical failure
 (positivity loss), 3 search-guard violation. JSON configs use the schemas
 defined by the library modules; all numeric output carries 17 significant
-digits. Config leaves and numeric flags are read by the typed readers below.
+digits. Config leaves and numeric flags are read by the typed readers in
+wta.errors, which the library entry points check their arguments with too.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ import numpy as np
 from . import __version__
 from .analysis import classify_equilibrium
 from .dynamics import BUILTIN_F, BUILTIN_G, check_interactions, interaction_from_names
-from .errors import ConfigError, PositivityFailureError, TooManyCandidatesError, WtaError
-from .experiments import EXPERIMENTS, _canonical_hash, _write_json, run_experiment
-from .graph import MAX_AGENTS, _read_json, graph_from_json_dict, load_graph, random_graph
+from .errors import (ConfigError, PositivityFailureError, TooManyCandidatesError, WtaError,
+                     read_choice, read_integer, read_number, read_numbers)
+from .experiments import (EXPERIMENTS, OVERRIDES, SEED_MAX, _canonical_hash, _write_json,
+                          run_experiment)
+from .graph import _read_json, graph_from_json_dict, load_graph, random_graph
 from .integrate import IntegratorOptions, simulate, simulate_reverse
 from .optimize import (
-    EXHAUSTIVE_GUARD_BITS,
+    GRID_MAX,
     OptimizeProblem,
     exhaustive_search,
     greedy_search,
@@ -33,58 +36,18 @@ from . import svg
 
 __all__ = ["main"]
 
-SEED_MAX = 2**64 - 1
-GRID_MAX = 1 << EXHAUSTIVE_GUARD_BITS  # most sweep grid points
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); keep exit codes stable
         raise ConfigError(message)
 
 
-# --- typed readers ---
-
-
-def _integer(value, key: str, lo: int = 0, hi: int | None = None) -> int:
-    """A JSON integer (not a bool, a float or a numeric string) in [lo, hi]."""
-    if (isinstance(value, bool) or not isinstance(value, int) or value < lo
-            or (hi is not None and value > hi)):
-        upper = "" if hi is None else f" and <= {hi}"
-        raise ConfigError(f"{key} must be an integer >= {lo}{upper}, got {value!r}")
-    return value
-
-
-def _number(value, key: str, lo=None, hi=None, gt=None) -> float:
-    """A finite number, not a bool or a numeric string, with value >= lo,
-    value <= hi and value > gt for each bound given."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # also an int too large for a double
-        raise ConfigError(f"{key} must be finite, got {value!r} (NaN or infinite)")
-    if not ((lo is None or value >= lo) and (hi is None or value <= hi)
-            and (gt is None or value > gt)):
-        want = " and ".join(f"{op} {b}" for op, b in ((">=", lo), ("<=", hi), (">", gt))
-                            if b is not None)
-        raise ConfigError(f"{key} must be {want}, got {value!r}")
-    return float(value)
-
-
-def _numbers(value, key: str, lo=None) -> list[float]:
-    """A list of finite numbers, each >= lo when lo is given."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
-    return [_number(v, f"{key}[{i}]", lo) for i, v in enumerate(value)]
+# --- config leaves: shapes here, values through the wta.errors readers ---
 
 
 def _object(value, key: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be a JSON object, got {value!r}")
-    return value
-
-
-def _choice(value, key: str, choices) -> str:
-    if not (isinstance(value, str) and value in choices):
-        raise ConfigError(f"{key} must be one of {sorted(choices)}, got {value!r}")
     return value
 
 
@@ -96,8 +59,9 @@ def _path(value, key: str) -> str:
 
 def _flag(name: str, read, **bounds):
     """argparse type= for a numeric flag: the text goes through int (for
-    _integer) or float, whose ValueError argparse reports, then through read."""
-    parse_text = int if read is _integer else float
+    read_integer) or float, whose ValueError argparse reports, then through
+    read."""
+    parse_text = int if read is read_integer else float
 
     def parse(text):
         return read(parse_text(text), name, **bounds)
@@ -107,7 +71,7 @@ def _flag(name: str, read, **bounds):
 
 
 def _seed(spec: dict, key: str, default: int) -> int:
-    return _integer(spec["seed"], key, 0, SEED_MAX) if "seed" in spec else default
+    return read_integer(spec["seed"], key, 0, SEED_MAX) if "seed" in spec else default
 
 
 def _one_of(d, keys, key: str) -> str:
@@ -130,7 +94,7 @@ def _weight_mode(spec, key: str):
     if spec in (None, "unit"):
         return "unit"
     if isinstance(spec, dict) and set(spec) == {"uniform"}:
-        bounds = _numbers(spec["uniform"], f"{key}.uniform")
+        bounds = read_numbers(spec["uniform"], f"{key}.uniform")
         if len(bounds) == 2:
             return ("uniform", *bounds)
     raise ConfigError(f'{key} must be "unit" or {{"uniform": [lo, hi]}}, got {spec!r}')
@@ -144,15 +108,15 @@ def _graph_from_config(cfg, default_seed: int):
         return load_graph(_path(cfg["file"], "graph.file"))
     spec = _object(cfg["random"], "graph.random")
     return random_graph(
-        _integer(spec.get("n"), "graph.random.n", lo=1),
-        _number(spec.get("p"), "graph.random.p", lo=0.0, hi=1.0),
+        read_integer(spec.get("n"), "graph.random.n", lo=1),
+        read_number(spec.get("p"), "graph.random.p", lo=0.0, hi=1.0),
         _weight_mode(spec.get("weight_mode"), "graph.random.weight_mode"),
         _seed(spec, "graph.random.seed", default_seed),
     )
 
 
 def _state(values, key: str, n: int) -> np.ndarray:
-    x = np.array(_numbers(values, key))
+    x = np.array(read_numbers(values, key))
     if x.shape != (n,):
         raise ConfigError(f"{key} has length {x.size}, graph has n={n}")
     return x
@@ -162,8 +126,8 @@ def _x0_from_config(cfg, n: int, default_seed: int) -> np.ndarray:
     if _one_of(cfg, ("inline", "random"), "x0") == "inline":
         return _state(cfg["inline"], "x0.inline", n)
     spec = _object(cfg["random"], "x0.random")
-    lo = _number(spec.get("low", 0.0), "x0.random.low", lo=0.0)
-    hi = _number(spec.get("high", 1.0), "x0.random.high", gt=lo)
+    lo = read_number(spec.get("low", 0.0), "x0.random.low", lo=0.0)
+    hi = read_number(spec.get("high", 1.0), "x0.random.high", gt=lo)
     return np.random.default_rng(_seed(spec, "x0.random.seed", default_seed)).uniform(lo, hi, n)
 
 
@@ -181,8 +145,8 @@ def _interaction_from_config(cfg):
         return None
     cfg = _object(cfg, "interaction")
     spec = interaction_from_names(
-        _choice(cfg.get("f", "identity"), "interaction.f", BUILTIN_F),
-        _choice(cfg.get("g", "product"), "interaction.g", BUILTIN_G),
+        read_choice(cfg.get("f", "identity"), "interaction.f", BUILTIN_F),
+        read_choice(cfg.get("g", "product"), "interaction.g", BUILTIN_G),
     )
     check = check_interactions(spec)
     if not check.passed:
@@ -202,7 +166,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     g = _graph_from_config(cfg.get("graph", {}), args.seed)
     x0 = _x0_from_config(cfg.get("x0", {}), g.n, args.seed + 1)
-    direction = _choice(cfg.get("direction", "forward"), "direction", ("forward", "reverse"))
+    direction = read_choice(cfg.get("direction", "forward"), "direction", ("forward", "reverse"))
     opts = _options_from_config(cfg.get("integrator", {}), IntegratorOptions())
     interaction = _interaction_from_config(cfg.get("interaction"))
 
@@ -262,13 +226,14 @@ def cmd_classify(args) -> int:
 
 def _problem_from_config(cfg: dict, default_seed: int) -> OptimizeProblem:
     base = _graph_from_config(cfg.get("graph", {}), default_seed)
+    # OptimizeProblem checks each leaf under its field name, the config key
     return OptimizeProblem(
         base_graph=base,
-        alpha=_integer(cfg.get("alpha"), "alpha", 0, base.n - 1),
-        x_alpha0=_number(cfg.get("x_alpha0"), "x_alpha0", lo=0.0),
-        x0_others=tuple(_numbers(cfg.get("x0_others"), "x0_others", lo=0.0)),
-        horizon=_number(cfg.get("horizon"), "horizon", gt=0.0),
-        candidate_weight=_number(cfg.get("candidate_weight", 1.0), "candidate_weight", gt=0.0),
+        alpha=cfg.get("alpha"),
+        x_alpha0=cfg.get("x_alpha0"),
+        x0_others=cfg.get("x0_others"),
+        horizon=cfg.get("horizon"),
+        candidate_weight=cfg.get("candidate_weight", 1.0),
         options=_options_from_config(
             cfg.get("integrator", {}),
             OptimizeProblem.__dataclass_fields__["options"].default_factory(),
@@ -278,12 +243,12 @@ def _problem_from_config(cfg: dict, default_seed: int) -> OptimizeProblem:
 
 def _grid_from_config(cfg) -> np.ndarray:
     if isinstance(cfg, list):
-        return np.array(_numbers(cfg, "sweep_grid", lo=0.0))
+        return np.array(read_numbers(cfg, "sweep_grid", lo=0.0))
     cfg = _object(cfg, "sweep_grid")
     return np.linspace(
-        _number(cfg.get("start", 0.0), "sweep_grid.start", lo=0.0),
-        _number(cfg.get("stop", 1.5), "sweep_grid.stop", lo=0.0),
-        _integer(cfg.get("count", 31), "sweep_grid.count", 1, GRID_MAX),
+        read_number(cfg.get("start", 0.0), "sweep_grid.start", lo=0.0),
+        read_number(cfg.get("stop", 1.5), "sweep_grid.stop", lo=0.0),
+        read_integer(cfg.get("count", 31), "sweep_grid.count", 1, GRID_MAX),
     )
 
 
@@ -312,7 +277,7 @@ def cmd_optimize(args) -> int:
         greedy = _object(cfg.get("greedy", {}), "greedy")
         result = greedy_search(
             problem,
-            restarts=_integer(greedy.get("restarts", 8), "greedy.restarts", lo=1),
+            restarts=read_integer(greedy.get("restarts", 8), "greedy.restarts", lo=1),
             seed=_seed(greedy, "greedy.seed", args.seed),
         )
     out.mkdir(parents=True, exist_ok=True)
@@ -328,11 +293,8 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-_OVERRIDES = ("agents", "edge_prob", "t_end", "dt", "horizon", "grid_count", "grid_max")
-
-
 def cmd_experiment(args) -> int:
-    overrides = {key: getattr(args, key) for key in _OVERRIDES
+    overrides = {key: getattr(args, key) for key in OVERRIDES
                  if getattr(args, key) is not None}
     run_experiment(
         args.name,
@@ -351,7 +313,7 @@ def cmd_experiment(args) -> int:
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON config path")
-    common.add_argument("--seed", type=_flag("--seed", _integer, lo=0, hi=SEED_MAX),
+    common.add_argument("--seed", type=_flag("--seed", read_integer, lo=0, hi=SEED_MAX),
                         default=0, help="default seed (u64)")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--svg", action="store_true", help="also emit SVG charts")
@@ -369,8 +331,8 @@ def build_parser() -> _Parser:
                            help="classify a state on a graph, print report JSON")
     p_cls.add_argument("--graph", required=True, help="graph JSON file")
     p_cls.add_argument("--state", required=True, help="state JSON file")
-    p_cls.add_argument("--zero-tol", type=_flag("--zero-tol", _number, lo=0.0), default=1e-8)
-    p_cls.add_argument("--equal-tol", type=_flag("--equal-tol", _number, lo=0.0), default=1e-6)
+    p_cls.add_argument("--zero-tol", type=_flag("--zero-tol", read_number, lo=0.0), default=1e-8)
+    p_cls.add_argument("--equal-tol", type=_flag("--equal-tol", read_number, lo=0.0), default=1e-6)
     p_cls.set_defaults(func=cmd_classify)
 
     p_opt = sub.add_parser("optimize", parents=[common],
@@ -383,13 +345,9 @@ def build_parser() -> _Parser:
     p_exp = sub.add_parser("experiment", parents=[common],
                            help="run a named experiment manifest")
     p_exp.add_argument("name", help=f"one of {sorted(EXPERIMENTS)}")
-    p_exp.add_argument("--agents", type=_flag("--agents", _integer, lo=1, hi=MAX_AGENTS))
-    p_exp.add_argument("--edge-prob", type=_flag("--edge-prob", _number, lo=0.0, hi=1.0))
-    p_exp.add_argument("--t-end", type=_flag("--t-end", _number, gt=0.0))
-    p_exp.add_argument("--dt", type=_flag("--dt", _number, gt=0.0))
-    p_exp.add_argument("--horizon", type=_flag("--horizon", _number, gt=0.0))
-    p_exp.add_argument("--grid-count", type=_flag("--grid-count", _integer, lo=1, hi=GRID_MAX))
-    p_exp.add_argument("--grid-max", type=_flag("--grid-max", _number, lo=0.0))
+    for key, (read, bounds) in OVERRIDES.items():  # --agents ... --grid-max
+        flag = "--" + key.replace("_", "-")
+        p_exp.add_argument(flag, type=_flag(flag, read, **bounds))
     p_exp.set_defaults(func=cmd_experiment)
 
     return parser

@@ -161,7 +161,9 @@ def _field(g: Graph, spec: Optional[InteractionSpec] = None,
             offset = g.n * np.arange(len(keep))[:, None]
             src, dst = (src + offset)[keep], (dst + offset)[keep]
             w = np.broadcast_to(w, keep.shape)[keep]
-        if spec is None or spec.is_default:
+        if not src.size:  # np.bincount over no edges gives integer zeros
+            fn = lambda x: np.zeros(x.size)
+        elif spec is None or spec.is_default:
             fn = _edge_kernel(src, dst, w)
         else:
             fn = lambda x: _edge_field(src, dst, w, x, spec.f, spec.g)

@@ -1,4 +1,10 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the typed readers
+that every input boundary checks its values through."""
+
+import numbers
+import sys
+
+import numpy as np
 
 
 class WtaError(Exception):
@@ -68,3 +74,58 @@ class ComponentTooSmallError(WtaError):
 # optimization
 class TooManyCandidatesError(WtaError):
     pass
+
+
+# --- typed readers: the package's one definition of a valid integer,
+# number, list of numbers, choice and flag. Each returns the value it
+# accepts or raises ConfigError naming key. A bool is never a number.
+# Testing type(value) first spares a plain int or float the ABC isinstance
+# check, about 0.8 us, which new_graph would pay for every endpoint.
+
+
+def _in_bounds(value, key: str, lo=None, hi=None, gt=None):
+    """value, if value >= lo, value <= hi and value > gt for each bound given."""
+    if not ((lo is None or value >= lo) and (hi is None or value <= hi)
+            and (gt is None or value > gt)):
+        want = " and ".join(f"{op} {b}" for op, b in ((">=", lo), ("<=", hi), (">", gt))
+                            if b is not None)
+        raise ConfigError(f"{key} must be {want}, got {value!r}")
+    return value
+
+
+def read_integer(value, key: str, lo=None, hi=None) -> int:
+    """A numbers.Integral (not a float or a numeric string) in [lo, hi]."""
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(_in_bounds(value, key, lo, hi))
+
+
+def read_number(value, key: str, lo=None, hi=None, gt=None) -> float:
+    """A numbers.Real within the double range, with the bounds of _in_bounds."""
+    if type(value) is not float and (isinstance(value, bool)
+                                     or not isinstance(value, numbers.Real)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # also an int too large for a double
+        raise ConfigError(f"{key} must be finite, got {value!r} (NaN or infinite)")
+    return float(_in_bounds(value, key, lo, hi, gt))
+
+
+def read_numbers(value, key: str, lo=None) -> list[float]:
+    """A list, tuple or 1-d array of numbers, each >= lo; entry i is "key[i]"."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+    return [read_number(v, f"{key}[{i}]", lo) for i, v in enumerate(value)]
+
+
+def read_choice(value, key: str, choices) -> str:
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigError(f"{key} must be one of {sorted(choices)}, got {value!r}")
+    return value
+
+
+def read_bool(value, key: str) -> bool:
+    """A Python or numpy bool, not 0 or 1."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return bool(value)

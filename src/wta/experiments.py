@@ -17,8 +17,9 @@ import numpy as np
 
 from . import __version__
 from .analysis import classify_equilibrium
-from .errors import ConfigError
+from .errors import ConfigError, read_choice, read_integer, read_number
 from .graph import (
+    MAX_AGENTS,
     Graph,
     connected_components,
     dump_graph,
@@ -27,10 +28,26 @@ from .graph import (
     random_graph,
 )
 from .integrate import IntegratorOptions, simulate, simulate_reverse
-from .optimize import OptimizeProblem, evaluate_choice, mask_to_bits, sweep_initial_value
+from .optimize import (GRID_MAX, OptimizeProblem, evaluate_choice, mask_to_bits,
+                       sweep_initial_value)
 from . import svg
 
 __all__ = ["EXPERIMENTS", "run_experiment"]
+
+SEED_MAX = 2**64 - 1
+
+# Each override a manifest takes, with its reader and bounds: run_experiment
+# checks overrides through them, and wta experiment builds its --agents ...
+# --grid-max flags from them.
+OVERRIDES = {
+    "agents": (read_integer, {"lo": 1, "hi": MAX_AGENTS}),
+    "edge_prob": (read_number, {"lo": 0.0, "hi": 1.0}),
+    "t_end": (read_number, {"gt": 0.0}),
+    "dt": (read_number, {"gt": 0.0}),
+    "horizon": (read_number, {"gt": 0.0}),
+    "grid_count": (read_integer, {"lo": 1, "hi": GRID_MAX}),
+    "grid_max": (read_number, {"lo": 0.0}),
+}
 
 
 def _canonical_hash(obj) -> str:
@@ -286,19 +303,19 @@ def run_experiment(
 ) -> dict:
     """Run a named manifest into out_dir; returns the manifest dict.
 
-    Writes manifest.json and report.json next to the data files. Unknown
-    override keys are rejected so a manifest stays self-describing.
+    Writes manifest.json and report.json next to the data files. The seed
+    is an integer in [0, 2^64 - 1], and each override is checked by its
+    OVERRIDES reader; unknown override keys are rejected so a manifest
+    stays self-describing.
     """
-    if name not in EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
-        )
-    runner, defaults = EXPERIMENTS[name]
+    runner, defaults = EXPERIMENTS[read_choice(name, "experiment", EXPERIMENTS)]
+    seed = read_integer(seed, "seed", 0, SEED_MAX)
     params = dict(defaults)
     for key, value in (overrides or {}).items():
         if key not in params:
             raise ConfigError(f"unknown override {key!r} for {name}")
-        params[key] = type(defaults[key])(value)
+        read, bounds = OVERRIDES[key]
+        params[key] = read(value, key, **bounds)
     # check the step count (IntegratorOptions) before any output is written
     IntegratorOptions(dt=params["dt"], t_end=params.get("t_end", params.get("horizon")))
     out = Path(out_dir)

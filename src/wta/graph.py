@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
-import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -24,6 +22,8 @@ from .errors import (
     InvalidProbabilityError,
     NonpositiveWeightError,
     SelfLoopError,
+    read_integer,
+    read_number,
 )
 
 __all__ = [
@@ -108,22 +108,11 @@ class Graph:
         return any(k == j for k, _w in self.neighbors(i))
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _check_agents(n) -> int:
-    if not (_is_int(n) and 0 < n <= MAX_AGENTS):
-        raise ConfigError(f"agent count must be an integer in [1, {MAX_AGENTS}], got {n!r}")
-    return int(n)
-
-
 def _check_node(i, n: int) -> int:
-    if not _is_int(i):
-        raise ConfigError(f"node id must be an integer, got {i!r}")
+    i = read_integer(i, "node id")
     if not 0 <= i < n:
         raise IndexOutOfRangeError(f"node id {i!r} not in [0, {n})")
-    return int(i)
+    return i
 
 
 def validate_nodes(nodes: Iterable[int], n: int) -> tuple[int, ...]:
@@ -158,18 +147,15 @@ def _finish(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> Graph:
 def new_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> Graph:
     """Build a graph from an undirected edge list (i, j, w): the one place
     that checks graph input. The agent count and the node ids must be
-    integers (not bools), and each weight a finite positive real number
-    (not a bool or a string)."""
-    n = _check_agents(n)
+    integers, and each weight a finite positive number, as the readers in
+    wta.errors define them."""
+    n = read_integer(n, "agent count", 1, MAX_AGENTS)
     seen: dict[tuple[int, int], float] = {}
     for i, j, w in edges:
         i, j = _check_node(i, n), _check_node(j, n)
         if i == j:
             raise SelfLoopError(f"self-loop at node {i}")
-        # abs(NaN) passes here, to fail the positivity check below
-        if isinstance(w, bool) or not isinstance(w, numbers.Real) or abs(w) > sys.float_info.max:
-            raise ConfigError(f"edge ({i},{j}) weight must be a finite number, got {w!r}")
-        w = float(w)
+        w = read_number(w, f"edge ({i},{j}) weight")
         if not w > 0.0:
             raise NonpositiveWeightError(f"edge ({i},{j}) has weight {w} <= 0")
         key = (min(i, j), max(i, j))
@@ -201,8 +187,8 @@ def random_graph(
     order, each included when its draw is below p; in uniform mode an
     included pair's weight comes from the draw right after its own.
     """
-    n = _check_agents(n)
-    p = float(edge_probability)
+    n = read_integer(n, "agent count", 1, MAX_AGENTS)
+    p = read_number(edge_probability, "edge probability")
     if not (0.0 <= p <= 1.0):
         raise InvalidProbabilityError(f"edge probability {p} not in [0, 1]")
     pairs = n * (n - 1) // 2
@@ -213,13 +199,11 @@ def random_graph(
         )
     rng = np.random.default_rng(seed)
     if weight_mode != "unit":
-        try:
-            mode, lo, hi = weight_mode
-        except (TypeError, ValueError):
+        if not (isinstance(weight_mode, (list, tuple)) and len(weight_mode) == 3
+                and weight_mode[0] == "uniform"):
             raise ConfigError(f"bad weight_mode {weight_mode!r}")
-        if mode != "uniform" or not (0.0 < float(lo) <= float(hi)):
-            raise ConfigError(f"bad weight_mode {weight_mode!r}")
-        lo, hi = float(lo), float(hi)
+        lo = read_number(weight_mode[1], "uniform weight low", gt=0.0)
+        hi = read_number(weight_mode[2], "uniform weight high", lo=lo)
         # the weight draws interleave with the inclusion draws: one pair at a time
         edges = []
         for i in range(n):

@@ -9,15 +9,14 @@ inside the round-off window are clamped to zero. Total mass is audited
 from __future__ import annotations
 
 import dataclasses
-import numbers
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .dynamics import CLAMP, InteractionSpec, _field, _field_kernel, prepare_state
-from .errors import ConfigError, PositivityFailureError
+from .errors import (ConfigError, PositivityFailureError, read_bool, read_choice,
+                     read_integer, read_number)
 from .graph import Graph
 
 __all__ = [
@@ -50,31 +49,17 @@ class IntegratorOptions:
 
     def __post_init__(self):
         for name in ("dt", "t_end", "equilibrium_tol"):
-            v = getattr(self, name)
-            # bools are Integral; NaN and +-inf fail the range test
-            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                    or not 0.0 < v <= sys.float_info.max):
-                raise ConfigError(f"{name} must be a positive finite number, got {v!r}")
-        for name, lo in (("record_stride", 1), ("positivity_shrink", 0)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < lo:
-                raise ConfigError(f"{name} must be an integer >= {lo}, got {v!r}")
-        if not isinstance(self.stop_on_equilibrium, (bool, np.bool_)):
-            raise ConfigError(
-                f"stop_on_equilibrium must be true or false, got {self.stop_on_equilibrium!r}"
-            )
+            read_number(getattr(self, name), name, gt=0.0)
+        read_integer(self.record_stride, "record_stride", lo=1)
+        read_integer(self.positivity_shrink, "positivity_shrink", lo=0)
+        read_bool(self.stop_on_equilibrium, "stop_on_equilibrium")
         # ceil(t_end / dt - 1e-12) <= MAX_STEPS, as _simulate counts steps
         if not self.t_end / self.dt - 1e-12 <= MAX_STEPS:
             raise ConfigError(
                 f"t_end / dt = {self.t_end} / {self.dt} is more than {MAX_STEPS} steps"
             )
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.conservation_mode not in CONSERVATION_MODES:
-            raise ConfigError(
-                f"conservation_mode must be one of {CONSERVATION_MODES}, "
-                f"got {self.conservation_mode!r}"
-            )
+        read_choice(self.method, "method", METHODS)
+        read_choice(self.conservation_mode, "conservation_mode", CONSERVATION_MODES)
 
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -145,9 +130,8 @@ def _raw_step(f: Callable, x: np.ndarray, h, method: str,
     RK4 runs the textbook x + (h/6)(k1 + 2 k2 + 2 k3 + k4) operation for
     operation, with the stage states in one reused buffer and the weighted
     sum in a second; x and the stages are only read (a halving retry steps
-    from x and k1 again, and an edgeless graph's field is an integer
-    array). Products and sums swap their operands, which IEEE arithmetic
-    rounds the same, so the bits are those of the textbook form."""
+    from x and k1 again). Products and sums swap their operands, which IEEE
+    arithmetic rounds the same, so the bits are those of the textbook form."""
     if method == "euler":
         return k1 * h + x
     hh = 0.5 * h
@@ -232,8 +216,7 @@ def step(
     actually-used step size is returned alongside the new state. Residual
     negatives inside the window are clamped to zero.
     """
-    if method not in METHODS:
-        raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
+    read_choice(method, "method", METHODS)
     x = prepare_state(x, g.n)
     x, used = _substep(_field(g), x, float(dt), method, positivity_shrink, g.n)
     return x, float(np.min(used))

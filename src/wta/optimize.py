@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, TooManyCandidatesError
+from .errors import (ConfigError, TooManyCandidatesError, read_integer, read_number,
+                     read_numbers)
 from .graph import Graph, new_graph
 from .integrate import IntegratorOptions, _simulate, simulate
 
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_GUARD_BITS = 24
+GRID_MAX = 1 << EXHAUSTIVE_GUARD_BITS  # most sweep grid points
 TABLE_LIMIT_BITS = 16
 TIE_TOL = 1e-12
 # (initial value, mask) pairs integrated together as lanes of one block. It
@@ -76,22 +78,22 @@ class OptimizeProblem:
 
     def __post_init__(self):
         n = self.base_graph.n
-        if not (0 <= self.alpha < n):
-            raise ConfigError(f"alpha={self.alpha} not a node of the {n}-agent graph")
+        # each field is checked under its own name, which is its config key
+        checked = {
+            "alpha": read_integer(self.alpha, "alpha", 0, n - 1),
+            "x_alpha0": read_number(self.x_alpha0, "x_alpha0", lo=0.0),
+            "x0_others": tuple(read_numbers(self.x0_others, "x0_others", lo=0.0)),
+            "horizon": read_number(self.horizon, "horizon", gt=0.0),
+            "candidate_weight": read_number(self.candidate_weight, "candidate_weight", gt=0.0),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if self.base_graph.neighbors(self.alpha):
             raise ConfigError("base graph must not contain edges at agent alpha")
         if len(self.x0_others) != n - 1:
             raise ConfigError(
                 f"x0_others has {len(self.x0_others)} entries, expected {n - 1}"
             )
-        if not np.isfinite([self.x_alpha0, *self.x0_others]).all():
-            raise ConfigError("initial values must be finite")
-        if any(v < 0.0 for v in self.x0_others) or self.x_alpha0 < 0.0:
-            raise ConfigError("initial values must be nonnegative")
-        if not self.horizon > 0.0:
-            raise ConfigError("horizon must be positive")
-        if not self.candidate_weight > 0.0:
-            raise ConfigError("candidate weight must be positive")
 
     @property
     def candidates(self) -> tuple[int, ...]:
@@ -259,8 +261,10 @@ def greedy_search(
     """Hill-climbing over single-bit flips from seeded random start masks.
 
     Heuristic: never exceeds the exhaustive optimum (same objective), and is
-    deterministic for a fixed seed. Evaluations are memoized across restarts.
+    deterministic for a fixed seed. Evaluations are memoized across restarts;
+    restarts is an integer >= 1.
     """
+    restarts = read_integer(restarts, "restarts", lo=1)
     m = p.num_candidates
     rng = np.random.default_rng(seed)
     cache: dict[int, float] = {}
@@ -271,7 +275,7 @@ def greedy_search(
         return cache[mask]
 
     best = (0, -np.inf, False)
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         mask = int(rng.integers(0, 1 << m))
         cur = value(mask)
         improved = True
@@ -322,7 +326,8 @@ class SweepResult:
 
 
 def sweep_initial_value(p: OptimizeProblem, x_alpha0_grid) -> SweepResult:
-    """Evaluate every mask at every grid value of alpha's initial state.
+    """Evaluate every mask at every grid value of alpha's initial state:
+    a list, tuple or 1-d array of finite nonnegative numbers.
 
     Guarded at 2^24 evaluations in all: grid points times 2^m masks.
     """
@@ -332,9 +337,7 @@ def sweep_initial_value(p: OptimizeProblem, x_alpha0_grid) -> SweepResult:
             f"{len(x_alpha0_grid)} grid points x 2^{m} masks is more than the "
             f"2^{EXHAUSTIVE_GUARD_BITS} evaluations the guard allows"
         )
-    grid = tuple(float(v) for v in x_alpha0_grid)
-    if not np.isfinite(grid).all() or any(v < 0.0 for v in grid):
-        raise ConfigError("grid values must be finite and nonnegative")
+    grid = tuple(read_numbers(x_alpha0_grid, "x_alpha0_grid", lo=0.0))
     return SweepResult(
         alpha=p.alpha,
         grid=grid,

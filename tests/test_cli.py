@@ -6,7 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wta import (
+    IntegratorOptions,
+    OptimizeProblem,
+    greedy_search,
+    new_graph,
+    random_graph,
+    run_experiment,
+    sweep_initial_value,
+)
 from wta.cli import main
+from wta.errors import ConfigError, InvalidProbabilityError
 
 
 def write(path, obj):
@@ -333,6 +343,68 @@ def test_bad_flag_exits_1(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+# --- the library entry points apply the CLI's checks ---
+
+
+def problem(**fields):
+    spec = {"base_graph": new_graph(2, []), "alpha": 0, "x_alpha0": 2.0,
+            "x0_others": (1.0,), "horizon": 1.0,
+            "options": IntegratorOptions(dt=1e-2, stop_on_equilibrium=True), **fields}
+    return OptimizeProblem(**spec)
+
+
+def experiment(out, seed=0, **overrides):
+    return run_experiment("fig5_sweep", out, seed=seed, overrides=overrides)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda out: random_graph(5, True), ConfigError, id="p-bool"),
+    pytest.param(lambda out: random_graph(5, "0.5"), ConfigError, id="p-string"),
+    pytest.param(lambda out: random_graph(5, 1.5), InvalidProbabilityError, id="p-range"),
+    pytest.param(lambda out: random_graph(5, 0.5, ("uniform", "0.1", 1.0)), ConfigError,
+                 id="uniform-low-string"),
+    pytest.param(lambda out: random_graph(5, 0.5, ("uniform", 1.0, 0.5)), ConfigError,
+                 id="uniform-high-below-low"),
+    pytest.param(lambda out: experiment(out, agents=9.7), ConfigError, id="agents-float"),
+    pytest.param(lambda out: experiment(out, agents=True), ConfigError, id="agents-bool"),
+    pytest.param(lambda out: experiment(out, dt="abc"), ConfigError, id="dt-string"),
+    pytest.param(lambda out: experiment(out, grid_count=0), ConfigError, id="grid-count-0"),
+    pytest.param(lambda out: experiment(out, seed=-1), ConfigError, id="seed-negative"),
+    pytest.param(lambda out: run_experiment(["fig5_sweep"], out), ConfigError,
+                 id="experiment-name-list"),
+    pytest.param(lambda out: greedy_search(problem(), restarts=0), ConfigError,
+                 id="restarts-0"),
+    pytest.param(lambda out: greedy_search(problem(), restarts=True), ConfigError,
+                 id="restarts-bool"),
+    pytest.param(lambda out: problem(x_alpha0="0.5"), ConfigError, id="x_alpha0-string"),
+    pytest.param(lambda out: problem(x0_others=("1.0",)), ConfigError, id="x0_others-string"),
+    pytest.param(lambda out: problem(alpha=True), ConfigError, id="alpha-bool"),
+    pytest.param(lambda out: problem(horizon=float("inf")), ConfigError, id="horizon-inf"),
+    pytest.param(lambda out: problem(candidate_weight=float("inf")), ConfigError,
+                 id="candidate-weight-inf"),
+    pytest.param(lambda out: sweep_initial_value(problem(), ["0.5"]), ConfigError,
+                 id="grid-string"),
+    pytest.param(lambda out: sweep_initial_value(problem(), [True]), ConfigError,
+                 id="grid-bool"),
+    pytest.param(lambda out: IntegratorOptions(stop_on_equilibrium=1), ConfigError,
+                 id="stop-on-equilibrium-int"),
+])
+def test_library_boundary_rejects_bad_input(tmp_path, call, error):
+    """Each entry point named in README "CLI" rejects what the CLI rejects,
+    with the package's own exception and before any output is written."""
+    out = tmp_path / "out"
+    with pytest.raises(error):
+        call(out)
+    assert not out.exists()
+
+
+def test_library_boundary_keeps_normalized_values():
+    p = problem(alpha=np.int64(0), x_alpha0=2, x0_others=[1], horizon=np.float64(1.0))
+    assert (p.alpha, p.x_alpha0, p.x0_others, p.horizon) == (0, 2.0, (1.0,), 1.0)
+    assert [type(v) for v in (p.alpha, p.x_alpha0, p.x0_others[0], p.horizon)] == [
+        int, float, float, float]
 
 
 # --- the README's example configs, and every leaf of them mutated ---

@@ -16,6 +16,7 @@ from wta.dynamics import (
     DENSE_MIN_N,
     InteractionSpec,
     _edge_field,
+    _field,
     _field_kernel,
 )
 from wta.errors import DimensionMismatchError, NegativeStateError
@@ -50,6 +51,21 @@ class TestVectorField:
             dx = vector_field(g, x)
             scale = np.abs(dx).max()
             assert abs(dx.sum()) <= 1e-10 * g.n * max(scale, 1e-300)
+
+    @pytest.mark.parametrize("field", [
+        vector_field,
+        reverse_vector_field,
+        lambda g, x: generalized_vector_field(g, x, interaction_from_names("cubic")),
+        lambda g, x: generalized_vector_field(g, x, default_interaction()),
+    ], ids=["forward", "reverse", "generalized-cubic", "generalized-default"])
+    def test_edgeless_graph_field_is_float_zeros(self, field):
+        # np.bincount over no edges returns integers; the field must not
+        dx = field(new_graph(3, []), [1.0, 2.0, 3.0])
+        assert dx.dtype == np.float64 and dx.tolist() == [0.0, 0.0, 0.0]
+
+    def test_lanes_without_edges_give_float_zeros(self):
+        dx = _field(pair(), keep=np.zeros((2, 2), dtype=bool))(np.ones(4))
+        assert dx.dtype == np.float64 and dx.tolist() == [0.0] * 4
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
