@@ -17,10 +17,13 @@ import numpy as np
 
 from .dynamics import laplacian, prepare_state, vector_field
 from .errors import (
+    SEED_MAX,
     ComponentTooSmallError,
     EmptyStateError,
     NotEuError,
     NotSymmetricError,
+    read_integer,
+    read_number,
 )
 from .graph import Graph, connected_components, induced_subgraph
 from .integrate import IntegratorOptions, _variance, simulate
@@ -83,8 +86,10 @@ def classify_equilibrium(
 
     Losers are components below zero_tol; the state is not an equilibrium
     when the field residual is large or when adjacent winners disagree in
-    value beyond equal_tol.
+    value beyond equal_tol. Both tolerances are numbers >= 0.
     """
+    zero_tol = read_number(zero_tol, "zero_tol", lo=0.0)
+    equal_tol = read_number(equal_tol, "equal_tol", lo=0.0)
     x = prepare_state(x, g.n)
     losers = tuple(int(i) for i in np.nonzero(x < zero_tol)[0])
     winners = tuple(int(i) for i in np.nonzero(x >= zero_tol)[0])
@@ -213,15 +218,18 @@ def perturb_and_escape(
 
     Applies a small zero-sum random perturbation to the winner nodes (so
     escape cannot be blamed on a mass change), simulates forward, and
-    reports whether the trajectory left a 100*delta neighborhood.
+    reports whether the trajectory left a 100*delta neighborhood. magnitude
+    is a number >= 0 (by default 1e-4 times the largest entry) and seed an
+    integer in [0, 2^64 - 1].
     """
+    if magnitude is not None:
+        magnitude = read_number(magnitude, "magnitude", lo=0.0)
+    seed = read_integer(seed, "seed", 0, SEED_MAX)
     x_eq = prepare_state(x_eq, g.n)
     report = classify_equilibrium(g, x_eq)
     if report.klass != "E_u":
         raise NotEuError(f"perturb_and_escape requires class E_u, got {report.klass!r}")
-    delta = float(magnitude) if magnitude is not None else 1e-4 * float(x_eq.max())
-    if delta < 0.0:
-        raise ValueError("perturbation magnitude must be nonnegative")
+    delta = magnitude if magnitude is not None else 1e-4 * float(x_eq.max())
 
     perturbed = x_eq.copy()
     if delta > 0.0:

@@ -19,10 +19,9 @@ import numpy as np
 from . import __version__
 from .analysis import classify_equilibrium
 from .dynamics import BUILTIN_F, BUILTIN_G, check_interactions, interaction_from_names
-from .errors import (ConfigError, PositivityFailureError, TooManyCandidatesError, WtaError,
-                     read_choice, read_integer, read_number, read_numbers)
-from .experiments import (EXPERIMENTS, OVERRIDES, SEED_MAX, _canonical_hash, _write_json,
-                          run_experiment)
+from .errors import (SEED_MAX, ConfigError, PositivityFailureError, TooManyCandidatesError,
+                     WtaError, read_choice, read_integer, read_number, read_numbers)
+from .experiments import EXPERIMENTS, OVERRIDES, _canonical_hash, _write_json, run_experiment
 from .graph import _read_json, graph_from_json_dict, load_graph, random_graph
 from .integrate import IntegratorOptions, simulate, simulate_reverse
 from .optimize import (

@@ -76,6 +76,10 @@ class TooManyCandidatesError(WtaError):
     pass
 
 
+# Largest seed that a seed parameter or config leaf takes: seeds are 64-bit unsigned.
+SEED_MAX = 2**64 - 1
+
+
 # --- typed readers: the package's one definition of a valid integer,
 # number, list of numbers, choice and flag. Each returns the value it
 # accepts or raises ConfigError naming key. A bool is never a number.

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import classify_equilibrium
-from .errors import ConfigError, read_choice, read_integer, read_number
+from .errors import SEED_MAX, ConfigError, read_choice, read_integer, read_number
 from .graph import (
     MAX_AGENTS,
     Graph,
@@ -33,8 +33,6 @@ from .optimize import (GRID_MAX, OptimizeProblem, evaluate_choice, mask_to_bits,
 from . import svg
 
 __all__ = ["EXPERIMENTS", "run_experiment"]
-
-SEED_MAX = 2**64 - 1
 
 # Each override a manifest takes, with its reader and bounds: run_experiment
 # checks overrides through them, and wta experiment builds its --agents ...

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    SEED_MAX,
     ConfigError,
     DuplicateEdgeError,
     IndexOutOfRangeError,
@@ -197,7 +198,7 @@ def random_graph(
             f"random graph with n={n}, p={p} expects {pairs * p:.4g} edges, "
             f"more than {MAX_EXPECTED_EDGES}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(read_integer(seed, "seed", 0, SEED_MAX))
     if weight_mode != "unit":
         if not (isinstance(weight_mode, (list, tuple)) and len(weight_mode) == 3
                 and weight_mode[0] == "uniform"):

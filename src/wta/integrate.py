@@ -214,11 +214,14 @@ def step(
     If the result has a component below the -1e-12 round-off window, the
     step size is halved and retried, up to positivity_shrink times; the
     actually-used step size is returned alongside the new state. Residual
-    negatives inside the window are clamped to zero.
+    negatives inside the window are clamped to zero. dt is a number > 0 and
+    positivity_shrink an integer >= 0.
     """
     read_choice(method, "method", METHODS)
+    dt = read_number(dt, "dt", gt=0.0)
+    positivity_shrink = read_integer(positivity_shrink, "positivity_shrink", lo=0)
     x = prepare_state(x, g.n)
-    x, used = _substep(_field(g), x, float(dt), method, positivity_shrink, g.n)
+    x, used = _substep(_field(g), x, dt, method, positivity_shrink, g.n)
     return x, float(np.min(used))
 
 

@@ -5,9 +5,12 @@ mask over candidate edges of fixed weight); the objective is alpha's final
 value after integrating the dynamics to a fixed horizon. Exhaustive search
 enumerates all masks (guarded), greedy search hill-climbs over bit flips,
 and the initial-value sweep evaluates the whole mask table over a grid of
-starting values for alpha. Exhaustive search and the sweep integrate their
-(initial value, mask) pairs as lanes of one block (_lane_values), bit-for-bit
-equal to evaluate_choice; greedy search evaluates one mask at a time.
+starting values for alpha. Each problem builds its arena once: the graph
+with every candidate edge, from which a mask keeps its base edges and the
+alpha edges it enables. Exhaustive search and the sweep integrate their
+(initial value, mask) pairs as lanes of one block on the arena
+(_lane_values), bit-for-bit equal to evaluate_choice; greedy search
+evaluates one mask at a time.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ConfigError, TooManyCandidatesError, read_integer, read_number,
-                     read_numbers)
-from .graph import Graph, new_graph
+from .errors import (SEED_MAX, ConfigError, TooManyCandidatesError, read_integer,
+                     read_number, read_numbers)
+from .graph import Graph, _finish, new_graph
 from .integrate import IntegratorOptions, _simulate, simulate
 
 __all__ = [
@@ -94,6 +97,20 @@ class OptimizeProblem:
             raise ConfigError(
                 f"x0_others has {len(self.x0_others)} entries, expected {n - 1}"
             )
+        if not isinstance(self.options, IntegratorOptions):
+            raise ConfigError(f"options must be IntegratorOptions, got {self.options!r}")
+        # the arena: the graph with every candidate edge, the candidate bit of
+        # each of its directed edges (-1 for base edges) and the run options
+        a = self.alpha
+        arena = new_graph(n, self.base_graph.edges() + [
+            (min(a, j), max(a, j), self.candidate_weight) for j in self.candidates])
+        src, dst = arena.edge_src, arena.edge_dst
+        other = src + dst - a
+        object.__setattr__(self, "_arena", arena)
+        object.__setattr__(self, "_edge_bit", np.where(
+            (src == a) | (dst == a), other - (other > a), -1))
+        object.__setattr__(self, "_run_options",
+                           dataclasses.replace(self.options, t_end=self.horizon))
 
     @property
     def candidates(self) -> tuple[int, ...]:
@@ -106,30 +123,34 @@ class OptimizeProblem:
     def initial_state(self, x_alpha0: Optional[float] = None) -> np.ndarray:
         x = np.empty(self.base_graph.n)
         x[list(self.candidates)] = self.x0_others
-        x[self.alpha] = self.x_alpha0 if x_alpha0 is None else float(x_alpha0)
+        x[self.alpha] = (self.x_alpha0 if x_alpha0 is None
+                         else read_number(x_alpha0, "x_alpha0", lo=0.0))
         return x
 
     def total_mass(self, x_alpha0: Optional[float] = None) -> float:
         return float(self.initial_state(x_alpha0).sum())
 
+    def _keep(self, masks: list[int]) -> np.ndarray:
+        """(len(masks), arena edges) bool: every base edge and the alpha edge to each
+        candidate whose bit is set. Bits come from bytes, so a mask may be any width."""
+        # a trailing 0x80 byte sets the last column, which base edges (bit -1) read
+        width = (self.num_candidates + 7) // 8 + 1
+        raw = b"".join(k.to_bytes(width - 1, "little") + b"\x80" for k in masks)
+        on = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(masks), width), axis=1,
+                           bitorder="little")
+        return on[:, self._edge_bit] == 1
+
     def graph_for_mask(self, mask: int) -> Graph:
-        if not (0 <= mask < 1 << self.num_candidates):
-            raise ConfigError(f"mask {mask} outside [0, 2^{self.num_candidates})")
-        edges = self.base_graph.edges()
-        for k, j in enumerate(self.candidates):
-            if mask >> k & 1:
-                a, b = min(self.alpha, j), max(self.alpha, j)
-                edges.append((a, b, self.candidate_weight))
-        return new_graph(self.base_graph.n, edges)
+        """The arena restricted to the edges the mask enables (no new check needed)."""
+        mask = read_integer(mask, "mask", 0, (1 << self.num_candidates) - 1)
+        g = self._arena
+        keep = self._keep([mask])[0] & (g.edge_src < g.edge_dst)
+        return _finish(g.n, g.edge_src[keep], g.edge_dst[keep], g.edge_w[keep])
 
 
-def evaluate_choice(
-    p: OptimizeProblem, mask: int, x_alpha0: Optional[float] = None
-) -> float:
+def evaluate_choice(p: OptimizeProblem, mask: int, x_alpha0: Optional[float] = None) -> float:
     """Final value of agent alpha after simulating with the given mask."""
-    g = p.graph_for_mask(mask)
-    opts = dataclasses.replace(p.options, t_end=p.horizon)
-    traj, _audit = simulate(g, p.initial_state(x_alpha0), opts)
+    traj, _audit = simulate(p.graph_for_mask(mask), p.initial_state(x_alpha0), p._run_options)
     return float(traj.final_state[p.alpha])
 
 
@@ -138,17 +159,10 @@ def _lane_values(p: OptimizeProblem, grid: tuple[float, ...]):
     grid value and mask, grid-major with masks ascending.
 
     Up to LANE_BLOCK pairs run as lanes of one _simulate block on the
-    all-candidates graph, each lane keeping its base edges and the alpha
-    edges its mask enables, in that graph's edge order; so each value is
-    the same bits evaluate_choice gives.
+    arena, each lane keeping the edges of graph_for_mask in the arena's
+    order; so each value is the same bits evaluate_choice gives.
     """
     m = p.num_candidates
-    g = p.graph_for_mask((1 << m) - 1)
-    # candidate bit of each directed edge at alpha, -1 for base edges
-    other = np.where(g.edge_src == p.alpha, g.edge_dst,
-                     np.where(g.edge_dst == p.alpha, g.edge_src, -1))
-    bit = np.where(other < 0, -1, other - (other > p.alpha))
-    opts = dataclasses.replace(p.options, t_end=p.horizon)
     x = p.initial_state()
     grid_arr = np.array(grid, dtype=float)
     total = len(grid) << m
@@ -156,11 +170,18 @@ def _lane_values(p: OptimizeProblem, grid: tuple[float, ...]):
         pair = np.arange(start, min(start + LANE_BLOCK, total))
         masks = pair & ((1 << m) - 1)
         x_alpha0 = grid_arr[pair >> m]
-        keep = (bit < 0) | ((masks[:, None] >> np.maximum(bit, 0)) & 1 == 1)
         x0 = np.tile(x, (len(pair), 1))
         x0[:, p.alpha] = x_alpha0
-        final = _simulate(g, x0, opts, "forward", None, keep=keep).states
+        final = _simulate(p._arena, x0, p._run_options, "forward", None,
+                          keep=p._keep(masks.tolist())).states
         yield from zip(x_alpha0.tolist(), masks.tolist(), final[:, p.alpha].tolist())
+
+
+def _guard(grid_points: int, m: int) -> None:
+    """Refuse more than 2^24 evaluations: grid points times 2^m masks."""
+    if grid_points << m > 1 << EXHAUSTIVE_GUARD_BITS:
+        raise TooManyCandidatesError(f"{grid_points} grid point(s) x 2^{m} masks is more "
+                                     f"than the guard's 2^{EXHAUSTIVE_GUARD_BITS} evaluations")
 
 
 @dataclass(frozen=True)
@@ -217,6 +238,13 @@ def _fold(best: tuple[int, float, bool], mask: int, v: float) -> tuple[int, floa
     return best
 
 
+def _result(p: OptimizeProblem, mode: str, best: tuple[int, float, bool],
+            evaluations: int, vmin: float, vmax: float, table=None) -> OptimizeResult:
+    best_mask, best_value, tie_applied = best
+    return OptimizeResult(p.alpha, best_mask, best_value, evaluations, tie_applied, mode,
+                          p.num_candidates, p.candidates, vmin, vmax, table)
+
+
 def exhaustive_search(p: OptimizeProblem) -> OptimizeResult:
     """Evaluate every opponent mask and return the argmax.
 
@@ -225,10 +253,7 @@ def exhaustive_search(p: OptimizeProblem) -> OptimizeResult:
     streamed statistics survive. Guarded at 2^24 evaluations.
     """
     m = p.num_candidates
-    if m > EXHAUSTIVE_GUARD_BITS:
-        raise TooManyCandidatesError(
-            f"{m} candidates means 2^{m} evaluations; guard is 2^{EXHAUSTIVE_GUARD_BITS}"
-        )
+    _guard(1, m)
     keep_table = m <= TABLE_LIMIT_BITS
     table: list[tuple[int, float]] = []
     best = (0, -np.inf, False)
@@ -236,37 +261,25 @@ def exhaustive_search(p: OptimizeProblem) -> OptimizeResult:
     for _x0, mask, v in _lane_values(p, (p.x_alpha0,)):
         if keep_table:
             table.append((mask, v))
-        vmin = min(vmin, v)
-        vmax = max(vmax, v)
+        vmin, vmax = min(vmin, v), max(vmax, v)
         best = _fold(best, mask, v)
-    best_mask, best_value, tie_applied = best
-    return OptimizeResult(
-        alpha=p.alpha,
-        best_mask=best_mask,
-        best_value=best_value,
-        evaluations=1 << m,
-        tie_break_applied=tie_applied,
-        mode="exhaustive",
-        num_candidates=m,
-        candidates=p.candidates,
-        value_min=vmin,
-        value_max=vmax,
-        table=tuple(table) if keep_table else None,
-    )
+    return _result(p, "exhaustive", best, 1 << m, vmin, vmax,
+                   tuple(table) if keep_table else None)
 
 
-def greedy_search(
-    p: OptimizeProblem, restarts: int = 8, seed: int = 0
-) -> OptimizeResult:
+def greedy_search(p: OptimizeProblem, restarts: int = 8, seed: int = 0) -> OptimizeResult:
     """Hill-climbing over single-bit flips from seeded random start masks.
 
     Heuristic: never exceeds the exhaustive optimum (same objective), and is
     deterministic for a fixed seed. Evaluations are memoized across restarts;
-    restarts is an integer >= 1.
+    restarts is an integer >= 1, seed one in [0, 2^64 - 1], and the arena
+    has at most 63 candidates.
     """
     restarts = read_integer(restarts, "restarts", lo=1)
+    rng = np.random.default_rng(read_integer(seed, "seed", 0, SEED_MAX))
     m = p.num_candidates
-    rng = np.random.default_rng(seed)
+    if m > 63:  # the start masks are drawn as int64 below 2^m
+        raise TooManyCandidatesError(f"greedy search takes at most 63 candidates, got {m}")
     cache: dict[int, float] = {}
 
     def value(mask: int) -> float:
@@ -288,21 +301,7 @@ def greedy_search(
                     mask, cur = cand, v
                     improved = True
         best = _fold(best, mask, cur)
-    best_mask, best_value, tie_applied = best
-    values = list(cache.values())
-    return OptimizeResult(
-        alpha=p.alpha,
-        best_mask=best_mask,
-        best_value=best_value,
-        evaluations=len(cache),
-        tie_break_applied=tie_applied,
-        mode="greedy",
-        num_candidates=m,
-        candidates=p.candidates,
-        value_min=min(values),
-        value_max=max(values),
-        table=None,
-    )
+    return _result(p, "greedy", best, len(cache), min(cache.values()), max(cache.values()))
 
 
 @dataclass(frozen=True)
@@ -332,11 +331,7 @@ def sweep_initial_value(p: OptimizeProblem, x_alpha0_grid) -> SweepResult:
     Guarded at 2^24 evaluations in all: grid points times 2^m masks.
     """
     m = p.num_candidates
-    if len(x_alpha0_grid) << m > 1 << EXHAUSTIVE_GUARD_BITS:
-        raise TooManyCandidatesError(
-            f"{len(x_alpha0_grid)} grid points x 2^{m} masks is more than the "
-            f"2^{EXHAUSTIVE_GUARD_BITS} evaluations the guard allows"
-        )
+    _guard(len(x_alpha0_grid), m)
     grid = tuple(read_numbers(x_alpha0_grid, "x_alpha0_grid", lo=0.0))
     return SweepResult(
         alpha=p.alpha,

@@ -9,14 +9,18 @@ import pytest
 from wta import (
     IntegratorOptions,
     OptimizeProblem,
+    classify_equilibrium,
+    evaluate_choice,
     greedy_search,
     new_graph,
+    perturb_and_escape,
     random_graph,
     run_experiment,
+    step,
     sweep_initial_value,
 )
 from wta.cli import main
-from wta.errors import ConfigError, InvalidProbabilityError
+from wta.errors import ConfigError, InvalidProbabilityError, TooManyCandidatesError
 
 
 def write(path, obj):
@@ -270,6 +274,16 @@ class TestOptimize:
         assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--quiet"]) == 3
 
+    def test_greedy_on_64_candidates_exits_3(self, tmp_path, capsys):
+        # its start masks are drawn as int64, so greedy takes at most 63
+        cfg = optimize_config(tmp_path, n=65)
+        out = tmp_path / "o"
+        assert main(["optimize", "--config", cfg, "--mode", "greedy", "--out", str(out),
+                     "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_sweep_guard_counts_grid_points_times_masks(self, tmp_path):
         # 2^8 masks at each of 2^16 + 1 grid points is just over 2^24
         cfg = optimize_config(tmp_path, n=9, x0_others=[1.0] * 8,
@@ -359,6 +373,9 @@ def experiment(out, seed=0, **overrides):
     return run_experiment("fig5_sweep", out, seed=seed, overrides=overrides)
 
 
+PAIR = new_graph(2, [(0, 1, 1.0)])  # [1, 1] on it is an E_u state
+
+
 @pytest.mark.parametrize("call, error", [
     pytest.param(lambda out: random_graph(5, True), ConfigError, id="p-bool"),
     pytest.param(lambda out: random_graph(5, "0.5"), ConfigError, id="p-string"),
@@ -390,6 +407,44 @@ def experiment(out, seed=0, **overrides):
                  id="grid-bool"),
     pytest.param(lambda out: IntegratorOptions(stop_on_equilibrium=1), ConfigError,
                  id="stop-on-equilibrium-int"),
+    pytest.param(lambda out: problem(options=None), ConfigError, id="options-none"),
+    pytest.param(lambda out: problem().graph_for_mask(True), ConfigError, id="mask-bool"),
+    pytest.param(lambda out: evaluate_choice(problem(), 1.0), ConfigError, id="mask-float"),
+    pytest.param(lambda out: evaluate_choice(problem(), 2), ConfigError, id="mask-range"),
+    pytest.param(lambda out: evaluate_choice(problem(), 1, "0.5"), ConfigError,
+                 id="evaluate-x_alpha0-string"),
+    pytest.param(lambda out: greedy_search(problem(base_graph=new_graph(65, []),
+                                                   x0_others=(1.0,) * 64)),
+                 TooManyCandidatesError, id="greedy-64-candidates"),
+    pytest.param(lambda out: classify_equilibrium(PAIR, [1.0, 1.0], zero_tol=float("nan")),
+                 ConfigError, id="zero-tol-nan"),
+    pytest.param(lambda out: classify_equilibrium(PAIR, [1.0, 1.0], zero_tol=-1.0),
+                 ConfigError, id="zero-tol-negative"),
+    pytest.param(lambda out: classify_equilibrium(PAIR, [1.0, 1.0], zero_tol="1e-8"),
+                 ConfigError, id="zero-tol-string"),
+    pytest.param(lambda out: classify_equilibrium(PAIR, [1.0, 1.0], equal_tol=float("nan")),
+                 ConfigError, id="equal-tol-nan"),
+    pytest.param(lambda out: step(PAIR, [1.0, 1.0], "0.1"), ConfigError, id="step-dt-string"),
+    pytest.param(lambda out: step(PAIR, [1.0, 1.0], -1.0), ConfigError, id="step-dt-negative"),
+    pytest.param(lambda out: step(PAIR, [1.0, 1.0], float("nan")), ConfigError, id="step-dt-nan"),
+    pytest.param(lambda out: step(PAIR, [1.0, 1.0], 0.1, positivity_shrink=True),
+                 ConfigError, id="positivity-shrink-bool"),
+    pytest.param(lambda out: step(PAIR, [1.0, 1.0], 0.1, positivity_shrink=-1),
+                 ConfigError, id="positivity-shrink-negative"),
+    pytest.param(lambda out: random_graph(5, 0.5, seed=-1), ConfigError,
+                 id="random-graph-seed-negative"),
+    pytest.param(lambda out: random_graph(5, 0.5, seed=1.5), ConfigError,
+                 id="random-graph-seed-float"),
+    pytest.param(lambda out: greedy_search(problem(), seed=-1), ConfigError,
+                 id="greedy-seed-negative"),
+    pytest.param(lambda out: greedy_search(problem(), seed=2**64), ConfigError,
+                 id="greedy-seed-too-large"),
+    pytest.param(lambda out: perturb_and_escape(PAIR, [1.0, 1.0], seed=-1), ConfigError,
+                 id="escape-seed-negative"),
+    pytest.param(lambda out: perturb_and_escape(PAIR, [1.0, 1.0], magnitude=float("nan")),
+                 ConfigError, id="escape-magnitude-nan"),
+    pytest.param(lambda out: perturb_and_escape(PAIR, [1.0, 1.0], magnitude=-1.0),
+                 ConfigError, id="escape-magnitude-negative"),
 ])
 def test_library_boundary_rejects_bad_input(tmp_path, call, error):
     """Each entry point named in README "CLI" rejects what the CLI rejects,

@@ -107,6 +107,47 @@ class TestProblem:
         assert bits_to_mask("11010000") == 0b1011
 
 
+def weighted_problem(n, alpha, seed, candidate_weight=1.7):
+    # uniform base weights among the other agents, none of them 1
+    g = random_graph(n, 0.5, ("uniform", 0.25, 3.0), seed=seed)
+    base = new_graph(n, [(i, j, w) for i, j, w in g.edges() if alpha not in (i, j)])
+    return OptimizeProblem(base_graph=base, alpha=alpha, x_alpha0=1.0,
+                           x0_others=(1.0,) * (n - 1), horizon=1.0,
+                           candidate_weight=candidate_weight)
+
+
+def oracle_graph(p, mask):
+    """The mask's graph built from scratch: the base edges plus an edge of
+    candidate_weight from alpha to each candidate whose bit is set."""
+    alpha_edges = [(min(p.alpha, j), max(p.alpha, j), p.candidate_weight)
+                   for k, j in enumerate(p.candidates) if mask >> k & 1]
+    return new_graph(p.base_graph.n, p.base_graph.edges() + alpha_edges)
+
+
+def assert_same_graph(g, want):
+    for name in ("indptr", "edge_src", "edge_dst", "edge_w"):
+        a, b = getattr(g, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert g.hash_hex == want.hash_hex
+
+
+class TestGraphForMask:
+    @pytest.mark.parametrize("n, alpha, seed", [
+        (1, 0, 0), (2, 1, 1), (4, 2, 2), (5, 0, 3), (6, 5, 4), (7, 3, 5)])
+    def test_every_mask_matches_oracle(self, n, alpha, seed):
+        p = weighted_problem(n, alpha, seed)
+        for mask in range(1 << p.num_candidates):
+            assert_same_graph(p.graph_for_mask(mask), oracle_graph(p, mask))
+
+    def test_masks_past_bit_63_match_oracle(self):
+        p = weighted_problem(71, 40, 6, candidate_weight=0.3)
+        assert p.num_candidates == 70
+        for mask in (1 << 63, (1 << 69) | (1 << 64) | 0b1011, (1 << 70) - 1):
+            assert_same_graph(p.graph_for_mask(mask), oracle_graph(p, mask))
+        with pytest.raises(ConfigError):
+            p.graph_for_mask(1 << 70)
+
+
 class TestEvaluateChoice:
     def test_empty_mask_is_exactly_initial(self):
         p = nine_agent_problem()
