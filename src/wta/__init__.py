@@ -4,102 +4,20 @@ Simulation, equilibrium classification, stability analysis, and
 opponent-selection optimization for the zero-sum resource-competition
 dynamics dx_i = sum_j a_ij (x_i - x_j) x_i x_j on weighted undirected
 graphs, including the reverse-time consensus form.
+
+The package re-exports every library module's __all__, which is the one
+list of that module's public names.
 """
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    EquilibriumReport,
-    EscapeReport,
-    SpectrumReport,
-    classify_equilibrium,
-    entropy,
-    linearize_at,
-    perturb_and_escape,
-    symmetric_eigenvalues,
-)
-from .dynamics import (
-    InteractionSpec,
-    check_interactions,
-    default_interaction,
-    generalized_vector_field,
-    interaction_from_names,
-    laplacian,
-    reverse_vector_field,
-    vector_field,
-)
-from .experiments import EXPERIMENTS, run_experiment
-from .graph import (
-    Graph,
-    connected_components,
-    dump_graph,
-    graph_from_json_dict,
-    graph_to_json_dict,
-    induced_subgraph,
-    is_independent_set,
-    load_graph,
-    new_graph,
-    random_graph,
-)
-from .integrate import (
-    ConservationAudit,
-    IntegratorOptions,
-    Trajectory,
-    simulate,
-    simulate_reverse,
-    step,
-)
-from .optimize import (
-    OptimizeProblem,
-    OptimizeResult,
-    SweepResult,
-    evaluate_choice,
-    exhaustive_search,
-    greedy_search,
-    sweep_initial_value,
-)
+from . import analysis, dynamics, experiments, graph, integrate, optimize
+from .graph import *
+from .dynamics import *
+from .integrate import *
+from .analysis import *
+from .optimize import *
+from .experiments import *
 
-__all__ = [
-    "__version__",
-    "Graph",
-    "new_graph",
-    "random_graph",
-    "induced_subgraph",
-    "connected_components",
-    "is_independent_set",
-    "graph_to_json_dict",
-    "graph_from_json_dict",
-    "load_graph",
-    "dump_graph",
-    "vector_field",
-    "reverse_vector_field",
-    "laplacian",
-    "InteractionSpec",
-    "default_interaction",
-    "interaction_from_names",
-    "generalized_vector_field",
-    "check_interactions",
-    "IntegratorOptions",
-    "Trajectory",
-    "ConservationAudit",
-    "step",
-    "simulate",
-    "simulate_reverse",
-    "entropy",
-    "classify_equilibrium",
-    "EquilibriumReport",
-    "linearize_at",
-    "SpectrumReport",
-    "symmetric_eigenvalues",
-    "perturb_and_escape",
-    "EscapeReport",
-    "OptimizeProblem",
-    "OptimizeResult",
-    "SweepResult",
-    "evaluate_choice",
-    "exhaustive_search",
-    "greedy_search",
-    "sweep_initial_value",
-    "EXPERIMENTS",
-    "run_experiment",
-]
+__all__ = ["__version__", *graph.__all__, *dynamics.__all__, *integrate.__all__,
+           *analysis.__all__, *optimize.__all__, *experiments.__all__]

@@ -16,15 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import laplacian, prepare_state, vector_field
-from .errors import (
-    SEED_MAX,
-    ComponentTooSmallError,
-    EmptyStateError,
-    NotEuError,
-    NotSymmetricError,
-    read_integer,
-    read_number,
-)
+from .errors import (SEED_MAX, ComponentTooSmallError, EmptyStateError, NonFiniteStateError,
+                     NotEuError, NotSymmetricError, read_array, read_integer, read_number)
 from .graph import Graph, connected_components, induced_subgraph
 from .integrate import IntegratorOptions, _variance, simulate
 
@@ -43,10 +36,12 @@ __all__ = [
 def entropy(x) -> float:
     """Population variance of the state: (1/n) sum_i (x_i - mean)^2,
     computed by np.var in two passes, mean first; inf when it is past the
-    double range."""
-    arr = np.asarray(x, dtype=float)
+    double range. x is a nonempty 1-d vector of finite numbers."""
+    arr = read_array(x, "state")
     if arr.ndim != 1 or arr.size == 0:
         raise EmptyStateError(f"entropy needs a nonempty 1-d vector, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteStateError("state has a NaN or infinite component")
     return float(_variance(arr))
 
 
@@ -132,12 +127,15 @@ def classify_equilibrium(
 def symmetric_eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a symmetric real matrix, sorted ascending: numpy's
     ``eigvalsh`` of its symmetric part, once the matrix is found symmetric
-    within 1e-12 relative to its largest entry."""
-    a = np.array(m, dtype=float)
+    within 1e-12 relative to its largest entry. Every entry is finite."""
+    a = read_array(m, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetricError(f"matrix must be square, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > 1e-12 * scale:
+    top = float(np.abs(a).max(initial=0.0))  # NaN if any entry is
+    if not np.isfinite(top):
+        raise NonFiniteStateError("matrix has a NaN or infinite entry")
+    scale = max(1.0, top)
+    if float(np.abs(a - a.T).max(initial=0.0)) > 1e-12 * scale:
         raise NotSymmetricError("matrix is not symmetric within 1e-12 relative")
     return np.linalg.eigvalsh(0.5 * (a + a.T))
 
@@ -169,7 +167,9 @@ def linearize_at(
     The linearized system matrix is c^2 times the standard graph Laplacian
     of the induced winner subgraph; for a connected component of size >= 2
     it has one zero eigenvalue and the rest positive, hence instability.
+    component_index is an integer >= 0.
     """
+    component_index = read_integer(component_index, "component_index", lo=0)
     if report.klass != "E_u":
         raise NotEuError(f"linearization requires class E_u, got {report.klass!r}")
     try:

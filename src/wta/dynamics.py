@@ -13,12 +13,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyStateError,
-    NegativeStateError,
-    NonFiniteStateError,
-)
+from .errors import (SEED_MAX, ConfigError, DimensionMismatchError, EmptyStateError,
+                     NegativeStateError, NonFiniteStateError, read_array, read_choice,
+                     read_integer, read_numbers)
 from .graph import Graph
 
 __all__ = [
@@ -46,10 +43,10 @@ def prepare_state(x, n: int) -> np.ndarray:
     """Validate a state vector against a graph of size n.
 
     Returns a float array with tiny negative round-off clamped to zero.
-    Raises DimensionMismatchError / NegativeStateError / EmptyStateError /
-    NonFiniteStateError.
+    Raises ConfigError (not numbers) / DimensionMismatchError /
+    NegativeStateError / EmptyStateError / NonFiniteStateError.
     """
-    arr = np.asarray(x, dtype=float)
+    arr = read_array(x, "state")
     if arr.ndim != 1 or arr.size == 0:
         raise EmptyStateError(f"state must be a nonempty 1-d vector, got shape {arr.shape}")
     if arr.shape[0] != n:
@@ -246,10 +243,9 @@ def default_interaction() -> InteractionSpec:
 
 
 def interaction_from_names(f: str = "identity", g: str = "product") -> InteractionSpec:
-    if f not in BUILTIN_F:
-        raise KeyError(f"unknown interaction f {f!r}; choose from {sorted(BUILTIN_F)}")
-    if g not in BUILTIN_G:
-        raise KeyError(f"unknown interaction g {g!r}; choose from {sorted(BUILTIN_G)}")
+    """The builtin interaction with f a key of BUILTIN_F and g one of BUILTIN_G."""
+    f = read_choice(f, "interaction.f", BUILTIN_F)
+    g = read_choice(g, "interaction.g", BUILTIN_G)
     return InteractionSpec(BUILTIN_F[f], BUILTIN_G[g], f, g)
 
 
@@ -284,12 +280,15 @@ def check_interactions(
 
     Checks f odd and positive on positives, g symmetric and vanishing when
     either argument is zero. Violations are report content, not exceptions.
+    samples is an integer >= 1, sample_range two numbers with 0 <= lo < hi
+    and seed an integer in [0, 2^64 - 1].
     """
-    lo, hi = float(sample_range[0]), float(sample_range[1])
-    if lo < 0.0 or hi <= lo:
-        raise ValueError(f"sample range must satisfy 0 <= lo < hi, got {sample_range}")
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    samples = read_integer(samples, "samples", lo=1)
+    seed = read_integer(seed, "seed", 0, SEED_MAX)
+    bounds = read_numbers(sample_range, "sample_range", lo=0.0)
+    if len(bounds) != 2 or bounds[1] <= bounds[0]:
+        raise ConfigError(f"sample_range must be two numbers lo < hi, got {sample_range!r}")
+    lo, hi = bounds
     rng = np.random.default_rng(seed)
     tol = 1e-12
     violations: list[str] = []

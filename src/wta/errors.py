@@ -122,6 +122,18 @@ def read_numbers(value, key: str, lo=None) -> list[float]:
     return [read_number(v, f"{key}[{i}]", lo) for i, v in enumerate(value)]
 
 
+def read_array(value, key: str) -> np.ndarray:
+    """value as a float array of any shape. Its entries must be integers or
+    floats: bools, strings, ragged lists and object arrays are rejected."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind in "iuf":
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError):  # a ragged list
+        pass
+    raise ConfigError(f"{key} must be an array of numbers, got {value!r}")
+
+
 def read_choice(value, key: str, choices) -> str:
     if not (isinstance(value, str) and value in choices):
         raise ConfigError(f"{key} must be one of {sorted(choices)}, got {value!r}")

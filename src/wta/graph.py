@@ -34,7 +34,6 @@ __all__ = [
     "induced_subgraph",
     "connected_components",
     "is_independent_set",
-    "validate_nodes",
     "graph_to_json_dict",
     "graph_from_json_dict",
     "load_graph",
@@ -116,7 +115,7 @@ def _check_node(i, n: int) -> int:
     return i
 
 
-def validate_nodes(nodes: Iterable[int], n: int) -> tuple[int, ...]:
+def _validate_nodes(nodes: Iterable[int], n: int) -> tuple[int, ...]:
     """Sorted, duplicate-free node set with type and range checking."""
     return tuple(sorted({_check_node(i, n) for i in nodes}))
 
@@ -233,7 +232,7 @@ def induced_subgraph(
     Returns (subgraph, mapping) where mapping[k] is the original id of new
     node k. Only edges with both endpoints inside the set are kept.
     """
-    s = validate_nodes(nodes, g.n)
+    s = _validate_nodes(nodes, g.n)
     if not s:
         raise ConfigError("induced subgraph over the empty node set")
     label = np.full(g.n, -1, dtype=np.intp)
@@ -271,7 +270,7 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
 def is_independent_set(g: Graph, nodes: Iterable[int]) -> bool:
     """True iff no edge of g has both endpoints in the node set."""
     member = np.zeros(g.n, dtype=bool)
-    member[list(validate_nodes(nodes, g.n))] = True
+    member[list(_validate_nodes(nodes, g.n))] = True
     return not (member[g.edge_src] & member[g.edge_dst]).any()
 
 

@@ -54,12 +54,6 @@ def mask_to_bits(mask: int, width: int) -> str:
     return "".join("1" if mask >> k & 1 else "0" for k in range(width))
 
 
-def bits_to_mask(bits: str) -> int:
-    if not set(bits) <= {"0", "1"}:
-        raise ConfigError(f"mask bitstring must be 0/1 characters, got {bits!r}")
-    return sum(1 << k for k, ch in enumerate(bits) if ch == "1")
-
-
 @dataclass(frozen=True)
 class OptimizeProblem:
     """Fixed arena for the opponent-selection search.
@@ -331,8 +325,8 @@ def sweep_initial_value(p: OptimizeProblem, x_alpha0_grid) -> SweepResult:
     Guarded at 2^24 evaluations in all: grid points times 2^m masks.
     """
     m = p.num_candidates
-    _guard(len(x_alpha0_grid), m)
     grid = tuple(read_numbers(x_alpha0_grid, "x_alpha0_grid", lo=0.0))
+    _guard(len(grid), m)
     return SweepResult(
         alpha=p.alpha,
         grid=grid,

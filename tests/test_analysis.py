@@ -143,6 +143,9 @@ class TestEigensolver:
     def test_zero_matrix(self):
         assert np.array_equal(symmetric_eigenvalues(np.zeros((4, 4))), np.zeros(4))
 
+    def test_empty_matrix_has_no_eigenvalues(self):
+        assert symmetric_eigenvalues(np.zeros((0, 0))).shape == (0,)
+
     def test_against_numpy_oracle(self):
         rng = np.random.default_rng(33)
         for _ in range(40):

@@ -6,21 +6,37 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wta
 from wta import (
     IntegratorOptions,
     OptimizeProblem,
+    analysis,
+    check_interactions,
     classify_equilibrium,
+    default_interaction,
+    dynamics,
+    entropy,
     evaluate_choice,
+    experiments,
+    graph,
     greedy_search,
+    integrate,
+    interaction_from_names,
+    linearize_at,
     new_graph,
+    optimize,
     perturb_and_escape,
+    prepare_state,
     random_graph,
     run_experiment,
     step,
     sweep_initial_value,
+    symmetric_eigenvalues,
+    vector_field,
 )
 from wta.cli import main
-from wta.errors import ConfigError, InvalidProbabilityError, TooManyCandidatesError
+from wta.errors import (ComponentTooSmallError, ConfigError, InvalidProbabilityError,
+                        NonFiniteStateError, TooManyCandidatesError)
 
 
 def write(path, obj):
@@ -445,6 +461,36 @@ PAIR = new_graph(2, [(0, 1, 1.0)])  # [1, 1] on it is an E_u state
                  ConfigError, id="escape-magnitude-nan"),
     pytest.param(lambda out: perturb_and_escape(PAIR, [1.0, 1.0], magnitude=-1.0),
                  ConfigError, id="escape-magnitude-negative"),
+    pytest.param(lambda out: sweep_initial_value(problem(), 0.5), ConfigError,
+                 id="grid-not-a-list"),
+    pytest.param(lambda out: check_interactions(default_interaction(), seed=-1), ConfigError,
+                 id="check-seed-negative"),
+    pytest.param(lambda out: check_interactions(default_interaction(), samples=0), ConfigError,
+                 id="check-samples-0"),
+    pytest.param(lambda out: check_interactions(default_interaction(), samples=True),
+                 ConfigError, id="check-samples-bool"),
+    pytest.param(lambda out: check_interactions(default_interaction(), sample_range=(1.0, 1.0)),
+                 ConfigError, id="check-range-empty"),
+    pytest.param(lambda out: check_interactions(default_interaction(), sample_range=(-1.0, 1.0)),
+                 ConfigError, id="check-range-negative"),
+    pytest.param(lambda out: check_interactions(default_interaction(), sample_range=(1.0,)),
+                 ConfigError, id="check-range-one-number"),
+    pytest.param(lambda out: linearize_at(PAIR, classify_equilibrium(PAIR, [1.0, 1.0]), -1),
+                 ConfigError, id="component-index-negative"),
+    pytest.param(lambda out: linearize_at(PAIR, classify_equilibrium(PAIR, [1.0, 1.0]), "a"),
+                 ConfigError, id="component-index-string"),
+    pytest.param(lambda out: linearize_at(PAIR, classify_equilibrium(PAIR, [1.0, 1.0]), 1),
+                 ComponentTooSmallError, id="component-index-past-end"),
+    pytest.param(lambda out: prepare_state("abc", 2), ConfigError, id="prepare-state-string"),
+    pytest.param(lambda out: vector_field(PAIR, "abc"), ConfigError, id="field-state-string"),
+    pytest.param(lambda out: entropy("abc"), ConfigError, id="entropy-string"),
+    pytest.param(lambda out: symmetric_eigenvalues("a"), ConfigError, id="eigenvalues-string"),
+    pytest.param(lambda out: entropy([float("nan")]), NonFiniteStateError, id="entropy-nan"),
+    pytest.param(lambda out: symmetric_eigenvalues([[float("nan")]]), NonFiniteStateError,
+                 id="eigenvalues-nan"),
+    pytest.param(lambda out: interaction_from_names("x"), ConfigError, id="interaction-f-name"),
+    pytest.param(lambda out: interaction_from_names(g="x"), ConfigError,
+                 id="interaction-g-name"),
 ])
 def test_library_boundary_rejects_bad_input(tmp_path, call, error):
     """Each entry point named in README "CLI" rejects what the CLI rejects,
@@ -453,6 +499,19 @@ def test_library_boundary_rejects_bad_input(tmp_path, call, error):
     with pytest.raises(error):
         call(out)
     assert not out.exists()
+
+
+def test_package_api_is_the_module_lists():
+    """wta.__all__ is __version__ and each library module's __all__, in
+    order: the one list of public names, each bound to its module's object."""
+    modules = (graph, dynamics, integrate, analysis, optimize, experiments)
+    names = [name for module in modules for name in module.__all__]
+    assert wta.__all__ == ["__version__", *names]
+    assert len(set(wta.__all__)) == len(wta.__all__)
+    assert not [name for name in names if name.startswith("_")]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(wta, name) is getattr(module, name)
 
 
 def test_library_boundary_keeps_normalized_values():

@@ -13,7 +13,7 @@ from wta import (
     sweep_initial_value,
 )
 from wta.errors import ConfigError, TooManyCandidatesError
-from wta.optimize import TIE_TOL, bits_to_mask, mask_to_bits
+from wta.optimize import TIE_TOL, mask_to_bits
 
 
 def two_agent_problem(x_alpha0=2.0, other=1.0, horizon=10.0):
@@ -104,7 +104,6 @@ class TestProblem:
 
     def test_mask_bits_round_trip(self):
         assert mask_to_bits(0b1011, 8) == "11010000"
-        assert bits_to_mask("11010000") == 0b1011
 
 
 def weighted_problem(n, alpha, seed, candidate_weight=1.7):
