@@ -9,7 +9,6 @@ at the equilibrium and a perturbation run both witness.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -147,14 +146,6 @@ class SpectrumReport:
     eigenvalues: tuple[float, ...]
     verdict: str  # "unstable" | "inconclusive"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "subgraph": list(self.subgraph),
-            "common_value": self.common_value,
-            "eigenvalues": list(self.eigenvalues),
-            "verdict": self.verdict,
-        }
-
 
 def linearize_at(
     g: Graph,
@@ -201,9 +192,6 @@ class EscapeReport:
     final_class: str
     final_state: tuple[float, ...]
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self) | {"final_state": list(self.final_state)}
 
 
 def perturb_and_escape(

@@ -20,7 +20,8 @@ from . import __version__
 from .analysis import classify_equilibrium
 from .dynamics import interaction_from_names
 from .errors import (SEED_MAX, ConfigError, PositivityFailureError, TooManyCandidatesError,
-                     WtaError, read_choice, read_integer, read_number, read_numbers)
+                     WtaError, read_choice, read_integer, read_number, read_numbers,
+                     read_object)
 from .experiments import EXPERIMENTS, OVERRIDES, _canonical_hash, _write_json, run_experiment
 from .graph import _read_json, graph_from_json_dict, load_graph, random_graph
 from .integrate import IntegratorOptions, simulate, simulate_reverse
@@ -42,12 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 # --- config leaves: shapes here, values through the wta.errors readers ---
-
-
-def _object(value, key: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
-    return value
 
 
 def _path(value, key: str) -> str:
@@ -74,7 +69,7 @@ def _seed(spec: dict, key: str, default: int) -> int:
 
 
 def _one_of(d, keys, key: str) -> str:
-    present = [k for k in keys if k in _object(d, key)]
+    present = [k for k in keys if k in read_object(d, key)]
     if len(present) != 1:
         raise ConfigError(f"{key} needs exactly one of {keys}, got {present}")
     return present[0]
@@ -86,7 +81,7 @@ def _one_of(d, keys, key: str) -> str:
 def _load_config(path) -> dict:
     if path is None:
         raise ConfigError("--config is required for this subcommand")
-    return _object(_read_json(path, "config"), "config root")
+    return read_object(_read_json(path, "config"), "config root")
 
 
 def _weight_mode(spec, key: str):
@@ -105,7 +100,7 @@ def _graph_from_config(cfg, default_seed: int):
         return graph_from_json_dict(cfg["inline"])
     if src == "file":
         return load_graph(_path(cfg["file"], "graph.file"))
-    spec = _object(cfg["random"], "graph.random")
+    spec = read_object(cfg["random"], "graph.random")
     return random_graph(
         read_integer(spec.get("n"), "graph.random.n", lo=1),
         read_number(spec.get("p"), "graph.random.p", lo=0.0, hi=1.0),
@@ -124,7 +119,7 @@ def _state(values, key: str, n: int) -> np.ndarray:
 def _x0_from_config(cfg, n: int, default_seed: int) -> np.ndarray:
     if _one_of(cfg, ("inline", "random"), "x0") == "inline":
         return _state(cfg["inline"], "x0.inline", n)
-    spec = _object(cfg["random"], "x0.random")
+    spec = read_object(cfg["random"], "x0.random")
     lo = read_number(spec.get("low", 0.0), "x0.random.low", lo=0.0)
     hi = read_number(spec.get("high", 1.0), "x0.random.high", gt=lo)
     return np.random.default_rng(_seed(spec, "x0.random.seed", default_seed)).uniform(lo, hi, n)
@@ -133,7 +128,7 @@ def _x0_from_config(cfg, n: int, default_seed: int) -> np.ndarray:
 def _options_from_config(cfg, default: IntegratorOptions) -> IntegratorOptions:
     """The integrator block, whose fields IntegratorOptions checks; an
     empty block means default."""
-    unknown = set(_object(cfg, "integrator")) - set(IntegratorOptions.__dataclass_fields__)
+    unknown = set(read_object(cfg, "integrator")) - set(IntegratorOptions.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown integrator options {sorted(unknown)}")
     return IntegratorOptions(**cfg) if cfg else default
@@ -142,7 +137,7 @@ def _options_from_config(cfg, default: IntegratorOptions) -> IntegratorOptions:
 def _interaction_from_config(cfg):
     if cfg is None:
         return None
-    cfg = _object(cfg, "interaction")
+    cfg = read_object(cfg, "interaction")
     return interaction_from_names(cfg.get("f", "identity"), cfg.get("g", "product"))
 
 
@@ -236,7 +231,7 @@ def _problem_from_config(cfg: dict, default_seed: int) -> OptimizeProblem:
 def _grid_from_config(cfg) -> np.ndarray:
     if isinstance(cfg, list):
         return np.array(read_numbers(cfg, "sweep_grid", lo=0.0))
-    cfg = _object(cfg, "sweep_grid")
+    cfg = read_object(cfg, "sweep_grid")
     return np.linspace(
         read_number(cfg.get("start", 0.0), "sweep_grid.start", lo=0.0),
         read_number(cfg.get("stop", 1.5), "sweep_grid.stop", lo=0.0),
@@ -253,20 +248,13 @@ def cmd_optimize(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         sweep.write_csv(out / "sweep.csv")
         if args.svg:
-            svg.scatter_chart(
-                [(x0, v) for x0, _mask, v in sweep.rows],
-                out / "sweep.svg",
-                title="Final vs. initial value over all opponent masks",
-                x_label="initial value",
-                y_label="final value",
-                ref_lines=[(1.0, sweep.others_mass), (1.0, 0.0)],
-            )
+            sweep.write_svg(out / "sweep.svg")
         _say(args, f"wrote {out / 'sweep.csv'}")
         return 0
     if args.mode == "exhaustive":
         result = exhaustive_search(problem)
     else:
-        greedy = _object(cfg.get("greedy", {}), "greedy")
+        greedy = read_object(cfg.get("greedy", {}), "greedy")
         result = greedy_search(
             problem,
             restarts=read_integer(greedy.get("restarts", 8), "greedy.restarts", lo=1),

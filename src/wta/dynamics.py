@@ -226,7 +226,8 @@ BUILTIN_G: dict[str, Callable] = {
 class InteractionSpec:
     """Pluggable interaction: f acts on the state difference (odd, positive
     on positives), g on the state pair (symmetric, vanishing at the
-    boundary). Names are carried for provenance in outputs."""
+    boundary). f_name and g_name label the pair in its repr, as the
+    BUILTIN_F and BUILTIN_G keys of a builtin one; no output records them."""
 
     f: Callable
     g: Callable
@@ -260,14 +261,6 @@ class InteractionCheck:
     violations: tuple[str, ...]
     samples: int
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "violations": list(self.violations),
-            "samples": self.samples,
-            "seed": self.seed,
-        }
 
 
 def check_interactions(

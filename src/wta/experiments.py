@@ -17,7 +17,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import classify_equilibrium
-from .errors import SEED_MAX, ConfigError, read_choice, read_integer, read_number
+from .errors import (SEED_MAX, ConfigError, read_choice, read_integer, read_number,
+                     read_object)
 from .graph import (
     MAX_AGENTS,
     Graph,
@@ -27,7 +28,7 @@ from .graph import (
     new_graph,
     random_graph,
 )
-from .integrate import IntegratorOptions, simulate, simulate_reverse
+from .integrate import IntegratorOptions, _write_csv, simulate, simulate_reverse
 from .optimize import (GRID_MAX, OptimizeProblem, evaluate_choice, mask_to_bits,
                        sweep_initial_value)
 from . import svg
@@ -69,18 +70,9 @@ def _connected_random_graph(n: int, p: float, seed: int) -> Graph:
     raise ConfigError(f"no connected graph found for n={n}, p={p}, seed={seed}")
 
 
-def _hundred_agent_instance(params: dict, seed: int):
-    g = random_graph(params["agents"], params["edge_prob"], "unit", seed)
-    rng = np.random.default_rng(seed + 1)
-    x0 = rng.uniform(0.0, 1.0, g.n)
-    return g, x0
-
-
-def _nine_agent_instance(params: dict, seed: int):
-    g = _connected_random_graph(params["agents"], params["edge_prob"], seed)
-    rng = np.random.default_rng(seed + 1)
-    x0 = rng.uniform(0.0, 1.0, g.n)
-    return g, x0
+def _instance(g: Graph, seed: int):
+    """g and its initial state, drawn uniform on [0, 1) from seed + 1."""
+    return g, np.random.default_rng(seed + 1).uniform(0.0, 1.0, g.n)
 
 
 def _manifest(name, seed, params) -> dict:
@@ -94,17 +86,15 @@ def _manifest(name, seed, params) -> dict:
 
 
 def _run_fig1(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
-    g, x0 = _hundred_agent_instance(params, seed)
+    g, x0 = _instance(random_graph(params["agents"], params["edge_prob"], "unit", seed), seed)
     opts = IntegratorOptions(
         dt=params["dt"], t_end=params["t_end"], record_stride=10**9
     )
     traj, audit = simulate(g, x0, opts, seed=seed)
     final = traj.final_state
     report = classify_equilibrium(g, final)
-    with open(out / "fig1_states.csv", "w") as fh:
-        fh.write("agent,initial,final\n")
-        for i in range(g.n):
-            fh.write(f"{i},{x0[i]:.17g},{final[i]:.17g}\n")
+    _write_csv(out / "fig1_states.csv", ["agent", "initial", "final"],
+               zip(range(g.n), x0.tolist(), final.tolist()), text=(0,))
     dump_graph(g, out / "fig1_graph.json")
     summary = {
         "winner_count": len(report.winners),
@@ -122,7 +112,7 @@ def _run_fig1(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
 
 
 def _fig2_runs(params: dict, seed: int):
-    g, x0 = _hundred_agent_instance(params, seed)
+    g, x0 = _instance(random_graph(params["agents"], params["edge_prob"], "unit", seed), seed)
     steps = int(round(params["t_end"] / params["dt"]))
     stride = max(1, steps // 200)
     opts = IntegratorOptions(
@@ -156,12 +146,10 @@ def _run_fig2(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
 
 def _run_fig3(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
     g, _x0, fwd, _fa, rev, _ra = _fig2_runs(params, seed)
-    with open(out / "fig3_entropy.csv", "w") as fh:
-        fh.write("branch,t,entropy\n")
-        for t, h in zip(rev.times, rev.entropy):
-            fh.write(f"reverse,{-t + 0.0:.17g},{h:.17g}\n")
-        for t, h in zip(fwd.times, fwd.entropy):
-            fh.write(f"forward,{t:.17g},{h:.17g}\n")
+    # + 0.0 writes tau = 0 as 0, not -0
+    rows = [("reverse", -t + 0.0, h) for t, h in zip(rev.times.tolist(), rev.entropy.tolist())]
+    rows += [("forward", t, h) for t, h in zip(fwd.times.tolist(), fwd.entropy.tolist())]
+    _write_csv(out / "fig3_entropy.csv", ["branch", "t", "entropy"], rows, text=(0,))
     if want_svg:
         svg.line_chart([(fwd.times, fwd.entropy)], out / "fig3_entropy_forward.svg",
                        title="Entropy, positive time", x_label="t", y_label="H")
@@ -179,7 +167,8 @@ def _run_fig3(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
 
 
 def _run_fig4(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
-    g, x0 = _nine_agent_instance(params, seed)
+    g, x0 = _instance(_connected_random_graph(params["agents"], params["edge_prob"], seed),
+                      seed)
     steps = int(round(params["t_end"] / params["dt"]))
     opts = IntegratorOptions(
         dt=params["dt"], t_end=params["t_end"],
@@ -212,7 +201,8 @@ def _run_fig4(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
 
 
 def _run_fig5(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
-    g, x0 = _nine_agent_instance(params, seed)
+    g, x0 = _instance(_connected_random_graph(params["agents"], params["edge_prob"], seed),
+                      seed)
     alpha = int(np.argmin(x0))
     base_edges = [(i, j, w) for i, j, w in g.edges() if alpha not in (i, j)]
     base = new_graph(g.n, base_edges)
@@ -243,14 +233,7 @@ def _run_fig5(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
         for gx, vs in values_by_grid.items()
     }
     if want_svg:
-        svg.scatter_chart(
-            [(gx, v) for gx, _mask, v in sweep.rows],
-            out / "fig5_sweep.svg",
-            title="Final vs. initial value over all opponent masks",
-            x_label="initial value", y_label="final value",
-            ref_lines=[(1.0, sweep.others_mass), (1.0, 0.0)],
-            star=(problem.x_alpha0, star_value),
-        )
+        sweep.write_svg(out / "fig5_sweep.svg", star=(problem.x_alpha0, star_value))
     return {
         "alpha": alpha,
         "original_mask": mask_to_bits(orig_mask, len(candidates)),
@@ -261,19 +244,13 @@ def _run_fig5(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
     }
 
 
+# the defaults of fig1-fig3; run_experiment copies a manifest's defaults
+_HUNDRED_AGENTS = {"agents": 100, "edge_prob": 0.8, "t_end": 1.0, "dt": 1e-3}
+
 EXPERIMENTS = {
-    "fig1_bars": (
-        _run_fig1,
-        {"agents": 100, "edge_prob": 0.8, "t_end": 1.0, "dt": 1e-3},
-    ),
-    "fig2_trajectories": (
-        _run_fig2,
-        {"agents": 100, "edge_prob": 0.8, "t_end": 1.0, "dt": 1e-3},
-    ),
-    "fig3_entropy": (
-        _run_fig3,
-        {"agents": 100, "edge_prob": 0.8, "t_end": 1.0, "dt": 1e-3},
-    ),
+    "fig1_bars": (_run_fig1, _HUNDRED_AGENTS),
+    "fig2_trajectories": (_run_fig2, _HUNDRED_AGENTS),
+    "fig3_entropy": (_run_fig3, _HUNDRED_AGENTS),
     "fig4_nine_agents": (
         _run_fig4,
         {"agents": 9, "edge_prob": 0.35, "t_end": 5.0, "dt": 1e-3},
@@ -309,7 +286,7 @@ def run_experiment(
     runner, defaults = EXPERIMENTS[read_choice(name, "experiment", EXPERIMENTS)]
     seed = read_integer(seed, "seed", 0, SEED_MAX)
     params = dict(defaults)
-    for key, value in (overrides or {}).items():
+    for key, value in read_object(overrides or {}, "overrides").items():
         if key not in params:
             raise ConfigError(f"unknown override {key!r} for {name}")
         read, bounds = OVERRIDES[key]

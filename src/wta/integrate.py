@@ -98,28 +98,22 @@ class Trajectory:
         return self.states[-1]
 
     def write_csv(self, path) -> None:
-        """Header t,x_0,...,x_{n-1},mass,entropy,max,min,residual; floats at
-        17 significant digits for round-trip fidelity."""
-        cols = np.column_stack(
-            [
-                self.times,
-                self.states,
-                self.mass,
-                self.entropy,
-                self.state_max,
-                self.state_min,
-                self.residual,
-            ]
-        )
-        header = (
-            "t,"
-            + ",".join(f"x_{i}" for i in range(self.n))
-            + ",mass,entropy,max,min,residual"
-        )
-        row = ",".join(["%.17g"] * cols.shape[1]) + "\n"
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            fh.writelines(row % tuple(values.tolist()) for values in cols)
+        """Header t,x_0,...,x_{n-1},mass,entropy,max,min,residual; one row per stamp."""
+        cols = np.column_stack([self.times, self.states, self.mass, self.entropy,
+                                self.state_max, self.state_min, self.residual])
+        header = ["t", *(f"x_{i}" for i in range(self.n)), "mass", "entropy", "max", "min",
+                  "residual"]
+        _write_csv(path, header, (values.tolist() for values in cols))
+
+
+def _write_csv(path, header: list[str], rows, text: tuple[int, ...] = ()) -> None:
+    """The one CSV writer: the header, then each row of values through one
+    %-format, the columns in text by str and every other one as a float at
+    17 significant digits, which round-trips."""
+    row = ",".join("%s" if k in text else "%.17g" for k in range(len(header))) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % tuple(values) for values in rows)
 
 
 def _raw_step(f: Callable, x: np.ndarray, h, method: str,

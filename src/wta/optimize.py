@@ -24,7 +24,8 @@ import numpy as np
 from .errors import (SEED_MAX, ConfigError, TooManyCandidatesError, read_integer,
                      read_number, read_numbers)
 from .graph import Graph, _finish, new_graph
-from .integrate import IntegratorOptions, _simulate, simulate
+from .integrate import IntegratorOptions, _simulate, _write_csv, simulate
+from . import svg
 
 __all__ = [
     "OptimizeProblem",
@@ -310,12 +311,17 @@ class SweepResult:
     others_mass: float  # sum of the fixed agents' initial values
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("x_alpha0,mask,final_value\n")
-            for x0, mask, v in self.rows:
-                fh.write(
-                    f"{x0:.17g},{mask_to_bits(mask, self.num_candidates)},{v:.17g}\n"
-                )
+        """Header x_alpha0,mask,final_value, one row per (value, mask)."""
+        _write_csv(path, ["x_alpha0", "mask", "final_value"],
+                   ((x0, mask_to_bits(mask, self.num_candidates), v) for x0, mask, v in self.rows),
+                   text=(1,))
+
+    def write_svg(self, path, star: Optional[tuple[float, float]] = None) -> None:
+        """Final vs. initial value, with lines y = x + others_mass and y = x; * marks star."""
+        svg.scatter_chart([(x0, v) for x0, _mask, v in self.rows], path,
+                          title="Final vs. initial value over all opponent masks",
+                          x_label="initial value", y_label="final value",
+                          ref_lines=[(1.0, self.others_mass), (1.0, 0.0)], star=star)
 
 
 def sweep_initial_value(p: OptimizeProblem, x_alpha0_grid) -> SweepResult:

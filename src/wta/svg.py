@@ -114,8 +114,9 @@ class _Canvas:
             f'text-anchor="middle" fill="{color}" font-family="sans-serif">*</text>'
         )
 
-    def render(self) -> str:
-        return "\n".join(self.parts + ["</svg>"]) + "\n"
+    def save(self, path) -> None:
+        with open(path, "w") as fh:
+            fh.write("\n".join(self.parts + ["</svg>"]) + "\n")
 
 
 def line_chart(
@@ -139,8 +140,7 @@ def line_chart(
     cv = _Canvas(title, x_label, y_label, _bounds(all_x), _bounds(all_y))
     for k, ((xs, _ys), vals) in enumerate(zip(series, ys_t)):
         cv.polyline([float(x) for x in xs], vals, PALETTE[k % len(PALETTE)])
-    with open(path, "w") as fh:
-        fh.write(cv.render())
+    cv.save(path)
 
 
 def bar_chart(values, path, title: str = "", x_label: str = "agent", y_label: str = ""):
@@ -150,8 +150,7 @@ def bar_chart(values, path, title: str = "", x_label: str = "agent", y_label: st
     bar_w = max(1.0, 0.8 * (WIDTH - 2 * MARGIN) / n)
     for i, v in enumerate(vals):
         cv.rect_vbar(i, bar_w, v, PALETTE[0])
-    with open(path, "w") as fh:
-        fh.write(cv.render())
+    cv.save(path)
 
 
 def scatter_chart(
@@ -181,5 +180,4 @@ def scatter_chart(
         cv.circle(float(x), float(y), 2.2, PALETTE[0])
     if star is not None:
         cv.marker_star(float(star[0]), float(star[1]))
-    with open(path, "w") as fh:
-        fh.write(cv.render())
+    cv.save(path)

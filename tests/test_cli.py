@@ -346,6 +346,18 @@ class TestExperiment:
         for name in ("fig3_entropy.csv", "manifest.json", "report.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_fig3_first_reverse_stamp_reads_0(self, tmp_path):
+        """tau = 0 is written at negative time as 0, not -0, and each row as
+        the per-value f-strings wrote it."""
+        assert main(["experiment", "fig3_entropy", "--agents", "8", "--t-end", "0.05",
+                     "--quiet", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "fig3_entropy.csv").read_text().splitlines()
+        assert lines[0] == "branch,t,entropy"
+        assert lines[1].startswith("reverse,0,")
+        for line in lines[1:]:
+            branch, t, h = line.split(",")
+            assert line == f"{branch},{float(t):.17g},{float(h):.17g}"
+
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--seed", "-1"],
@@ -408,6 +420,8 @@ PAIR = new_graph(2, [(0, 1, 1.0)])  # [1, 1] on it is an E_u state
     pytest.param(lambda out: experiment(out, seed=-1), ConfigError, id="seed-negative"),
     pytest.param(lambda out: run_experiment(["fig5_sweep"], out), ConfigError,
                  id="experiment-name-list"),
+    pytest.param(lambda out: run_experiment("fig5_sweep", out, overrides=[1]), ConfigError,
+                 id="overrides-list"),
     pytest.param(lambda out: greedy_search(problem(), restarts=0), ConfigError,
                  id="restarts-0"),
     pytest.param(lambda out: greedy_search(problem(), restarts=True), ConfigError,

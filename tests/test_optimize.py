@@ -13,7 +13,7 @@ from wta import (
     sweep_initial_value,
 )
 from wta.errors import ConfigError, TooManyCandidatesError
-from wta.optimize import TIE_TOL, mask_to_bits
+from wta.optimize import TIE_TOL, SweepResult, mask_to_bits
 
 
 def two_agent_problem(x_alpha0=2.0, other=1.0, horizon=10.0):
@@ -279,3 +279,13 @@ class TestSweep:
         lines = path.read_text().splitlines()
         assert lines[0] == "x_alpha0,mask,final_value"
         assert len(lines) == 1 + len(sweep.rows)
+
+    def test_csv_same_bytes_as_per_value_formatting(self, tmp_path):
+        rows = ((0.0, 0, -0.0), (5e-324, 5, 1e300), (1 / 3, 6, 2.2250738585072014e-308))
+        sweep = SweepResult(alpha=0, grid=(0.0, 5e-324, 1 / 3), num_candidates=3, rows=rows,
+                            others_mass=1.0)
+        path = tmp_path / "sweep.csv"
+        sweep.write_csv(path)
+        lines = [f"{x0:.17g},{mask_to_bits(mask, 3)},{v:.17g}" for x0, mask, v in rows]
+        assert path.read_text() == "\n".join(["x_alpha0,mask,final_value", *lines]) + "\n"
+        assert lines[:2] == ["0,000,-0", "4.9406564584124654e-324,101,1.0000000000000001e+300"]
