@@ -179,18 +179,19 @@ def cmd_simulate(args) -> int:
     }
     _write_json(out / "report.json", report)
     if args.svg:
+        x_label = "t" if direction == "forward" else "tau"
         svg.line_chart(
             [(traj.times, traj.states[:, i]) for i in range(g.n)],
             out / "trajectory.svg",
             title=f"{direction} trajectories",
-            x_label="t" if direction == "forward" else "tau",
+            x_label=x_label,
             y_label="state",
         )
         svg.line_chart(
             [(traj.times, traj.entropy)],
             out / "entropy.svg",
             title="entropy profile",
-            x_label="t" if direction == "forward" else "tau",
+            x_label=x_label,
             y_label="H" if direction == "forward" else "log10 H",
             log_y=direction == "reverse",
         )

@@ -47,6 +47,12 @@ MAX_AGENTS = 1 << 20
 # edge arrays then stay near 400 MB, where n = 2^20 at p = 1 would ask for
 # 5.5e11 pairs.
 MAX_EXPECTED_EDGES = 1 << 23
+# Most pairs random_graph may visit, whatever p is, so that no accepted
+# graph draws for minutes: the unit mode draws one double a pair at about
+# 3.1 ns (2^32 pairs, about 13 s), the uniform mode loops over the pairs in
+# Python at about 0.9 us a pair (2^24 pairs, about 15 s).
+MAX_UNIT_PAIRS = 1 << 32
+MAX_UNIFORM_PAIRS = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +126,9 @@ def _validate_nodes(nodes: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(sorted({_check_node(i, n) for i in nodes}))
 
 
+_HASH_CHUNK = 1 << 14  # edges hashed in one update by _finish
+
+
 def _finish(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> Graph:
     """Graph from undirected edges i < j (intp arrays), in (i, j) order."""
     src = np.concatenate((j, i))
@@ -131,9 +140,13 @@ def _finish(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> Graph:
     indptr = np.searchsorted(src, np.arange(n + 1))
     for a in (indptr, src, dst, edge_w):
         a.setflags(write=False)
+    # n, then "i,j,w;" per edge with w by repr: one update per chunk of
+    # edges, whose strings are all that is held at once
     digest = hashlib.sha256(str(n).encode())
-    for u, v, wt in zip(i.tolist(), j.tolist(), w.tolist()):
-        digest.update(f"{u},{v},{wt!r};".encode())
+    for s in range(0, len(i), _HASH_CHUNK):
+        part = slice(s, s + _HASH_CHUNK)
+        digest.update("".join([f"{u},{v},{wt!r};" for u, v, wt in zip(
+            i[part].tolist(), j[part].tolist(), w[part].tolist())]).encode())
     return Graph(
         n=n,
         indptr=indptr,
@@ -181,7 +194,9 @@ def random_graph(
 
     ``weight_mode`` is either "unit" or ("uniform", lo, hi) with lo > 0.
     The expected edge count n(n - 1)/2 * p may be at most
-    MAX_EXPECTED_EDGES (2^23), checked before any draw (ConfigError).
+    MAX_EXPECTED_EDGES (2^23), and the pair count n(n - 1)/2 at most
+    MAX_UNIT_PAIRS (2^32) or MAX_UNIFORM_PAIRS (2^24), each checked before
+    any draw (ConfigError).
     Uses numpy's PCG64 generator; the same (n, p, weight_mode, seed) always
     produces the same graph. Pairs (i, j), i < j, are visited in row-major
     order, each included when its draw is below p; in uniform mode an
@@ -197,13 +212,21 @@ def random_graph(
             f"random graph with n={n}, p={p} expects {pairs * p:.4g} edges, "
             f"more than {MAX_EXPECTED_EDGES}"
         )
-    rng = np.random.default_rng(read_integer(seed, "seed", 0, SEED_MAX))
-    if weight_mode != "unit":
+    uniform = weight_mode != "unit"
+    if uniform:
         if not (isinstance(weight_mode, (list, tuple)) and len(weight_mode) == 3
                 and weight_mode[0] == "uniform"):
             raise ConfigError(f"bad weight_mode {weight_mode!r}")
         lo = read_number(weight_mode[1], "uniform weight low", gt=0.0)
         hi = read_number(weight_mode[2], "uniform weight high", lo=lo)
+    max_pairs = MAX_UNIFORM_PAIRS if uniform else MAX_UNIT_PAIRS
+    if pairs > max_pairs:
+        raise ConfigError(
+            f"random graph with n={n} has {pairs} pairs to draw, more than "
+            f"{max_pairs} in {'uniform' if uniform else 'unit'} weight mode"
+        )
+    rng = np.random.default_rng(read_integer(seed, "seed", 0, SEED_MAX))
+    if uniform:
         # the weight draws interleave with the inclusion draws: one pair at a time
         edges = []
         for i in range(n):
@@ -316,6 +339,6 @@ def load_graph(path) -> Graph:
 
 
 def dump_graph(g: Graph, path) -> None:
+    # json.dumps runs the C encoder; json.dump streams through the Python one
     with open(path, "w") as fh:
-        json.dump(graph_to_json_dict(g), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(graph_to_json_dict(g), sort_keys=True) + "\n")

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (SEED_MAX, ConfigError, TooManyCandidatesError, read_integer,
                      read_number, read_numbers)
 from .graph import Graph, _finish, new_graph
-from .integrate import IntegratorOptions, _simulate, _write_csv, simulate
+from .integrate import MAX_STEPS, IntegratorOptions, _simulate, _write_csv, simulate
 from . import svg
 
 __all__ = [
@@ -95,7 +95,9 @@ class OptimizeProblem:
         if not isinstance(self.options, IntegratorOptions):
             raise ConfigError(f"options must be IntegratorOptions, got {self.options!r}")
         # the arena: the graph with every candidate edge, the candidate bit of
-        # each of its directed edges (-1 for base edges) and the run options
+        # each of its directed edges (-1 for base edges) and the run options,
+        # which record only the first and last stamps: a search reads nothing
+        # but alpha's final value, and a skipped record keeps every bit
         a = self.alpha
         arena = new_graph(n, self.base_graph.edges() + [
             (min(a, j), max(a, j), self.candidate_weight) for j in self.candidates])
@@ -104,8 +106,8 @@ class OptimizeProblem:
         object.__setattr__(self, "_arena", arena)
         object.__setattr__(self, "_edge_bit", np.where(
             (src == a) | (dst == a), other - (other > a), -1))
-        object.__setattr__(self, "_run_options",
-                           dataclasses.replace(self.options, t_end=self.horizon))
+        object.__setattr__(self, "_run_options", dataclasses.replace(
+            self.options, t_end=self.horizon, record_stride=MAX_STEPS))
 
     @property
     def candidates(self) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -35,7 +36,7 @@ from wta import (
     symmetric_eigenvalues,
     vector_field,
 )
-from wta.cli import main
+from wta.cli import _problem_from_config, main
 from wta.errors import (ComponentTooSmallError, ConfigError, InvalidProbabilityError,
                         NonFiniteStateError, TooManyCandidatesError)
 
@@ -142,6 +143,7 @@ class TestSimulate:
         {"graph": {"random": {"n": 10**10, "p": 0.0}}},
         {"integrator": {"t_end": 2**64, "dt": 1e-3}},
         {"graph": {"random": {"n": 1048576, "p": 1.0}}},
+        {"graph": {"random": {"n": 1048576, "p": 1e-5}}},
     ])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, overrides):
         cfg = run_config(tmp_path, **overrides)
@@ -544,6 +546,34 @@ README_CONFIGS = {  # subcommand -> its example config
         r"```json\n(.*?)```", (Path(__file__).parents[1] / "README.md").read_text(), re.S))
 }
 MUTATIONS = [True, "x", [], {}, float("nan"), -1, 1.5]
+
+
+@pytest.mark.parametrize("stop", [True, False], ids=["stop", "no-stop"])
+def test_evaluate_choice_same_bits_as_recorded_run(monkeypatch, stop):
+    """evaluate_choice records only its first and last stamps, and alpha's
+    final value has the bits of a run that records every step, on every
+    mask of the README optimize arena. Horizon 0.7 (70 steps) keeps each
+    case's 512 runs near 1.5 s; tolerance 0.2 stops 32 masks, at steps 39
+    to 67, where the README's 1e-10 stops none."""
+    p = _problem_from_config(README_CONFIGS["optimize"], 0)
+    options = dataclasses.replace(p.options, stop_on_equilibrium=stop, equilibrium_tol=0.2)
+    p = dataclasses.replace(p, horizon=0.7, options=options)
+    recorded = dataclasses.replace(options, t_end=p.horizon, record_stride=1)
+    stamps = []
+
+    def counting_simulate(*args):
+        traj, audit = integrate.simulate(*args)
+        stamps.append(len(traj.times))
+        return traj, audit
+
+    monkeypatch.setattr(optimize, "simulate", counting_simulate)
+    stopped = 0
+    for mask in range(1 << p.num_candidates):
+        traj, _audit = integrate.simulate(p.graph_for_mask(mask), p.initial_state(), recorded)
+        assert evaluate_choice(p, mask) == traj.final_state[p.alpha], mask
+        stopped += traj.metadata["stopped_at_equilibrium"]
+    assert stamps == [2] * (1 << p.num_candidates)
+    assert stopped == (32 if stop else 0)
 
 
 def leaf_paths(node, path=()):

@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -224,6 +226,27 @@ class TestRandomGraph:
         with pytest.raises(ConfigError, match="expects"):
             random_graph(6, 1.0, weights, seed=0)
 
+    @pytest.mark.parametrize("args", [(2**20, 1e-5), (6000, 0.01, ("uniform", 0.5, 1.5))])
+    def test_pair_count_is_refused_before_any_draw(self, args, monkeypatch):
+        # within the expected-edge cap, but 5.5e11 and 1.8e7 pairs to visit:
+        # half an hour and minutes of drawing
+        def no_draw(seed):
+            raise AssertionError("random_graph seeded a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="pairs"):
+            random_graph(*args)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("weights, cap", [
+        ("unit", "MAX_UNIT_PAIRS"), (("uniform", 0.5, 1.5), "MAX_UNIFORM_PAIRS")])
+    def test_pair_cap_is_inclusive(self, weights, cap, monkeypatch):
+        monkeypatch.setattr(wta.graph, cap, 10)
+        assert random_graph(5, 1.0, weights, seed=0).num_edges == 10
+        with pytest.raises(ConfigError, match="pairs"):
+            random_graph(6, 0.1, weights, seed=0)
+
     # hashes recorded from the dense-matrix generator that drew one pair at
     # a time; a changed stream or edge order changes them
     @pytest.mark.parametrize("args, digest", [
@@ -244,6 +267,12 @@ class TestRandomGraph:
     ])
     def test_hash_pinned(self, args, digest):
         assert random_graph(*args).hash_hex == digest
+
+    @pytest.mark.parametrize("chunk", [1, 999])
+    def test_hash_chunk_size_keeps_digest(self, monkeypatch, chunk):
+        whole = random_graph(100, 0.8)
+        monkeypatch.setattr(wta.graph, "_HASH_CHUNK", chunk)
+        assert random_graph(100, 0.8).hash_hex == whole.hash_hex
 
     @pytest.mark.parametrize("chunk", [1, 999, 4096])
     def test_chunk_size_keeps_stream(self, monkeypatch, chunk):
@@ -330,3 +359,17 @@ class TestJson:
         path = tmp_path / "g.json"
         dump_graph(g, path)
         assert json.loads(path.read_text()) == d
+
+    @pytest.mark.parametrize("build", [
+        lambda: random_graph(100, 0.8, "unit", 0),
+        lambda: new_graph(5, []),
+        lambda: random_graph(40, 0.5, ("uniform", 0.2, 1.5), 9),
+    ], ids=["dense", "edgeless", "uniform"])
+    def test_dump_same_bytes_as_streamed_json(self, tmp_path, build):
+        g = build()
+        streamed = io.StringIO()
+        json.dump(graph_to_json_dict(g), streamed, sort_keys=True)
+        path = tmp_path / "g.json"
+        dump_graph(g, path)
+        assert path.read_bytes() == (streamed.getvalue() + "\n").encode()
+        assert load_graph(path).hash_hex == g.hash_hex
