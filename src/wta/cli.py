@@ -27,6 +27,7 @@ from .graph import _read_json, graph_from_json_dict, load_graph, random_graph
 from .integrate import IntegratorOptions, simulate, simulate_reverse
 from .optimize import (
     GRID_MAX,
+    MAX_RESTARTS,
     OptimizeProblem,
     exhaustive_search,
     greedy_search,
@@ -231,6 +232,8 @@ def _problem_from_config(cfg: dict, default_seed: int) -> OptimizeProblem:
 
 def _grid_from_config(cfg) -> np.ndarray:
     if isinstance(cfg, list):
+        if not cfg:
+            raise ConfigError("sweep_grid must hold at least one value, got []")
         return np.array(read_numbers(cfg, "sweep_grid", lo=0.0))
     cfg = read_object(cfg, "sweep_grid")
     return np.linspace(
@@ -258,7 +261,8 @@ def cmd_optimize(args) -> int:
         greedy = read_object(cfg.get("greedy", {}), "greedy")
         result = greedy_search(
             problem,
-            restarts=read_integer(greedy.get("restarts", 8), "greedy.restarts", lo=1),
+            restarts=read_integer(greedy.get("restarts", 8), "greedy.restarts", 1,
+                                  MAX_RESTARTS),
             seed=_seed(greedy, "greedy.seed", args.seed),
         )
     out.mkdir(parents=True, exist_ok=True)

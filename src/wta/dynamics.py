@@ -90,7 +90,10 @@ def _edge_kernel(src, dst, w) -> Callable:
     multiplies the arrays it gathers in place and skips the w * multiply
     when every weight is 1, where it is an exact identity. The integrator
     calls it four times a RK4 step, and on small graphs the number of numpy
-    calls, not the arithmetic, sets the cost of a call."""
+    calls, not the arithmetic, sets the cost of a call. Arrays of at least
+    PAIRED_MIN_ENTRIES entries get _paired_kernel's closure instead."""
+    if src.size >= PAIRED_MIN_ENTRIES:
+        return _paired_kernel(src, dst, w)
     unit = np.count_nonzero(w != 1.0) == 0
 
     def fn(x):
@@ -102,6 +105,58 @@ def _edge_kernel(src, dst, w) -> Callable:
         xs *= xd
         d *= xs
         return np.bincount(src, d, x.size)
+
+    return fn
+
+
+# _edge_kernel pairs the entries iff there are at least PAIRED_MIN_ENTRIES
+# of them. Field time, paired over unpaired, by directed entries (median of
+# 31 alternating timings, three runs, 2 vCPUs, numpy 2.4.6): 6 1.83-1.84;
+# 256 1.33-1.35; 570 1.08-1.10; 1060 0.99-1.02; 1608 0.92-0.94; 2108
+# 0.82-0.86; 3988 0.87-0.88; 4974 0.82-0.87, weighted 0.81-0.83; 24828
+# 0.64-0.66. A paired build took 9-14 us at 570 entries and 23-37 us at
+# 4974, against 2-5 us unpaired, and a block of lanes rebuilds each time
+# lanes stop: from 4096 entries the saving repays a rebuild within two RK4
+# steps, and the analysis graphs and optimizer arenas stay below it.
+PAIRED_MIN_ENTRIES = 4096
+
+
+def _paired_kernel(src, dst, w) -> Callable:
+    """_edge_kernel's closure over symmetric edge arrays in CSR order (a
+    graph's, or a block of lanes'), computing each undirected edge's term
+    once for both of its entries.
+
+    The pairs a < b are the entries with src < dst, in row-major order, and
+    owner = concat(b, a) holds the agent of each term. Per call it gathers
+    x over owner into a buffer it owns, and the term of a is ((x_a - x_b) *
+    w) * (x_a * x_b) and that of b ((x_b - x_a) * w) * (x_a * x_b): the
+    arithmetic of the unpaired closure, as IEEE products commute. One
+    bincount over owner then sums each entry's terms over its neighbours
+    below it, ascending, and then those above it, ascending: its CSR order,
+    so the bits are those of _edge_field."""
+    # an index array gathers faster than a boolean mask that flips at random
+    upper = np.flatnonzero(src < dst)
+    m = upper.size
+    owner = np.concatenate((dst[upper], src[upper]))
+    w = w[upper]
+    unit = np.count_nonzero(w != 1.0) == 0
+    xe = np.empty(2 * m)
+    xb, xa = xe[:m], xe[m:]
+    terms = np.empty(2 * m)
+    tb, ta = terms[:m], terms[m:]
+    pairs = terms.reshape(2, m)
+
+    def fn(x):
+        # the default mode="raise" would gather into a temporary and copy
+        # it to out; the indices are in range, so "clip" changes nothing
+        np.take(x, owner, out=xe, mode="clip")
+        np.subtract(xb, xa, out=tb)
+        np.subtract(xa, xb, out=ta)
+        if not unit:
+            np.multiply(pairs, w, out=pairs)
+        np.multiply(xa, xb, out=xa)
+        np.multiply(pairs, xa, out=pairs)
+        return np.bincount(owner, terms, x.size)
 
     return fn
 
@@ -121,7 +176,8 @@ def _dense_field(W: np.ndarray, x: np.ndarray) -> np.ndarray:
 # at least 1/DENSE_FILL_DIV of the n^2 entries. Field time in microseconds,
 # edge vs dense, on 2 vCPUs with numpy 2.4.6: n=100 p=0.8 75.6 vs 8.8;
 # n=64 p=0.5 18.5 vs 5.6; n=32 p=0.3 5.4 vs 4.6; n=16 p=0.8 4.6 vs 4.4;
-# n=8 about 3.2 vs 4.3 at any p; n=1000 mean degree 5 39 vs 430.
+# n=8 about 3.2 vs 4.3 at any p; n=1000 mean degree 5 28-34 (paired) vs
+# 360-410.
 DENSE_MIN_N = 32
 DENSE_FILL_DIV = 4
 
@@ -147,7 +203,8 @@ def _field(g: Graph, spec: Optional[InteractionSpec] = None,
     _field_kernel picks; the dense one builds W once, here. Otherwise keep
     (B, 2*num_edges) lays out a block of B lanes over a flat state: lane l
     is g restricted to the directed edges its row of keep enables, acting
-    on entries [l*n, (l+1)*n), always through the edge kernel.
+    on entries [l*n, (l+1)*n), always through the edge kernel. A row
+    enables both entries of an edge or neither, as _paired_kernel needs.
     """
     if keep is None and _field_kernel(g, spec) == "dense":
         W = g.weights

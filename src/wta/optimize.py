@@ -42,6 +42,10 @@ EXHAUSTIVE_GUARD_BITS = 24
 GRID_MAX = 1 << EXHAUSTIVE_GUARD_BITS  # most sweep grid points
 TABLE_LIMIT_BITS = 16
 TIE_TOL = 1e-12
+# Most restarts greedy_search takes. A restart whose masks are all memoized
+# took about 7 us on a 3-agent arena (2 vCPUs, numpy 2.4.6), so 2^16 of them
+# take about half a second; each mask not yet memoized adds one run.
+MAX_RESTARTS = 1 << 16
 # (initial value, mask) pairs integrated together as lanes of one block. It
 # bounds the block's edge arrays at LANE_BLOCK * 2 * num_edges entries; on
 # 9-agent arenas 256 lanes ran the 16 x 256 sweep about twice as fast as
@@ -269,10 +273,10 @@ def greedy_search(p: OptimizeProblem, restarts: int = 8, seed: int = 0) -> Optim
 
     Heuristic: never exceeds the exhaustive optimum (same objective), and is
     deterministic for a fixed seed. Evaluations are memoized across restarts;
-    restarts is an integer >= 1, seed one in [0, 2^64 - 1], and the arena
-    has at most 63 candidates.
+    restarts is an integer in [1, MAX_RESTARTS], seed one in [0, 2^64 - 1],
+    and the arena has at most 63 candidates.
     """
-    restarts = read_integer(restarts, "restarts", lo=1)
+    restarts = read_integer(restarts, "restarts", 1, MAX_RESTARTS)
     rng = np.random.default_rng(read_integer(seed, "seed", 0, SEED_MAX))
     m = p.num_candidates
     if m > 63:  # the start masks are drawn as int64 below 2^m
@@ -328,12 +332,14 @@ class SweepResult:
 
 def sweep_initial_value(p: OptimizeProblem, x_alpha0_grid) -> SweepResult:
     """Evaluate every mask at every grid value of alpha's initial state:
-    a list, tuple or 1-d array of finite nonnegative numbers.
+    a nonempty list, tuple or 1-d array of finite nonnegative numbers.
 
     Guarded at 2^24 evaluations in all: grid points times 2^m masks.
     """
     m = p.num_candidates
     grid = tuple(read_numbers(x_alpha0_grid, "x_alpha0_grid", lo=0.0))
+    if not grid:
+        raise ConfigError("x_alpha0_grid must hold at least one value, got none")
     _guard(len(grid), m)
     return SweepResult(
         alpha=p.alpha,

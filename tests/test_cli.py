@@ -278,6 +278,8 @@ class TestOptimize:
         (["--sweep"], {"sweep_grid": {"count": 1e9}}),
         (["--sweep"], {"sweep_grid": {"count": 2**24 + 1}}),
         (["--sweep"], {"sweep_grid": {"count": 0}}),
+        (["--sweep", "--svg"], {"sweep_grid": []}),
+        (["--mode", "greedy"], {"greedy": {"restarts": 10**12}}),
     ])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, flags, overrides):
         cfg = optimize_config(tmp_path, **overrides)
@@ -302,6 +304,17 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, overrides, leaf", [
+        (["--mode", "greedy"], {"greedy": {"restarts": optimize.MAX_RESTARTS + 1}},
+         "greedy.restarts"),
+        (["--sweep"], {"sweep_grid": []}, "sweep_grid"),
+    ])
+    def test_bound_error_names_the_leaf(self, tmp_path, capsys, flags, overrides, leaf):
+        cfg = optimize_config(tmp_path, **overrides)
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet", *flags]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {leaf} ")
 
     def test_sweep_guard_counts_grid_points_times_masks(self, tmp_path):
         # 2^8 masks at each of 2^16 + 1 grid points is just over 2^24
@@ -428,6 +441,8 @@ PAIR = new_graph(2, [(0, 1, 1.0)])  # [1, 1] on it is an E_u state
                  id="restarts-0"),
     pytest.param(lambda out: greedy_search(problem(), restarts=True), ConfigError,
                  id="restarts-bool"),
+    pytest.param(lambda out: greedy_search(problem(), restarts=optimize.MAX_RESTARTS + 1),
+                 ConfigError, id="restarts-past-bound"),
     pytest.param(lambda out: problem(x_alpha0="0.5"), ConfigError, id="x_alpha0-string"),
     pytest.param(lambda out: problem(x0_others=("1.0",)), ConfigError, id="x0_others-string"),
     pytest.param(lambda out: problem(alpha=True), ConfigError, id="alpha-bool"),
@@ -438,6 +453,7 @@ PAIR = new_graph(2, [(0, 1, 1.0)])  # [1, 1] on it is an E_u state
                  id="grid-string"),
     pytest.param(lambda out: sweep_initial_value(problem(), [True]), ConfigError,
                  id="grid-bool"),
+    pytest.param(lambda out: sweep_initial_value(problem(), []), ConfigError, id="grid-empty"),
     pytest.param(lambda out: IntegratorOptions(stop_on_equilibrium=1), ConfigError,
                  id="stop-on-equilibrium-int"),
     pytest.param(lambda out: problem(options=None), ConfigError, id="options-none"),

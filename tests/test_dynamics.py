@@ -12,8 +12,10 @@ from wta import (
     reverse_vector_field,
     vector_field,
 )
+import wta.dynamics
 from wta.dynamics import (
     DENSE_MIN_N,
+    PAIRED_MIN_ENTRIES,
     InteractionSpec,
     _edge_field,
     _field,
@@ -236,6 +238,72 @@ class TestDenseKernel:
         from wta.optimize import EXHAUSTIVE_GUARD_BITS
 
         assert EXHAUSTIVE_GUARD_BITS + 1 < DENSE_MIN_N
+
+
+def sparse_large(weighted=False):
+    """The sparse_large benchmark shape, n=1000 at mean degree 5, about 5000
+    directed entries; weighted, the same edges with weights in [0.2, 3)."""
+    g = random_graph(1000, 5 / 999, "unit", seed=0)
+    if not weighted:
+        return g
+    w = np.random.default_rng(1).uniform(0.2, 3.0, g.num_edges)
+    return new_graph(g.n, [(i, j, wt) for (i, j, _), wt in zip(g.edges(), w.tolist())])
+
+
+def hard_states(n, count, seed):
+    """States with exact zeros, subnormals and runs of equal entries: terms
+    that are zeros of either sign, and products that round to subnormals."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        x = rng.uniform(0.0, 2.0, n)
+        x[rng.random(n) < 0.2] = 0.0
+        x[rng.random(n) < 0.05] = 5e-324 * rng.integers(1, 1000)
+        x[rng.random(n) < 0.05] = 1e-310
+        if k % 2:
+            x[rng.random(n) < 0.3] = 0.7
+        yield x
+
+
+class TestPairedKernel:
+    """Edge arrays of at least PAIRED_MIN_ENTRIES entries compute each
+    edge's term once for both entries, with the bits of the plain sum."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    def test_same_bits_as_edge_field(self, weighted, reverse, paired_builds):
+        g = sparse_large(weighted)
+        assert g.edge_src.size >= PAIRED_MIN_ENTRIES and _field_kernel(g) == "edge"
+        f = _field(g, reverse=reverse)
+        assert paired_builds == [g.edge_src.size]
+        for x in hard_states(g.n, 30, seed=2 + weighted):
+            ref = _edge_field(g.edge_src, g.edge_dst, g.edge_w, x)
+            assert f(x).tobytes() == (-ref if reverse else ref).tobytes()
+
+    def test_lane_block_same_bits_as_edge_field(self, paired_builds):
+        g = sparse_large(weighted=True)
+        rng = np.random.default_rng(3)
+        # each lane keeps a random set of edges, both entries of each: the
+        # sum of two node draws is the same either way round
+        r = rng.random((3, g.n))
+        keep = r[:, g.edge_src] + r[:, g.edge_dst] < 1.6
+        offset = g.n * np.arange(3)[:, None]
+        src, dst = (g.edge_src + offset)[keep], (g.edge_dst + offset)[keep]
+        w = np.broadcast_to(g.edge_w, keep.shape)[keep]
+        f = _field(g, keep=keep)
+        assert paired_builds == [src.size]
+        for x in hard_states(3 * g.n, 5, seed=4):
+            assert f(x).tobytes() == _edge_field(src, dst, w, x).tobytes()
+
+    def test_rule_is_inclusive(self, monkeypatch, paired_builds):
+        g = random_graph(12, 0.5, ("uniform", 0.2, 2.0), seed=5)
+        entries = g.edge_src.size
+        x = np.random.default_rng(6).uniform(0.0, 1.0, g.n)
+        ref = _edge_field(g.edge_src, g.edge_dst, g.edge_w, x)
+        for rule, paired in [(entries + 1, False), (entries, True)]:
+            monkeypatch.setattr(wta.dynamics, "PAIRED_MIN_ENTRIES", rule)
+            paired_builds.clear()
+            assert vector_field(g, x).tobytes() == ref.tobytes()
+            assert paired_builds == ([entries] if paired else [])
 
 
 class TestCheckInteractions:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -348,6 +349,21 @@ class TestLaneBlock:
         # every lane stops inside a history block
         assert all(k % _HISTORY_ROWS for k in steps)
 
+    def test_block_shrinks_from_paired_to_unpaired(self, monkeypatch, paired_builds):
+        # the rule patched down so that the block of six lanes and the five
+        # left after the first stop are paired, and the smaller ones are not
+        g = random_graph(8, 0.6, ("uniform", 0.3, 1.5), seed=11)
+        rng = np.random.default_rng(12)
+        x0 = rng.uniform(0.1, 1.0, (6, 8))
+        x0[3:, 2:7] = 0.0
+        entries = g.edge_src.size
+        monkeypatch.setattr(wta.dynamics, "PAIRED_MIN_ENTRIES", 5 * entries)
+        opts = IntegratorOptions(dt=1e-2, t_end=40.0, stop_on_equilibrium=True,
+                                 equilibrium_tol=1e-9)
+        run = assert_lanes_match_single_runs(g, x0, opts)
+        assert run.stopped.all() and len(set(run.steps.tolist())) == len(x0)
+        assert paired_builds == [6 * entries, 5 * entries]
+
     def test_renormalize_block_with_lane_edge_subsets(self):
         g = random_graph(7, 0.7, ("uniform", 0.3, 1.5), seed=5)
         rng = np.random.default_rng(6)
@@ -409,6 +425,20 @@ class TestDenseKernel:
         sparse = random_graph(1000, 5 / 999, "unit", seed=0)
         x = np.random.default_rng(2).uniform(0, 1, 1000)
         assert simulate(sparse, x, opts)[0].metadata["field_kernel"] == "edge"
+
+
+class TestPairedKernel:
+    def test_sparse_large_run_is_pinned(self, paired_builds):
+        # the sparse_large shape runs the paired layout; its state arithmetic
+        # is elementwise ufuncs and bincount in edge order, so these bytes
+        # do not depend on the CPU, and they are those of the unpaired kernel
+        g = random_graph(1000, 5 / 999, "unit", seed=0)
+        x0 = np.random.default_rng(1).uniform(0.0, 1.0, 1000)
+        x0[::10] = 0.0
+        traj, _ = simulate(g, x0, IntegratorOptions(dt=1e-3, t_end=0.1))
+        assert paired_builds == [g.edge_src.size] and traj.metadata["field_kernel"] == "edge"
+        assert hashlib.sha256(traj.final_state.tobytes()).hexdigest() == (
+            "3cedfc6d555b08d125fd9787825e39d5dfb9ff297127847b14e4b145aabaf6cd")
 
 
 class TestTrajectoryCsv:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import wta.optimize
 from wta import (
     IntegratorOptions,
     OptimizeProblem,
@@ -236,6 +237,18 @@ class TestGreedy:
         exh = exhaustive_search(p)
         grd = greedy_search(p, restarts=4, seed=1)
         assert grd.best_value <= exh.best_value + 1e-12
+
+    def test_restarts_are_bounded(self, monkeypatch):
+        p = two_agent_problem(2.0, 1.0)
+        # the bound is inclusive
+        monkeypatch.setattr(wta.optimize, "MAX_RESTARTS", 3)
+        assert greedy_search(p, restarts=3).best_mask == 1
+        with pytest.raises(ConfigError, match="restarts"):
+            greedy_search(p, restarts=4)
+        # 10^12 restarts ran for minutes; refused before the first one
+        monkeypatch.undo()
+        with pytest.raises(ConfigError, match="restarts"):
+            greedy_search(p, restarts=10**12)
 
 
 class TestSweep:
