@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import laplacian, prepare_state, vector_field
 from .errors import (SEED_MAX, ComponentTooSmallError, EmptyStateError, NonFiniteStateError,
                      NotEuError, NotSymmetricError, read_array, read_integer, read_number)
-from .graph import Graph, connected_components, induced_subgraph
+from .graph import Graph, _components, induced_subgraph
 from .integrate import IntegratorOptions, _variance, simulate
 
 __all__ = [
@@ -85,29 +85,23 @@ def classify_equilibrium(
     zero_tol = read_number(zero_tol, "zero_tol", lo=0.0)
     equal_tol = read_number(equal_tol, "equal_tol", lo=0.0)
     x = prepare_state(x, g.n)
-    losers = tuple(int(i) for i in np.nonzero(x < zero_tol)[0])
-    winners = tuple(int(i) for i in np.nonzero(x >= zero_tol)[0])
+    won = x >= zero_tol
+    losers = tuple(np.flatnonzero(~won).tolist())
+    winners = tuple(np.flatnonzero(won).tolist())
     residual = float(np.abs(vector_field(g, x)).max())
 
     components: list[tuple[tuple[int, ...], float]] = []
     equal_ok = True
-    winner_edge = False
-    if winners:
-        sub, mapping = induced_subgraph(g, winners)
-        winner_edge = sub.num_edges > 0
-        for comp in connected_components(sub):
-            nodes = tuple(mapping[i] for i in comp)
-            values = x[list(nodes)]
-            c = float(values.mean())
-            if np.abs(values - c).max() > equal_tol * max(1.0, c):
-                equal_ok = False
-            components.append((nodes, c))
+    for nodes in _components(g, won):
+        values = x[list(nodes)]
+        c = float(values.mean())
+        if np.abs(values - c).max() > equal_tol * max(1.0, c):
+            equal_ok = False
+        components.append((nodes, c))
 
-    if residual >= 1e-6 * (1.0 + float(x.max())):
+    if residual >= 1e-6 * (1.0 + float(x.max())) or not equal_ok:
         klass = "not_equilibrium"
-    elif not equal_ok:
-        klass = "not_equilibrium"
-    elif winner_edge:
+    elif any(len(nodes) > 1 for nodes, _c in components):  # winners share an edge
         klass = "E_u"
     else:
         klass = "E_s"

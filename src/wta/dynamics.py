@@ -71,7 +71,7 @@ def _edge_field(src, dst, w, x: np.ndarray, f=None, gfun=None) -> np.ndarray:
     run the identical arithmetic, so identity/product specs are bit-equal
     to the plain field. Terms are summed per entry in edge order, so any
     edge arrays that list an entry's edges in the same order give the same
-    bits: a graph's own arrays and the lane-offset arrays of a block of
+    bits: a graph's own arrays and the pair-major arrays of a block of
     lanes (_field) share this kernel. Generalized specs run through it;
     the default interaction runs through _edge_kernel, whose bits the tests
     check against this plain form.
@@ -90,10 +90,14 @@ def _edge_kernel(src, dst, w) -> Callable:
     multiplies the arrays it gathers in place and skips the w * multiply
     when every weight is 1, where it is an exact identity. The integrator
     calls it four times a RK4 step, and on small graphs the number of numpy
-    calls, not the arithmetic, sets the cost of a call. Arrays of at least
-    PAIRED_MIN_ENTRIES entries get _paired_kernel's closure instead."""
+    calls, not the arithmetic, sets the cost of a call. Pair-major arrays
+    of at least PAIRED_MIN_ENTRIES entries get _paired_kernel's closure
+    instead."""
+    # np.take(out=) and np.bincount copy a read-only index, such as a
+    # graph's, on every call
+    src = src.copy()
     if src.size >= PAIRED_MIN_ENTRIES:
-        return _paired_kernel(src, dst, w)
+        return _paired_kernel(src, w)
     unit = np.count_nonzero(w != 1.0) == 0
 
     def fn(x):
@@ -114,31 +118,28 @@ def _edge_kernel(src, dst, w) -> Callable:
 # 31 alternating timings, three runs, 2 vCPUs, numpy 2.4.6): 6 1.83-1.84;
 # 256 1.33-1.35; 570 1.08-1.10; 1060 0.99-1.02; 1608 0.92-0.94; 2108
 # 0.82-0.86; 3988 0.87-0.88; 4974 0.82-0.87, weighted 0.81-0.83; 24828
-# 0.64-0.66. A paired build took 9-14 us at 570 entries and 23-37 us at
-# 4974, against 2-5 us unpaired, and a block of lanes rebuilds each time
-# lanes stop: from 4096 entries the saving repays a rebuild within two RK4
-# steps, and the analysis graphs and optimizer arenas stay below it.
+# 0.64-0.66. A paired build, a copy of the index and two buffers, took
+# 6-9.5 us at 4974 entries, against 2-5 us unpaired, and a block of lanes
+# rebuilds each time lanes stop: from 4096 entries the saving repays a
+# rebuild within two RK4 steps, and the analysis graphs and optimizer
+# arenas stay below it.
 PAIRED_MIN_ENTRIES = 4096
 
 
-def _paired_kernel(src, dst, w) -> Callable:
-    """_edge_kernel's closure over symmetric edge arrays in CSR order (a
-    graph's, or a block of lanes'), computing each undirected edge's term
-    once for both of its entries.
+def _paired_kernel(src, w) -> Callable:
+    """_edge_kernel's closure over pair-major edge arrays (a graph's, or a
+    block of lanes'), computing each undirected edge's term once for both
+    of its entries. src must be writeable, as _edge_kernel's copy is.
 
-    The pairs a < b are the entries with src < dst, in row-major order, and
-    owner = concat(b, a) holds the agent of each term. Per call it gathers
-    x over owner into a buffer it owns, and the term of a is ((x_a - x_b) *
+    Entry m + k is the k-th pair a < b and entry k the same pair reversed,
+    so src = concat(b, a) holds the agent of each term. Per call it gathers
+    x over src into a buffer it owns, and the term of a is ((x_a - x_b) *
     w) * (x_a * x_b) and that of b ((x_b - x_a) * w) * (x_a * x_b): the
     arithmetic of the unpaired closure, as IEEE products commute. One
-    bincount over owner then sums each entry's terms over its neighbours
-    below it, ascending, and then those above it, ascending: its CSR order,
-    so the bits are those of _edge_field."""
-    # an index array gathers faster than a boolean mask that flips at random
-    upper = np.flatnonzero(src < dst)
-    m = upper.size
-    owner = np.concatenate((dst[upper], src[upper]))
-    w = w[upper]
+    bincount over src then sums each entry's terms in array order, as the
+    unpaired closure does, so the bits are those of _edge_field."""
+    m = src.size // 2
+    w = w[:m]
     unit = np.count_nonzero(w != 1.0) == 0
     xe = np.empty(2 * m)
     xb, xa = xe[:m], xe[m:]
@@ -149,14 +150,14 @@ def _paired_kernel(src, dst, w) -> Callable:
     def fn(x):
         # the default mode="raise" would gather into a temporary and copy
         # it to out; the indices are in range, so "clip" changes nothing
-        np.take(x, owner, out=xe, mode="clip")
+        np.take(x, src, out=xe, mode="clip")
         np.subtract(xb, xa, out=tb)
         np.subtract(xa, xb, out=ta)
         if not unit:
             np.multiply(pairs, w, out=pairs)
         np.multiply(xa, xb, out=xa)
         np.multiply(pairs, xa, out=pairs)
-        return np.bincount(owner, terms, x.size)
+        return np.bincount(src, terms, x.size)
 
     return fn
 
@@ -201,10 +202,11 @@ def _field(g: Graph, spec: Optional[InteractionSpec] = None,
 
     keep=None is the single lane of all of g, through the kernel
     _field_kernel picks; the dense one builds W once, here. Otherwise keep
-    (B, 2*num_edges) lays out a block of B lanes over a flat state: lane l
-    is g restricted to the directed edges its row of keep enables, acting
-    on entries [l*n, (l+1)*n), always through the edge kernel. A row
-    enables both entries of an edge or neither, as _paired_kernel needs.
+    (B, num_edges) lays out a block of B lanes over a flat state: lane l
+    is g restricted to the undirected edges its row of keep enables (in
+    g.edges() order), acting on entries [l*n, (l+1)*n), always through the
+    edge kernel. The block's arrays are pair-major across its lanes, so
+    each lane's entries of an agent come in the order of its own graph's.
     """
     if keep is None and _field_kernel(g, spec) == "dense":
         W = g.weights
@@ -212,9 +214,12 @@ def _field(g: Graph, spec: Optional[InteractionSpec] = None,
     else:
         src, dst, w = g.edge_src, g.edge_dst, g.edge_w
         if keep is not None:
+            # (half, lane, edge) in C order: each half of g's arrays, lane by lane
             offset = g.n * np.arange(len(keep))[:, None]
-            src, dst = (src + offset)[keep], (dst + offset)[keep]
-            w = np.broadcast_to(w, keep.shape)[keep]
+            both = np.broadcast_to(keep, (2, *keep.shape))
+            src = (src.reshape(2, 1, -1) + offset)[both]
+            dst = (dst.reshape(2, 1, -1) + offset)[both]
+            w = np.broadcast_to(w.reshape(2, 1, -1), both.shape)[both]
         if not src.size:  # np.bincount over no edges gives integer zeros
             fn = lambda x: np.zeros(x.size)
         elif spec is None or spec.is_default:

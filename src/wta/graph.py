@@ -1,9 +1,9 @@
 """Weighted undirected simple graphs.
 
-Node ids are dense integers in [0, n). A graph is stored once, as
-compressed sparse rows: directed edge arrays in adjacency-list order plus
-row offsets; the dense weight matrix is built on demand. Graphs are
-immutable after construction.
+Node ids are dense integers in [0, n). A graph is stored once, pair-major:
+directed edge arrays whose entries k and m + k are the two directions of
+the k-th undirected edge i < j in row-major order; the dense weight matrix
+is built on demand. Graphs are immutable after construction.
 """
 
 from __future__ import annotations
@@ -57,16 +57,17 @@ MAX_UNIFORM_PAIRS = 1 << 24
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable weighted undirected graph without self-loops, stored as CSR.
+    """Immutable weighted undirected graph without self-loops, stored
+    pair-major.
 
     Graphs compare and hash by hash_hex, which covers n and every edge
     with its weight."""
 
     n: int
-    # node i's edges are entries indptr[i]:indptr[i + 1] of the arrays below
-    indptr: np.ndarray = field(repr=False)
-    # directed edge arrays, ordered by source then target; each undirected
-    # edge appears twice (once per endpoint). edge_dst is the CSR index array.
+    # directed edge arrays of 2m entries: the m edges i < j in row-major
+    # order are entries m:, (src, dst) = (i, j), and entries :m are the same
+    # edges reversed, (j, i). Each node's entries, in array order, list its
+    # neighbours ascending: those below it (first half), then those above.
     edge_src: np.ndarray = field(repr=False)
     edge_dst: np.ndarray = field(repr=False)
     edge_w: np.ndarray = field(repr=False)
@@ -89,21 +90,16 @@ class Graph:
         return hash(self.hash_hex)
 
     def neighbors(self, i: int) -> list[tuple[int, float]]:
-        """Adjacency-list view of node i: list of (neighbor, weight)."""
-        _check_node(i, self.n)
-        row = slice(self.indptr[i], self.indptr[i + 1])
+        """Adjacency-list view of node i: list of (neighbor, weight), with
+        the neighbours ascending. An O(m) scan of the edge arrays."""
+        row = self.edge_src == _check_node(i, self.n)
         return list(zip(self.edge_dst[row].tolist(), self.edge_w[row].tolist()))
 
     def edges(self) -> list[tuple[int, int, float]]:
-        """Undirected edge list with i < j per entry."""
-        sel = self.edge_src < self.edge_dst
-        return list(
-            zip(
-                self.edge_src[sel].tolist(),
-                self.edge_dst[sel].tolist(),
-                self.edge_w[sel].tolist(),
-            )
-        )
+        """Undirected edge list with i < j per entry, in row-major order."""
+        m = self.num_edges
+        return list(zip(self.edge_src[m:].tolist(), self.edge_dst[m:].tolist(),
+                        self.edge_w[m:].tolist()))
 
     @property
     def num_edges(self) -> int:
@@ -130,15 +126,10 @@ _HASH_CHUNK = 1 << 14  # edges hashed in one update by _finish
 
 
 def _finish(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> Graph:
-    """Graph from undirected edges i < j (intp arrays), in (i, j) order."""
-    src = np.concatenate((j, i))
-    # a stable sort by source keeps each row's edges to lower ids (listed
-    # first, ascending as i is) ahead of its edges to higher ids (ascending j)
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], np.concatenate((i, j))[order]
-    edge_w = np.concatenate((w, w))[order]
-    indptr = np.searchsorted(src, np.arange(n + 1))
-    for a in (indptr, src, dst, edge_w):
+    """Graph from undirected edges i < j (intp arrays) in row-major order:
+    the pair-major arrays are the edges reversed, then the edges as given."""
+    src, dst, edge_w = np.concatenate((j, i)), np.concatenate((i, j)), np.concatenate((w, w))
+    for a in (src, dst, edge_w):
         a.setflags(write=False)
     # n, then "i,j,w;" per edge with w by repr: one update per chunk of
     # edges, whose strings are all that is held at once
@@ -149,7 +140,6 @@ def _finish(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> Graph:
             i[part].tolist(), j[part].tolist(), w[part].tolist())]).encode())
     return Graph(
         n=n,
-        indptr=indptr,
         edge_src=src,
         edge_dst=dst,
         edge_w=edge_w,
@@ -260,20 +250,33 @@ def induced_subgraph(
         raise ConfigError("induced subgraph over the empty node set")
     label = np.full(g.n, -1, dtype=np.intp)
     label[list(s)] = np.arange(len(s))
-    i, j = label[g.edge_src], label[g.edge_dst]
+    m = g.num_edges
+    i, j = label[g.edge_src[m:]], label[g.edge_dst[m:]]
     # labels rise with node ids, so the kept edges stay in row-major order
-    keep = (i >= 0) & (i < j)
-    return _finish(len(s), i[keep], j[keep], g.edge_w[keep]), s
+    keep = (i >= 0) & (j >= 0)
+    return _finish(len(s), i[keep], j[keep], g.edge_w[m:][keep]), s
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
     """Partition of [0, n) into maximal connected node sets (BFS over
-    positive-weight edges), ordered by smallest member."""
-    indptr = g.indptr.tolist()
-    targets = g.edge_dst.tolist()
+    positive-weight edges), ordered by smallest member: O(m log m) for the
+    sort that groups the edges by node."""
+    return _components(g, np.ones(g.n, dtype=bool))
+
+
+def _components(g: Graph, member: np.ndarray) -> list[tuple[int, ...]]:
+    """The connected components of the subgraph of g induced by the nodes
+    where the bool array member is True, each sorted, ordered by smallest
+    member: one BFS over those nodes and the edges between them."""
+    inside = member[g.edge_src] & member[g.edge_dst]
+    src = g.edge_src[inside]
+    # node u's neighbours are targets[rows[u]:rows[u + 1]]; the components
+    # do not depend on their order, so the sort need not be stable
+    rows = [0] + np.bincount(src, minlength=g.n).cumsum().tolist()
+    targets = g.edge_dst[inside][np.argsort(src)].tolist()
     seen = [False] * g.n
     comps: list[tuple[int, ...]] = []
-    for start in range(g.n):
+    for start in np.flatnonzero(member).tolist():
         if seen[start]:
             continue
         seen[start] = True
@@ -282,7 +285,7 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
         while queue:
             u = queue.pop()
             members.append(u)
-            for v in targets[indptr[u]:indptr[u + 1]]:
+            for v in targets[rows[u]:rows[u + 1]]:
                 if not seen[v]:
                     seen[v] = True
                     queue.append(v)

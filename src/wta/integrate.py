@@ -264,8 +264,8 @@ def _simulate(
     """The integrator loop, over a block of B independent lanes.
 
     Lane l starts from the clean state x0[l] (x0 has shape (B, n)) and runs
-    on g restricted to the directed edges row l of keep enables (all of g
-    for a single lane when keep is None). Each lane has its own positivity halving,
+    on g restricted to the edges row l of keep (B, num_edges) enables (all
+    of g for a single lane when keep is None). Each lane has its own positivity halving,
     mass audit, renormalization and equilibrium stop, with the arithmetic
     of a lone run, so a lane's bits do not depend on the rest of its block.
     A stopped lane leaves the block. record=True keeps lane 0's stamps.

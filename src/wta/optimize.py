@@ -99,13 +99,14 @@ class OptimizeProblem:
         if not isinstance(self.options, IntegratorOptions):
             raise ConfigError(f"options must be IntegratorOptions, got {self.options!r}")
         # the arena: the graph with every candidate edge, the candidate bit of
-        # each of its directed edges (-1 for base edges) and the run options,
+        # each of its edges i < j (-1 for base edges) and the run options,
         # which record only the first and last stamps: a search reads nothing
         # but alpha's final value, and a skipped record keeps every bit
         a = self.alpha
         arena = new_graph(n, self.base_graph.edges() + [
             (min(a, j), max(a, j), self.candidate_weight) for j in self.candidates])
-        src, dst = arena.edge_src, arena.edge_dst
+        m = arena.num_edges
+        src, dst = arena.edge_src[m:], arena.edge_dst[m:]
         other = src + dst - a
         object.__setattr__(self, "_arena", arena)
         object.__setattr__(self, "_edge_bit", np.where(
@@ -132,8 +133,9 @@ class OptimizeProblem:
         return float(self.initial_state(x_alpha0).sum())
 
     def _keep(self, masks: list[int]) -> np.ndarray:
-        """(len(masks), arena edges) bool: every base edge and the alpha edge to each
-        candidate whose bit is set. Bits come from bytes, so a mask may be any width."""
+        """(len(masks), arena edges) bool over the edges in arena.edges() order:
+        every base edge and the alpha edge to each candidate whose bit is set.
+        Bits come from bytes, so a mask may be any width."""
         # a trailing 0x80 byte sets the last column, which base edges (bit -1) read
         width = (self.num_candidates + 7) // 8 + 1
         raw = b"".join(k.to_bytes(width - 1, "little") + b"\x80" for k in masks)
@@ -144,9 +146,9 @@ class OptimizeProblem:
     def graph_for_mask(self, mask: int) -> Graph:
         """The arena restricted to the edges the mask enables (no new check needed)."""
         mask = read_integer(mask, "mask", 0, (1 << self.num_candidates) - 1)
-        g = self._arena
-        keep = self._keep([mask])[0] & (g.edge_src < g.edge_dst)
-        return _finish(g.n, g.edge_src[keep], g.edge_dst[keep], g.edge_w[keep])
+        g, m = self._arena, self._arena.num_edges
+        keep = self._keep([mask])[0]
+        return _finish(g.n, g.edge_src[m:][keep], g.edge_dst[m:][keep], g.edge_w[m:][keep])
 
 
 def evaluate_choice(p: OptimizeProblem, mask: int, x_alpha0: Optional[float] = None) -> float:

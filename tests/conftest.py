@@ -10,9 +10,9 @@ def paired_builds(monkeypatch) -> list:
     built = []
     paired = wta.dynamics._paired_kernel
 
-    def probe(src, dst, w):
+    def probe(src, w):
         built.append(src.size)
-        return paired(src, dst, w)
+        return paired(src, w)
 
     monkeypatch.setattr(wta.dynamics, "_paired_kernel", probe)
     return built

@@ -119,6 +119,48 @@ class TestClassify:
             expected = "E_s" if is_independent_set(g, winners) else "E_u"
             assert rep.klass == expected
 
+    @pytest.mark.parametrize("case", ["none", "all", "isolated", "random"])
+    def test_components_match_induced_subgraph(self, case):
+        # the winner components against those of the induced subgraph,
+        # relabeled: the construction classify_equilibrium used to run
+        from wta import connected_components, induced_subgraph
+
+        def old_components(g, x, winners):
+            if not winners:
+                return (), False
+            sub, mapping = induced_subgraph(g, winners)
+            comps = [tuple(mapping[i] for i in c) for c in connected_components(sub)]
+            return tuple((c, float(x[list(c)].mean())) for c in comps), sub.num_edges > 0
+
+        rng = np.random.default_rng(["none", "all", "isolated", "random"].index(case))
+        for trial in range(15):
+            g = random_graph(12, 0.3, ("uniform", 0.5, 2.0), seed=trial)
+            if case == "none":
+                winners = []
+            elif case == "all":
+                winners = list(range(g.n))
+            elif case == "isolated":
+                # the nodes of no edge, and one end of an edge
+                winners = sorted({i for i in range(g.n) if not g.neighbors(i)}
+                                 | {g.edges()[0][0]})
+            else:
+                winners = np.flatnonzero(rng.random(g.n) < 0.5).tolist()
+            # an equilibrium: each winner component at one value
+            x = np.zeros(g.n)
+            for nodes, _c in old_components(g, x, winners)[0]:
+                x[list(nodes)] = rng.uniform(0.5, 2.0)
+            want, winner_edge = old_components(g, x, winners)
+            rep = classify_equilibrium(g, x)
+            assert rep.winners == tuple(winners)
+            assert rep.losers == tuple(sorted(set(range(g.n)) - set(winners)))
+            assert rep.winner_components == want
+            assert rep.klass == ("E_u" if winner_edge else "E_s")
+            # off equilibrium the components and their means are the same
+            noisy = x * rng.uniform(0.9, 1.1, g.n)
+            rep = classify_equilibrium(g, noisy)
+            assert rep.winner_components == old_components(g, noisy, winners)[0]
+            assert rep.klass == ("not_equilibrium" if winner_edge else "E_s")
+
     def test_json_round_trip(self):
         import json
 

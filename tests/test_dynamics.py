@@ -66,7 +66,7 @@ class TestVectorField:
         assert dx.dtype == np.float64 and dx.tolist() == [0.0, 0.0, 0.0]
 
     def test_lanes_without_edges_give_float_zeros(self):
-        dx = _field(pair(), keep=np.zeros((2, 2), dtype=bool))(np.ones(4))
+        dx = _field(pair(), keep=np.zeros((2, 1), dtype=bool))(np.ones(4))
         assert dx.dtype == np.float64 and dx.tolist() == [0.0] * 4
 
     def test_dimension_mismatch(self):
@@ -282,13 +282,15 @@ class TestPairedKernel:
     def test_lane_block_same_bits_as_edge_field(self, paired_builds):
         g = sparse_large(weighted=True)
         rng = np.random.default_rng(3)
-        # each lane keeps a random set of edges, both entries of each: the
-        # sum of two node draws is the same either way round
+        # each lane keeps a random set of edges; the reference lays the
+        # lanes out one after another, each lane's entries in g's order
         r = rng.random((3, g.n))
-        keep = r[:, g.edge_src] + r[:, g.edge_dst] < 1.6
+        m = g.num_edges
+        keep = r[:, g.edge_src[m:]] + r[:, g.edge_dst[m:]] < 1.6
+        both = np.hstack((keep, keep))
         offset = g.n * np.arange(3)[:, None]
-        src, dst = (g.edge_src + offset)[keep], (g.edge_dst + offset)[keep]
-        w = np.broadcast_to(g.edge_w, keep.shape)[keep]
+        src, dst = (g.edge_src + offset)[both], (g.edge_dst + offset)[both]
+        w = np.broadcast_to(g.edge_w, both.shape)[both]
         f = _field(g, keep=keep)
         assert paired_builds == [src.size]
         for x in hard_states(3 * g.n, 5, seed=4):

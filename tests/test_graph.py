@@ -170,6 +170,47 @@ class TestComponents:
                 assert label[i] == label[j]
 
 
+def layout_graphs():
+    """Graphs from every builder: random unit and uniform, edgeless, one
+    agent, induced subgraphs and the optimizer's per-mask graphs."""
+    from wta import OptimizeProblem
+
+    uniform = random_graph(25, 0.4, ("uniform", 0.2, 1.5), seed=3)
+    base = new_graph(6, [(i, j, w) for i, j, w in random_graph(6, 0.6, seed=4).edges()
+                         if 2 not in (i, j)])
+    problem = OptimizeProblem(base_graph=base, alpha=2, x_alpha0=1.0,
+                              x0_others=(1.0,) * 5, horizon=1.0, candidate_weight=0.5)
+    return {
+        "unit": random_graph(30, 0.2, "unit", seed=2),
+        "uniform": uniform,
+        "edgeless": new_graph(5, []),
+        "one-agent": new_graph(1, []),
+        "induced": induced_subgraph(uniform, range(3, 25, 2))[0],
+        "induced-all": induced_subgraph(uniform, range(25))[0],
+        **{f"mask-{k}": problem.graph_for_mask(k) for k in (0, 0b10110, 0b11111)},
+    }
+
+
+class TestPairMajorLayout:
+    @pytest.mark.parametrize("g", [pytest.param(g, id=name)
+                                   for name, g in layout_graphs().items()])
+    def test_layout(self, g):
+        src, dst, w, m = g.edge_src, g.edge_dst, g.edge_w, g.num_edges
+        assert src.size == dst.size == w.size == 2 * m
+        # entries k and m + k are the two directions of one edge
+        assert np.array_equal(src[:m], dst[m:]) and np.array_equal(dst[:m], src[m:])
+        assert np.array_equal(w[:m], w[m:])
+        # the upper half is the edge list i < j in row-major order
+        i, j = np.nonzero(np.triu(g.weights))
+        assert np.array_equal(src[m:], i) and np.array_equal(dst[m:], j)
+        assert np.array_equal(w[m:], g.weights[i, j])
+        assert (src[m:] < dst[m:]).all()
+        assert g.edges() == list(zip(i.tolist(), j.tolist(), w[m:].tolist()))
+        # each node's entries, in array order, list its neighbours ascending
+        for a in range(g.n):
+            assert dst[src == a].tolist() == np.flatnonzero(g.weights[a]).tolist()
+
+
 class TestIndependentSet:
     def test_path_ends(self):
         assert is_independent_set(path3(), [0, 2])
@@ -302,7 +343,7 @@ class TestRandomGraph:
                 expect = new_graph(len(s), [(u, v, inner[u, v])
                                             for u, v in zip(*np.nonzero(np.triu(inner)))])
                 assert sub.hash_hex == expect.hash_hex
-                for name in ("indptr", "edge_src", "edge_dst", "edge_w"):
+                for name in ("edge_src", "edge_dst", "edge_w"):
                     assert np.array_equal(getattr(sub, name), getattr(expect, name))
                 assert is_independent_set(g, s) == (not inner.any())
 
