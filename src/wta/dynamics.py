@@ -92,10 +92,7 @@ def _edge_kernel(src, dst, w) -> Callable:
     calls it four times a RK4 step, and on small graphs the number of numpy
     calls, not the arithmetic, sets the cost of a call. Pair-major arrays
     of at least PAIRED_MIN_ENTRIES entries get _paired_kernel's closure
-    instead."""
-    # np.take(out=) and np.bincount copy a read-only index, such as a
-    # graph's, on every call
-    src = src.copy()
+    instead. src must be writeable, as _field's arrays are."""
     if src.size >= PAIRED_MIN_ENTRIES:
         return _paired_kernel(src, w)
     unit = np.count_nonzero(w != 1.0) == 0
@@ -129,7 +126,7 @@ PAIRED_MIN_ENTRIES = 4096
 def _paired_kernel(src, w) -> Callable:
     """_edge_kernel's closure over pair-major edge arrays (a graph's, or a
     block of lanes'), computing each undirected edge's term once for both
-    of its entries. src must be writeable, as _edge_kernel's copy is.
+    of its entries. src must be writeable, as _field's arrays are.
 
     Entry m + k is the k-th pair a < b and entry k the same pair reversed,
     so src = concat(b, a) holds the agent of each term. Per call it gathers
@@ -213,7 +210,11 @@ def _field(g: Graph, spec: Optional[InteractionSpec] = None,
         fn = lambda x: _dense_field(W, x)
     else:
         src, dst, w = g.edge_src, g.edge_dst, g.edge_w
-        if keep is not None:
+        if keep is None:
+            # np.take(out=) and np.bincount copy a read-only index, such as
+            # a graph's, on every call; a block's arrays are fresh already
+            src = src.copy()
+        else:
             # (half, lane, edge) in C order: each half of g's arrays, lane by lane
             offset = g.n * np.arange(len(keep))[:, None]
             both = np.broadcast_to(keep, (2, *keep.shape))

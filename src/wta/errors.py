@@ -117,7 +117,7 @@ def read_number(value, key: str, lo=None, hi=None, gt=None) -> float:
 
 def read_numbers(value, key: str, lo=None) -> list[float]:
     """A list, tuple or 1-d array of numbers, each >= lo; entry i is "key[i]"."""
-    if not isinstance(value, (list, tuple, np.ndarray)):
+    if not (isinstance(value, (list, tuple, np.ndarray)) and getattr(value, "ndim", 1) == 1):
         raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
     return [read_number(v, f"{key}[{i}]", lo) for i, v in enumerate(value)]
 

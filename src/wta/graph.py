@@ -48,11 +48,9 @@ MAX_AGENTS = 1 << 20
 # 5.5e11 pairs.
 MAX_EXPECTED_EDGES = 1 << 23
 # Most pairs random_graph may visit, whatever p is, so that no accepted
-# graph draws for minutes: the unit mode draws one double a pair at about
-# 3.1 ns (2^32 pairs, about 13 s), the uniform mode loops over the pairs in
-# Python at about 0.9 us a pair (2^24 pairs, about 15 s).
-MAX_UNIT_PAIRS = 1 << 32
-MAX_UNIFORM_PAIRS = 1 << 24
+# graph draws for long: either weight mode reads one double a pair, plus
+# one a hit in uniform mode, at about 5 ns a pair (2^32 pairs, 20-25 s).
+MAX_PAIRS = 1 << 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +169,12 @@ def new_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> Graph:
     return _finish(n, i, j, np.array([seen[k] for k in keys]))
 
 
-_DRAW_CHUNK = 1 << 20  # most doubles one draw of random_graph holds in memory
+# Most doubles one draw of random_graph holds in memory. At n=1000 with
+# mean degree 5 a graph's draw peaks at 0.59 MiB (tracemalloc) against
+# 4.31 MiB at 2^20; at n=23171, p=1e-4 a pair took 4.3-5.2 ns in unit mode
+# and 5.0-5.9 ns in uniform mode, against 4.0-5.0 and 4.1-5.4 ns at 2^20
+# (medians of 5, five alternating runs, 2 vCPUs, numpy 2.4.6).
+_DRAW_CHUNK = 1 << 16
 
 
 def random_graph(
@@ -185,12 +188,13 @@ def random_graph(
     ``weight_mode`` is either "unit" or ("uniform", lo, hi) with lo > 0.
     The expected edge count n(n - 1)/2 * p may be at most
     MAX_EXPECTED_EDGES (2^23), and the pair count n(n - 1)/2 at most
-    MAX_UNIT_PAIRS (2^32) or MAX_UNIFORM_PAIRS (2^24), each checked before
-    any draw (ConfigError).
+    MAX_PAIRS (2^32) in either mode, each checked before any draw
+    (ConfigError).
     Uses numpy's PCG64 generator; the same (n, p, weight_mode, seed) always
     produces the same graph. Pairs (i, j), i < j, are visited in row-major
     order, each included when its draw is below p; in uniform mode an
-    included pair's weight comes from the draw right after its own.
+    included pair's weight is lo + (hi - lo) * d, Generator.uniform's
+    arithmetic, for the double d right after its own draw.
     """
     n = read_integer(n, "agent count", 1, MAX_AGENTS)
     p = read_number(edge_probability, "edge probability")
@@ -209,32 +213,42 @@ def random_graph(
             raise ConfigError(f"bad weight_mode {weight_mode!r}")
         lo = read_number(weight_mode[1], "uniform weight low", gt=0.0)
         hi = read_number(weight_mode[2], "uniform weight high", lo=lo)
-    max_pairs = MAX_UNIFORM_PAIRS if uniform else MAX_UNIT_PAIRS
-    if pairs > max_pairs:
-        raise ConfigError(
-            f"random graph with n={n} has {pairs} pairs to draw, more than "
-            f"{max_pairs} in {'uniform' if uniform else 'unit'} weight mode"
-        )
+    if pairs > MAX_PAIRS:
+        raise ConfigError(f"random graph with n={n} has {pairs} pairs, more than {MAX_PAIRS}")
     rng = np.random.default_rng(read_integer(seed, "seed", 0, SEED_MAX))
-    if uniform:
-        # the weight draws interleave with the inclusion draws: one pair at a time
-        edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < p:
-                    edges.append((i, j, rng.uniform(lo, hi)))
-        return new_graph(n, edges)
-    # Generator.random(k) yields the same doubles as k scalar calls, so
-    # drawing the pairs in chunks keeps the scalar stream
+    k, d = _draw_pairs(rng, pairs, p, uniform)
     row_start = np.cumsum(np.arange(n, 0, -1)) - n  # flat index of pair (i, i + 1)
-    hits = [
-        start + np.flatnonzero(rng.random(min(_DRAW_CHUNK, pairs - start)) < p)
-        for start in range(0, pairs, _DRAW_CHUNK)
-    ]
-    k = np.concatenate(hits) if hits else np.zeros(0, dtype=np.intp)
     i = np.searchsorted(row_start, k, side="right") - 1
     j = k - row_start[i] + i + 1
-    return _finish(n, i, j, np.ones(k.size))
+    return _finish(n, i, j, lo + (hi - lo) * d if uniform else np.ones(k.size))
+
+
+def _draw_pairs(rng, pairs: int, p: float, uniform: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of the pairs drawn below p and, in uniform mode, the
+    doubles drawn for their weights: chunks of _DRAW_CHUNK into one buffer."""
+    hits, draws = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    start, carry = 0, False  # carry: the next draw starts with the last hit's weight
+    buf = np.empty(min(_DRAW_CHUNK, pairs) or 1)
+    while start < pairs or carry:
+        d = rng.random(out=buf[:min(_DRAW_CHUNK, pairs - start) or 1])
+        at = np.flatnonzero(d < p)
+        if not uniform:
+            hits.append(start + at)
+            start += d.size
+            continue
+        # the double after one >= p is a pair draw; in a run of doubles
+        # below p, pair draws and their weights alternate from a pair draw.
+        # A carried hit is the pair draw at -1, whose weight is d[0].
+        at = np.concatenate(([-1], at)) if carry else at
+        run = np.maximum.accumulate(np.where(np.diff(at, prepend=-3) != 1, at, -3))
+        at = at[(at - run) % 2 == 0]  # the pair draws that hit
+        carry = at.size > 0 and int(at[-1]) == d.size - 1
+        draws.append(d[at[:at.size - carry] + 1])
+        # a hit's pair is start + its position, less one weight for each
+        # hit before it, the carried one included
+        hits.append((start + at - np.arange(at.size))[at >= 0])
+        start += d.size - at.size + carry
+    return np.concatenate(hits), np.concatenate(draws)
 
 
 def induced_subgraph(

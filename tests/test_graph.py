@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,10 +268,10 @@ class TestRandomGraph:
         with pytest.raises(ConfigError, match="expects"):
             random_graph(6, 1.0, weights, seed=0)
 
-    @pytest.mark.parametrize("args", [(2**20, 1e-5), (6000, 0.01, ("uniform", 0.5, 1.5))])
+    @pytest.mark.parametrize("args", [(2**20, 1e-5), (92683, 1e-4, ("uniform", 0.5, 1.5))])
     def test_pair_count_is_refused_before_any_draw(self, args, monkeypatch):
-        # within the expected-edge cap, but 5.5e11 and 1.8e7 pairs to visit:
-        # half an hour and minutes of drawing
+        # within the expected-edge cap, but 5.5e11 and 4.3e9 pairs to visit:
+        # half an hour and about 25 s of drawing
         def no_draw(seed):
             raise AssertionError("random_graph seeded a generator")
 
@@ -280,10 +281,10 @@ class TestRandomGraph:
             random_graph(*args)
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("weights, cap", [
-        ("unit", "MAX_UNIT_PAIRS"), (("uniform", 0.5, 1.5), "MAX_UNIFORM_PAIRS")])
-    def test_pair_cap_is_inclusive(self, weights, cap, monkeypatch):
-        monkeypatch.setattr(wta.graph, cap, 10)
+    @pytest.mark.parametrize("weights", ["unit", ("uniform", 0.5, 1.5)])
+    def test_pair_cap_is_inclusive(self, weights, monkeypatch):
+        # one cap for both modes
+        monkeypatch.setattr(wta.graph, "MAX_PAIRS", 10)
         assert random_graph(5, 1.0, weights, seed=0).num_edges == 10
         with pytest.raises(ConfigError, match="pairs"):
             random_graph(6, 0.1, weights, seed=0)
@@ -317,11 +318,57 @@ class TestRandomGraph:
 
     @pytest.mark.parametrize("chunk", [1, 999, 4096])
     def test_chunk_size_keeps_stream(self, monkeypatch, chunk):
-        whole = random_graph(300, 0.02, "unit", seed=4)
+        for mode in ["unit", ("uniform", 0.2, 1.5)]:
+            whole = random_graph(300, 0.02, mode, seed=4)
+            monkeypatch.setattr(wta.graph, "_DRAW_CHUNK", chunk)
+            chunked = random_graph(300, 0.02, mode, seed=4)
+            monkeypatch.undo()
+            assert chunked.hash_hex == whole.hash_hex
+            assert np.array_equal(chunked.edge_dst, whole.edge_dst)
+
+    @staticmethod
+    def one_pair_at_a_time(n, p, lo, hi, seed):
+        """The uniform mode as a loop over the pairs: one draw a pair, and
+        one more for the weight of a pair it includes."""
+        rng = np.random.default_rng(seed)
+        edges = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    edges.append((i, j, rng.uniform(lo, hi)))
+        return new_graph(n, edges)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 2**16])
+    def test_uniform_matches_one_pair_at_a_time(self, monkeypatch, chunk):
         monkeypatch.setattr(wta.graph, "_DRAW_CHUNK", chunk)
-        chunked = random_graph(300, 0.02, "unit", seed=4)
-        assert chunked.hash_hex == whole.hash_hex
-        assert np.array_equal(chunked.edge_dst, whole.edge_dst)
+        rng = np.random.default_rng(chunk)
+        # (3, 0.5, seed 0) draws 0.637, 0.270, 0.041, 0.017, 0.813: pair 1
+        # hits with weight 0.041 and the final pair 2 with weight 0.813, so
+        # chunks of 1-3 end on a hit's pair draw, and the last weight is one
+        # draw past the pairs
+        cases = [(3, 0.5, 0)] + [(n, p, 1) for n in (1, 2, 9) for p in (0.0, 1.0)]
+        cases += [(int(rng.integers(2, 40)), float(rng.random()), t) for t in range(30)]
+        for n, p, seed in cases:
+            lo = float(rng.uniform(0.1, 2.0))
+            hi = lo + float(rng.uniform(0.0, 3.0))
+            g = random_graph(n, p, ("uniform", lo, hi), seed)
+            want = self.one_pair_at_a_time(n, p, lo, hi, seed)
+            assert g.hash_hex == want.hash_hex, (n, p, lo, hi, seed)
+            assert np.array_equal(g.edge_src, want.edge_src)
+        assert [(i, j) for i, j, _w in random_graph(3, 0.5, ("uniform", 1, 2)).edges()] == [
+            (0, 2), (1, 2)]
+
+    def test_draw_peak_memory(self):
+        # the doubles of one draw, not of the whole graph, are held at once;
+        # the first call imports numpy.random, which is not the draw's memory
+        random_graph(1000, 5 / 999)
+        tracemalloc.start()
+        try:
+            random_graph(1000, 5 / 999)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     def test_queries_against_dense_oracle(self):
         rng = np.random.default_rng(5)

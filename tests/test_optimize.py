@@ -282,6 +282,22 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep_initial_value(two_agent_problem(), [0.5, float("nan")])
 
+    @pytest.mark.parametrize("grid", [[0.5] * 2**17, (0.5,) * 2**17, np.full(2**17, 0.5)])
+    def test_guard_counts_the_grid_before_reading_it(self, grid, monkeypatch):
+        # 2^17 grid points x 2^8 masks: refused with no value read
+        def no_read(*args, **kwargs):
+            raise AssertionError("the grid was read before the guard counted it")
+
+        p = nine_agent_problem()
+        monkeypatch.setattr(wta.optimize, "read_numbers", no_read)
+        with pytest.raises(TooManyCandidatesError):
+            sweep_initial_value(p, grid)
+
+    @pytest.mark.parametrize("grid", [0.5, np.array(0.5), np.full((2, 2), 0.5), "0.5"])
+    def test_grid_that_is_not_a_list_is_rejected(self, grid):
+        with pytest.raises(ConfigError):
+            sweep_initial_value(two_agent_problem(), grid)
+
     def test_cap_and_csv(self, tmp_path):
         p = two_agent_problem(2.0, 1.0, horizon=2.0)
         sweep = sweep_initial_value(p, [0.0, 0.5, 1.5])
