@@ -29,6 +29,7 @@ from .optimize import (
     GRID_MAX,
     MAX_RESTARTS,
     OptimizeProblem,
+    _guard,
     exhaustive_search,
     greedy_search,
     sweep_initial_value,
@@ -230,17 +231,17 @@ def _problem_from_config(cfg: dict, default_seed: int) -> OptimizeProblem:
     )
 
 
-def _grid_from_config(cfg) -> np.ndarray:
+def _grid_from_config(cfg, problem: OptimizeProblem) -> np.ndarray:
     if isinstance(cfg, list):
         if not cfg:
             raise ConfigError("sweep_grid must hold at least one value, got []")
         return np.array(read_numbers(cfg, "sweep_grid", lo=0.0))
     cfg = read_object(cfg, "sweep_grid")
-    return np.linspace(
-        read_number(cfg.get("start", 0.0), "sweep_grid.start", lo=0.0),
-        read_number(cfg.get("stop", 1.5), "sweep_grid.stop", lo=0.0),
-        read_integer(cfg.get("count", 31), "sweep_grid.count", 1, GRID_MAX),
-    )
+    start = read_number(cfg.get("start", 0.0), "sweep_grid.start", lo=0.0)
+    stop = read_number(cfg.get("stop", 1.5), "sweep_grid.stop", lo=0.0)
+    count = read_integer(cfg.get("count", 31), "sweep_grid.count", 1, GRID_MAX)
+    _guard(count, problem.num_candidates)  # before np.linspace builds the grid
+    return np.linspace(start, stop, count)
 
 
 def cmd_optimize(args) -> int:
@@ -248,7 +249,8 @@ def cmd_optimize(args) -> int:
     problem = _problem_from_config(cfg, args.seed)
     out = Path(args.out)
     if args.sweep:
-        sweep = sweep_initial_value(problem, _grid_from_config(cfg.get("sweep_grid", {})))
+        grid = _grid_from_config(cfg.get("sweep_grid", {}), problem)
+        sweep = sweep_initial_value(problem, grid)
         out.mkdir(parents=True, exist_ok=True)
         sweep.write_csv(out / "sweep.csv")
         if args.svg:

@@ -62,37 +62,29 @@ def prepare_state(x, n: int) -> np.ndarray:
     return arr
 
 
-def _edge_field(src, dst, w, x: np.ndarray, f=None, gfun=None) -> np.ndarray:
-    """Accumulate per-edge terms w * f(x_i - x_j) * g(x_i, x_j) into dx_i
-    over directed edge arrays (src, dst, w) indexing into x.
+def _edge_kernel(src, dst, w, spec: Optional[InteractionSpec] = None) -> Callable:
+    """The field over directed edge arrays (src, dst, w) under spec (None:
+    the default interaction) as a closure: the one builder of every edge
+    closure. Each undirected edge gives a term to each endpoint, and one
+    bincount sums each entry's terms in array order, so a graph's arrays
+    and the pair-major arrays of a block of lanes (_field) give the same
+    bits. Every closure has the bits of the plain form, _edge_field in
+    tests/conftest.py, which a generalized spec runs as it is, with no
+    in-place operation on what f or g return. The default interaction
+    multiplies its gathered arrays in place and skips the w * multiply
+    when every weight is 1, an exact identity: on small graphs the count
+    of numpy calls sets the cost. From PAIRED_MIN_ENTRIES entries it takes
+    _paired_kernel's closure; a custom f need not be odd bit for bit, so
+    generalized specs are never paired. src must be writeable."""
+    if spec is not None and not spec.is_default:
+        f, g = spec.f, spec.g
 
-    Each undirected edge contributes twice, once per endpoint, keeping the
-    per-agent sum literal. The default f/g path and the generalized path
-    run the identical arithmetic, so identity/product specs are bit-equal
-    to the plain field. Terms are summed per entry in edge order, so any
-    edge arrays that list an entry's edges in the same order give the same
-    bits: a graph's own arrays and the pair-major arrays of a block of
-    lanes (_field) share this kernel. Generalized specs run through it;
-    the default interaction runs through _edge_kernel, whose bits the tests
-    check against this plain form.
-    """
-    xs = x[src]
-    xd = x[dst]
-    fd = (xs - xd) if f is None else f(xs - xd)
-    gv = (xs * xd) if gfun is None else gfun(xs, xd)
-    terms = (w * fd) * gv
-    return np.bincount(src, weights=terms, minlength=x.size)
+        def generalized(x):
+            xs = x[src]
+            xd = x[dst]
+            return np.bincount(src, (w * f(xs - xd)) * g(xs, xd), x.size)
 
-
-def _edge_kernel(src, dst, w) -> Callable:
-    """The default field over directed edge arrays as a closure: the
-    arithmetic of _edge_field bit for bit, in fewer numpy calls. It
-    multiplies the arrays it gathers in place and skips the w * multiply
-    when every weight is 1, where it is an exact identity. The integrator
-    calls it four times a RK4 step, and on small graphs the number of numpy
-    calls, not the arithmetic, sets the cost of a call. Pair-major arrays
-    of at least PAIRED_MIN_ENTRIES entries get _paired_kernel's closure
-    instead. src must be writeable, as _field's arrays are."""
+        return generalized
     if src.size >= PAIRED_MIN_ENTRIES:
         return _paired_kernel(src, w)
     unit = np.count_nonzero(w != 1.0) == 0
@@ -134,7 +126,8 @@ def _paired_kernel(src, w) -> Callable:
     w) * (x_a * x_b) and that of b ((x_b - x_a) * w) * (x_a * x_b): the
     arithmetic of the unpaired closure, as IEEE products commute. One
     bincount over src then sums each entry's terms in array order, as the
-    unpaired closure does, so the bits are those of _edge_field."""
+    unpaired closure does, so the bits are those of the plain form,
+    _edge_field in tests/conftest.py."""
     m = src.size // 2
     w = w[:m]
     unit = np.count_nonzero(w != 1.0) == 0
@@ -223,10 +216,8 @@ def _field(g: Graph, spec: Optional[InteractionSpec] = None,
             w = np.broadcast_to(w.reshape(2, 1, -1), both.shape)[both]
         if not src.size:  # np.bincount over no edges gives integer zeros
             fn = lambda x: np.zeros(x.size)
-        elif spec is None or spec.is_default:
-            fn = _edge_kernel(src, dst, w)
         else:
-            fn = lambda x: _edge_field(src, dst, w, x, spec.f, spec.g)
+            fn = _edge_kernel(src, dst, w, spec)
     if reverse:
         return lambda x: -fn(x)
     return fn

@@ -115,9 +115,17 @@ def _check_node(i, n: int) -> int:
     return i
 
 
+def _read_iterable(value, key: str):
+    """An iterator over value, else ConfigError naming key."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ConfigError(f"{key} must be iterable, got {value!r}") from None
+
+
 def _validate_nodes(nodes: Iterable[int], n: int) -> tuple[int, ...]:
     """Sorted, duplicate-free node set with type and range checking."""
-    return tuple(sorted({_check_node(i, n) for i in nodes}))
+    return tuple(sorted({_check_node(i, n) for i in _read_iterable(nodes, "node set")}))
 
 
 _HASH_CHUNK = 1 << 14  # edges hashed in one update by _finish
@@ -149,10 +157,15 @@ def new_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> Graph:
     """Build a graph from an undirected edge list (i, j, w): the one place
     that checks graph input. The agent count and the node ids must be
     integers, and each weight a finite positive number, as the readers in
-    wta.errors define them."""
+    wta.errors define them. edges is any iterable whose entries each
+    unpack into (i, j, w)."""
     n = read_integer(n, "agent count", 1, MAX_AGENTS)
     seen: dict[tuple[int, int], float] = {}
-    for i, j, w in edges:
+    for entry in _read_iterable(edges, "edges"):
+        try:
+            i, j, w = entry
+        except (TypeError, ValueError):
+            raise ConfigError(f"bad edge entry {entry!r}: not (i, j, w)") from None
         i, j = _check_node(i, n), _check_node(j, n)
         if i == j:
             raise SelfLoopError(f"self-loop at node {i}")
@@ -206,10 +219,10 @@ def random_graph(
             f"random graph with n={n}, p={p} expects {pairs * p:.4g} edges, "
             f"more than {MAX_EXPECTED_EDGES}"
         )
-    uniform = weight_mode != "unit"
+    uniform = not (isinstance(weight_mode, str) and weight_mode == "unit")
     if uniform:
         if not (isinstance(weight_mode, (list, tuple)) and len(weight_mode) == 3
-                and weight_mode[0] == "uniform"):
+                and isinstance(weight_mode[0], str) and weight_mode[0] == "uniform"):
             raise ConfigError(f"bad weight_mode {weight_mode!r}")
         lo = read_number(weight_mode[1], "uniform weight low", gt=0.0)
         hi = read_number(weight_mode[2], "uniform weight high", lo=lo)
@@ -328,14 +341,11 @@ def graph_from_json_dict(d: dict) -> Graph:
     edges = d["edges"]
     if not isinstance(edges, (list, tuple)):
         raise ConfigError(f'graph JSON field "edges" must be a list, got {edges!r}')
-    for entry in edges:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
-            raise ConfigError(f"bad edge entry {entry!r}")
     g = new_graph(d["n"], edges)
-    # the endpoints are integers now, so they compare
+    # each entry unpacked into (i, j, w) with integer endpoints, so they compare
     for entry in edges:
-        if entry[0] > entry[1]:
-            raise ConfigError(f"edge entry {entry!r} must have i < j")
+        if not isinstance(entry, (list, tuple)) or entry[0] > entry[1]:
+            raise ConfigError(f"edge entry {entry!r} must be a list [i, j, w] with i < j")
     return g
 
 

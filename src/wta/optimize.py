@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (SEED_MAX, ConfigError, TooManyCandidatesError, read_integer,
                      read_number, read_numbers)
-from .graph import Graph, _finish, new_graph
+from .graph import MAX_AGENTS, Graph, _finish, new_graph
 from .integrate import MAX_STEPS, IntegratorOptions, _simulate, _write_csv, simulate
 from . import svg
 
@@ -55,7 +55,10 @@ LANE_BLOCK = 256
 
 def mask_to_bits(mask: int, width: int) -> str:
     """Bitstring with character k for candidate k (ascending node id);
-    '1' means the edge to that candidate is enabled."""
+    '1' means the edge to that candidate is enabled. mask is an integer
+    >= 0 and width one in [0, MAX_AGENTS]."""
+    mask = read_integer(mask, "mask", lo=0)
+    width = read_integer(width, "width", 0, MAX_AGENTS)
     return "".join("1" if mask >> k & 1 else "0" for k in range(width))
 
 

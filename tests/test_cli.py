@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,9 @@ from wta import (
     greedy_search,
     integrate,
     interaction_from_names,
+    is_independent_set,
     linearize_at,
+    mask_to_bits,
     new_graph,
     optimize,
     perturb_and_escape,
@@ -325,6 +328,22 @@ class TestOptimize:
                      "--quiet"]) == 3
         assert not out.exists()
 
+    def test_refused_count_grid_is_never_built(self, tmp_path):
+        # the README arena has 2^8 masks; 2^24 grid points of it would be
+        # refused only after np.linspace had built 128 MiB of them
+        cfg = write(tmp_path / "opt.json",
+                    dict(README_CONFIGS["optimize"], sweep_grid={"count": 2**24}))
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = main(["optimize", "--config", cfg, "--sweep", "--out", str(out), "--quiet"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 8 << 20
+        assert not out.exists()
+
     def test_sweep_csv(self, tmp_path):
         cfg = optimize_config(
             tmp_path, horizon=2.0,
@@ -524,6 +543,20 @@ PAIR = new_graph(2, [(0, 1, 1.0)])  # [1, 1] on it is an E_u state
     pytest.param(lambda out: interaction_from_names("x"), ConfigError, id="interaction-f-name"),
     pytest.param(lambda out: interaction_from_names(g="x"), ConfigError,
                  id="interaction-g-name"),
+    pytest.param(lambda out: random_graph(5, 0.5, np.array(["uniform", 0.5, 1.5], dtype=object)),
+                 ConfigError, id="weight-mode-object-array"),
+    pytest.param(lambda out: random_graph(5, 0.5, np.array(["unit"])), ConfigError,
+                 id="weight-mode-unit-array"),
+    pytest.param(lambda out: new_graph(3, [(0, 1)]), ConfigError, id="edge-entry-two-values"),
+    pytest.param(lambda out: new_graph(3, [(0, 1, 1.0, 9)]), ConfigError,
+                 id="edge-entry-four-values"),
+    pytest.param(lambda out: new_graph(3, 5), ConfigError, id="edges-not-iterable"),
+    pytest.param(lambda out: is_independent_set(PAIR, 1), ConfigError,
+                 id="node-set-not-iterable"),
+    pytest.param(lambda out: mask_to_bits(3, "a"), ConfigError, id="mask-width-string"),
+    pytest.param(lambda out: mask_to_bits(-1, 3), ConfigError, id="mask-negative"),
+    pytest.param(lambda out: mask_to_bits(1, graph.MAX_AGENTS + 1), ConfigError,
+                 id="mask-width-past-bound"),
 ])
 def test_library_boundary_rejects_bad_input(tmp_path, call, error):
     """Each entry point named in README "CLI" rejects what the CLI rejects,

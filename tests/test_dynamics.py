@@ -17,11 +17,12 @@ from wta.dynamics import (
     DENSE_MIN_N,
     PAIRED_MIN_ENTRIES,
     InteractionSpec,
-    _edge_field,
     _field,
     _field_kernel,
 )
 from wta.errors import DimensionMismatchError, NegativeStateError
+
+from conftest import _edge_field
 
 
 def pair():
@@ -159,6 +160,29 @@ class TestGeneralized:
             g = random_graph(7, 0.7, "unit", seed=5)
             dx = generalized_vector_field(g, np.full(7, 1.3), spec)
             assert np.all(dx == 0.0)
+
+
+    def test_custom_f_reusing_one_buffer(self, paired_builds):
+        # f writes into one preallocated buffer on every call and hands it
+        # back read-only: a kernel that worked in place on what f returns
+        # would raise, and one that kept it would read a later call's values
+        g = sparse_large(weighted=True)
+        buf = np.empty(g.edge_src.size)
+
+        def cube(a):
+            buf.setflags(write=True)
+            np.multiply(a, a, out=buf)
+            np.multiply(buf, a, out=buf)
+            buf.setflags(write=False)
+            return buf
+
+        spec = InteractionSpec(cube, lambda u, v: u * v)
+        field = _field(g, spec)
+        states = list(hard_states(g.n, 4, seed=9))
+        refs = [_edge_field(g.edge_src, g.edge_dst, g.edge_w, x, cube, spec.g) for x in states]
+        for x, ref in [*zip(states, refs), *zip(states, refs)]:
+            assert field(x).tobytes() == ref.tobytes()
+        assert paired_builds == []
 
 
 def dense_graphs():

@@ -423,6 +423,8 @@ class TestJson:
         {"n": 10**10, "edges": []},
         # new_graph rejects the endpoint before the i < j check compares it
         {"n": 2, "edges": [["a", 1, 1.0]]},
+        # new_graph takes any entry that unpacks; graph JSON only a list
+        {"n": 2, "edges": [np.array([0, 1, 1])]},
     ])
     def test_schema_rejects_bad_values(self, d):
         with pytest.raises(ConfigError):

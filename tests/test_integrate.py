@@ -14,9 +14,11 @@ from wta import (
     vector_field,
 )
 import wta.dynamics
-from wta.dynamics import _dense_field, _edge_field, _field, _field_kernel
+from wta.dynamics import _dense_field, _field, _field_kernel
 from wta.errors import ConfigError, NonFiniteStateError, PositivityFailureError, WtaError
 from wta.integrate import _HISTORY_ROWS, Trajectory, _raw_step, _simulate
+
+from conftest import _edge_field
 
 
 def pair():
