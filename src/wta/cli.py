@@ -21,7 +21,7 @@ from .analysis import classify_equilibrium
 from .dynamics import interaction_from_names
 from .errors import (SEED_MAX, ConfigError, PositivityFailureError, TooManyCandidatesError,
                      WtaError, read_choice, read_integer, read_number, read_numbers,
-                     read_object)
+                     read_object, read_path)
 from .experiments import EXPERIMENTS, OVERRIDES, _canonical_hash, _write_json, run_experiment
 from .graph import _read_json, graph_from_json_dict, load_graph, random_graph
 from .integrate import IntegratorOptions, simulate, simulate_reverse
@@ -45,12 +45,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 # --- config leaves: shapes here, values through the wta.errors readers ---
-
-
-def _path(value, key: str) -> str:
-    if not (isinstance(value, str) and value):
-        raise ConfigError(f"{key} must be a path string, got {value!r}")
-    return value
 
 
 def _flag(name: str, read, **bounds):
@@ -101,7 +95,7 @@ def _graph_from_config(cfg, default_seed: int):
     if src == "inline":
         return graph_from_json_dict(cfg["inline"])
     if src == "file":
-        return load_graph(_path(cfg["file"], "graph.file"))
+        return load_graph(read_path(cfg["file"], "graph.file"))
     spec = read_object(cfg["random"], "graph.random")
     return random_graph(
         read_integer(spec.get("n"), "graph.random.n", lo=1),

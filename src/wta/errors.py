@@ -2,6 +2,7 @@
 that every input boundary checks its values through."""
 
 import numbers
+import os
 import sys
 
 import numpy as np
@@ -81,8 +82,9 @@ SEED_MAX = 2**64 - 1
 
 
 # --- typed readers: the package's one definition of a valid integer,
-# number, list of numbers, object, choice and flag. Each returns the value
-# it accepts or raises ConfigError naming key. A bool is never a number.
+# number, list of numbers, object, choice, path and flag. Each returns the
+# value it accepts or raises ConfigError naming key. A bool is never a
+# number.
 # Testing type(value) first spares a plain int or float the ABC isinstance
 # check, about 0.8 us, which new_graph would pay for every endpoint.
 
@@ -144,6 +146,14 @@ def read_object(value, key: str) -> dict:
 def read_choice(value, key: str, choices) -> str:
     if not (isinstance(value, str) and value in choices):
         raise ConfigError(f"{key} must be one of {sorted(choices)}, got {value!r}")
+    return value
+
+
+def read_path(value, key: str):
+    """A file path: a non-empty str or an os.PathLike. An int or a bool is
+    not one, though open() would take it as a file descriptor and close it."""
+    if not (isinstance(value, os.PathLike) or (isinstance(value, str) and value)):
+        raise ConfigError(f"{key} must be a path, got {value!r}")
     return value
 
 

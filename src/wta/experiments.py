@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .analysis import classify_equilibrium
 from .errors import (SEED_MAX, ConfigError, read_choice, read_integer, read_number,
-                     read_object)
+                     read_object, read_path)
 from .graph import (
     MAX_AGENTS,
     Graph,
@@ -278,12 +278,14 @@ def run_experiment(
 ) -> dict:
     """Run a named manifest into out_dir; returns the manifest dict.
 
-    Writes manifest.json and report.json next to the data files. The seed
-    is an integer in [0, 2^64 - 1], and each override is checked by its
+    Writes manifest.json and report.json next to the data files. out_dir
+    is a path (wta.errors.read_path), the seed an integer in
+    [0, 2^64 - 1], and each override is checked by its
     OVERRIDES reader; unknown override keys are rejected so a manifest
     stays self-describing.
     """
     runner, defaults = EXPERIMENTS[read_choice(name, "experiment", EXPERIMENTS)]
+    out = Path(read_path(out_dir, "out_dir"))
     seed = read_integer(seed, "seed", 0, SEED_MAX)
     params = dict(defaults)
     for key, value in read_object(overrides or {}, "overrides").items():
@@ -293,7 +295,6 @@ def run_experiment(
         params[key] = read(value, key, **bounds)
     # check the step count (IntegratorOptions) before any output is written
     IntegratorOptions(dt=params["dt"], t_end=params.get("t_end", params.get("horizon")))
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(name, seed, params)
     summary = runner(out, seed, params, want_svg)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import CLAMP, InteractionSpec, _field, _field_kernel, prepare_state
 from .errors import (ConfigError, PositivityFailureError, read_bool, read_choice,
-                     read_integer, read_number)
+                     read_integer, read_number, read_path)
 from .graph import Graph
 
 __all__ = [
@@ -111,7 +111,7 @@ def _write_csv(path, header: list[str], rows, text: tuple[int, ...] = ()) -> Non
     %-format, the columns in text by str and every other one as a float at
     17 significant digits, which round-trips."""
     row = ",".join("%s" if k in text else "%.17g" for k in range(len(header))) + "\n"
-    with open(path, "w") as fh:
+    with open(read_path(path, "CSV path"), "w") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(row % tuple(values) for values in rows)
 

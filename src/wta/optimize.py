@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (SEED_MAX, ConfigError, TooManyCandidatesError, read_integer,
-                     read_number, read_numbers)
+                     read_number, read_numbers, read_path)
 from .graph import MAX_AGENTS, Graph, _finish, new_graph
 from .integrate import MAX_STEPS, IntegratorOptions, _simulate, _write_csv, simulate
 from . import svg
@@ -55,10 +55,12 @@ LANE_BLOCK = 256
 
 def mask_to_bits(mask: int, width: int) -> str:
     """Bitstring with character k for candidate k (ascending node id);
-    '1' means the edge to that candidate is enabled. mask is an integer
-    >= 0 and width one in [0, MAX_AGENTS]."""
+    '1' means the edge to that candidate is enabled. mask is an integer in
+    [0, 2^width) and width one in [0, MAX_AGENTS]."""
     mask = read_integer(mask, "mask", lo=0)
     width = read_integer(width, "width", 0, MAX_AGENTS)
+    if mask >> width:
+        raise ConfigError(f"mask must be below 2^width = 2^{width}, got {mask}")
     return "".join("1" if mask >> k & 1 else "0" for k in range(width))
 
 
@@ -329,6 +331,7 @@ class SweepResult:
 
     def write_svg(self, path, star: Optional[tuple[float, float]] = None) -> None:
         """Final vs. initial value, with lines y = x + others_mass and y = x; * marks star."""
+        path = read_path(path, "SVG path")
         svg.scatter_chart([(x0, v) for x0, _mask, v in self.rows], path,
                           title="Final vs. initial value over all opponent masks",
                           x_label="initial value", y_label="final value",

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import shutil
 import tracemalloc
@@ -521,6 +522,9 @@ PAIR = new_graph(2, [(0, 1, 1.0)])  # [1, 1] on it is an E_u state
                  id="check-samples-0"),
     pytest.param(lambda out: check_interactions(default_interaction(), samples=True),
                  ConfigError, id="check-samples-bool"),
+    pytest.param(lambda out: check_interactions(default_interaction(),
+                                                samples=dynamics.MAX_SAMPLES + 1),
+                 ConfigError, id="check-samples-past-bound"),
     pytest.param(lambda out: check_interactions(default_interaction(), sample_range=(1.0, 1.0)),
                  ConfigError, id="check-range-empty"),
     pytest.param(lambda out: check_interactions(default_interaction(), sample_range=(-1.0, 1.0)),
@@ -557,6 +561,10 @@ PAIR = new_graph(2, [(0, 1, 1.0)])  # [1, 1] on it is an E_u state
     pytest.param(lambda out: mask_to_bits(-1, 3), ConfigError, id="mask-negative"),
     pytest.param(lambda out: mask_to_bits(1, graph.MAX_AGENTS + 1), ConfigError,
                  id="mask-width-past-bound"),
+    pytest.param(lambda out: mask_to_bits(8, 2), ConfigError, id="mask-above-width"),
+    pytest.param(lambda out: run_experiment("fig4_nine_agents", None), ConfigError,
+                 id="out-dir-none"),
+    pytest.param(lambda out: graph.dump_graph(PAIR, ""), ConfigError, id="graph-path-empty"),
 ])
 def test_library_boundary_rejects_bad_input(tmp_path, call, error):
     """Each entry point named in README "CLI" rejects what the CLI rejects,
@@ -565,6 +573,30 @@ def test_library_boundary_rejects_bad_input(tmp_path, call, error):
     with pytest.raises(error):
         call(out)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda fd: graph.load_graph(fd), id="load-graph"),
+    pytest.param(lambda fd: graph.dump_graph(PAIR, fd), id="dump-graph"),
+    pytest.param(lambda fd: run_experiment("fig4_nine_agents", fd), id="run-experiment"),
+    pytest.param(lambda fd: integrate.simulate(PAIR, [2.0, 1.0], IntegratorOptions(
+        dt=0.1, t_end=0.1))[0].write_csv(fd), id="trajectory-csv"),
+    pytest.param(lambda fd: sweep_initial_value(problem(), [1.0]).write_csv(fd), id="sweep-csv"),
+    pytest.param(lambda fd: sweep_initial_value(problem(), [1.0]).write_svg(fd), id="sweep-svg"),
+])
+def test_descriptor_is_not_a_path(tmp_path, call):
+    """open() takes an int as a file descriptor, reads or writes it and
+    closes it; every caller-given path is read first and an int refused."""
+    path = tmp_path / "f.json"
+    graph.dump_graph(PAIR, path)
+    fd = os.open(path, os.O_RDWR)
+    try:
+        with pytest.raises(ConfigError):
+            call(fd)
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)
+    assert graph.load_graph(path) == PAIR
 
 
 def test_package_api_is_the_module_lists():

@@ -313,7 +313,7 @@ class TestRandomGraph:
     @pytest.mark.parametrize("chunk", [1, 999])
     def test_hash_chunk_size_keeps_digest(self, monkeypatch, chunk):
         whole = random_graph(100, 0.8)
-        monkeypatch.setattr(wta.graph, "_HASH_CHUNK", chunk)
+        monkeypatch.setattr(wta.graph, "_TEXT_CHUNK", chunk)
         assert random_graph(100, 0.8).hash_hex == whole.hash_hex
 
     @pytest.mark.parametrize("chunk", [1, 999, 4096])
@@ -454,12 +454,34 @@ class TestJson:
         lambda: random_graph(100, 0.8, "unit", 0),
         lambda: new_graph(5, []),
         lambda: random_graph(40, 0.5, ("uniform", 0.2, 1.5), 9),
-    ], ids=["dense", "edgeless", "uniform"])
-    def test_dump_same_bytes_as_streamed_json(self, tmp_path, build):
+        lambda: random_graph(1000, 5 / 999, "unit", 0),
+    ], ids=["dense", "edgeless", "uniform", "sparse"])
+    def test_dump_same_bytes_as_streamed_json(self, tmp_path, monkeypatch, build):
         g = build()
         streamed = io.StringIO()
         json.dump(graph_to_json_dict(g), streamed, sort_keys=True)
         path = tmp_path / "g.json"
-        dump_graph(g, path)
-        assert path.read_bytes() == (streamed.getvalue() + "\n").encode()
-        assert load_graph(path).hash_hex == g.hash_hex
+        # each chunk size in the test's own loop, so the test ids stay
+        for chunk in (1, 999, wta.graph._TEXT_CHUNK):
+            monkeypatch.setattr(wta.graph, "_TEXT_CHUNK", chunk)
+            dump_graph(g, path)
+            assert path.read_bytes() == (streamed.getvalue() + "\n").encode(), chunk
+            assert load_graph(path).hash_hex == g.hash_hex
+
+    def test_text_peak_memory(self, tmp_path):
+        # graph JSON and the graph hash hold one chunk of edge text at a
+        # time, not a tuple, list or string per edge: at n=100, p=0.8
+        # (3,960 edges) dump_graph peaked at 1.44 MiB and random_graph at
+        # 0.73 MiB when they did
+        g, path = random_graph(100, 0.8), tmp_path / "g.json"
+        tracemalloc.start()
+        try:
+            dump_graph(g, path)
+            dump_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            random_graph(100, 0.8)
+            draw_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dump_peak < 0.25 * 2**20
+        assert draw_peak < 0.55 * 2**20
