@@ -194,7 +194,6 @@ def perturb_and_escape(
     magnitude: Optional[float] = None,
     seed: int = 0,
     t_end: float = 50.0,
-    options: Optional[IntegratorOptions] = None,
 ) -> EscapeReport:
     """Dynamic instability witness for an E_u equilibrium.
 
@@ -226,7 +225,7 @@ def perturb_and_escape(
         v *= delta / np.abs(v).max()
         perturbed[widx] = np.maximum(perturbed[widx] + v, 0.0)
 
-    opts = options or IntegratorOptions(
+    opts = IntegratorOptions(
         dt=1e-3,
         t_end=t_end,
         record_stride=10,

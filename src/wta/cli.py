@@ -21,7 +21,7 @@ from .analysis import classify_equilibrium
 from .dynamics import interaction_from_names
 from .errors import (SEED_MAX, ConfigError, PositivityFailureError, TooManyCandidatesError,
                      WtaError, read_choice, read_integer, read_number, read_numbers,
-                     read_object, read_path)
+                     read_object, read_path, writing)
 from .experiments import EXPERIMENTS, OVERRIDES, _canonical_hash, _write_json, run_experiment
 from .graph import _read_json, graph_from_json_dict, load_graph, random_graph
 from .integrate import IntegratorOptions, simulate, simulate_reverse
@@ -137,6 +137,14 @@ def _interaction_from_config(cfg):
     return interaction_from_names(cfg.get("f", "identity"), cfg.get("g", "product"))
 
 
+def _out_dir(args) -> Path:
+    """--out, made with its parents if missing."""
+    out = Path(args.out)
+    with writing(out, "--out"):
+        out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _say(args, message: str) -> None:
     if not args.quiet:
         print(message)
@@ -154,10 +162,9 @@ def cmd_simulate(args) -> int:
     interaction = _interaction_from_config(cfg.get("interaction"))
 
     run = simulate if direction == "forward" else simulate_reverse
-    traj, audit = run(g, x0, opts, interaction=interaction, seed=args.seed)
+    traj, audit = run(g, x0, opts, interaction=interaction)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     traj.write_csv(out / "trajectory.csv")
     report = {
         "version": __version__,
@@ -241,11 +248,10 @@ def _grid_from_config(cfg, problem: OptimizeProblem) -> np.ndarray:
 def cmd_optimize(args) -> int:
     cfg = _load_config(args.config)
     problem = _problem_from_config(cfg, args.seed)
-    out = Path(args.out)
     if args.sweep:
         grid = _grid_from_config(cfg.get("sweep_grid", {}), problem)
         sweep = sweep_initial_value(problem, grid)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(args)
         sweep.write_csv(out / "sweep.csv")
         if args.svg:
             sweep.write_svg(out / "sweep.svg")
@@ -261,7 +267,7 @@ def cmd_optimize(args) -> int:
                                   MAX_RESTARTS),
             seed=_seed(greedy, "greedy.seed", args.seed),
         )
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     payload = result.to_json_dict()
     payload["version"] = __version__
     payload["config_hash"] = _canonical_hash(cfg)

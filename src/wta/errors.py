@@ -1,9 +1,10 @@
 """Exception taxonomy shared across the package, and the typed readers
 that every input boundary checks its values through."""
 
+import contextlib
+import math
 import numbers
 import os
-import sys
 
 import numpy as np
 
@@ -112,7 +113,13 @@ def read_number(value, key: str, lo=None, hi=None, gt=None) -> float:
     if type(value) is not float and (isinstance(value, bool)
                                      or not isinstance(value, numbers.Real)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # also an int too large for a double
+    try:
+        # as a double: abs(value) <= sys.float_info.max would cast the max to
+        # a float32 value's type, which overflows with a warning
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a double
+        finite = False
+    if not finite:
         raise ConfigError(f"{key} must be finite, got {value!r} (NaN or infinite)")
     return float(_in_bounds(value, key, lo, hi, gt))
 
@@ -155,6 +162,19 @@ def read_path(value, key: str):
     if not (isinstance(value, os.PathLike) or (isinstance(value, str) and value)):
         raise ConfigError(f"{key} must be a path, got {value!r}")
     return value
+
+
+@contextlib.contextmanager
+def writing(path, key: str):
+    """path, read by read_path, for a with block that makes the directory
+    or opens and writes the file there. An OSError in the block, such as a
+    missing parent directory or a file where a directory should be, raises
+    ConfigError naming the path."""
+    path = read_path(path, key)
+    try:
+        yield path
+    except OSError as exc:
+        raise ConfigError(f"cannot write {key} {path}: {exc.strerror or exc}") from exc
 
 
 def read_bool(value, key: str) -> bool:

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .analysis import classify_equilibrium
 from .errors import (SEED_MAX, ConfigError, read_choice, read_integer, read_number,
-                     read_object, read_path)
+                     read_object, read_path, writing)
 from .graph import (
     MAX_AGENTS,
     Graph,
@@ -56,15 +56,16 @@ def _canonical_hash(obj) -> str:
 
 
 def _write_json(path, obj) -> None:
-    with open(path, "w") as fh:
+    with writing(path, "JSON path") as path, open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def _connected_random_graph(n: int, p: float, seed: int) -> Graph:
-    """First connected G(n, p) draw from the seeded sequence seed, seed+1000, ..."""
+    """First connected G(n, p) draw from the seeded sequence seed, seed+1000,
+    ..., each taken mod 2^64 so that every seed in [0, 2^64 - 1] can retry."""
     for attempt in range(200):
-        g = random_graph(n, p, "unit", seed + 1000 * attempt)
+        g = random_graph(n, p, "unit", (seed + 1000 * attempt) % (SEED_MAX + 1))
         if len(connected_components(g)) == 1:
             return g
     raise ConfigError(f"no connected graph found for n={n}, p={p}, seed={seed}")
@@ -90,7 +91,7 @@ def _run_fig1(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
     opts = IntegratorOptions(
         dt=params["dt"], t_end=params["t_end"], record_stride=10**9
     )
-    traj, audit = simulate(g, x0, opts, seed=seed)
+    traj, audit = simulate(g, x0, opts)
     final = traj.final_state
     report = classify_equilibrium(g, final)
     _write_csv(out / "fig1_states.csv", ["agent", "initial", "final"],
@@ -118,8 +119,8 @@ def _fig2_runs(params: dict, seed: int):
     opts = IntegratorOptions(
         dt=params["dt"], t_end=params["t_end"], record_stride=stride
     )
-    fwd, fwd_audit = simulate(g, x0, opts, seed=seed)
-    rev, rev_audit = simulate_reverse(g, x0, opts, seed=seed)
+    fwd, fwd_audit = simulate(g, x0, opts)
+    rev, rev_audit = simulate_reverse(g, x0, opts)
     return g, x0, fwd, fwd_audit, rev, rev_audit
 
 
@@ -175,7 +176,7 @@ def _run_fig4(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
         record_stride=max(1, steps // 400),
         stop_on_equilibrium=True, equilibrium_tol=1e-10,
     )
-    traj, audit = simulate(g, x0, opts, seed=seed)
+    traj, audit = simulate(g, x0, opts)
     traj.write_csv(out / "fig4_trajectories.csv")
     dump_graph(g, out / "fig4_graph.json")
     final = traj.final_state
@@ -295,7 +296,8 @@ def run_experiment(
         params[key] = read(value, key, **bounds)
     # check the step count (IntegratorOptions) before any output is written
     IntegratorOptions(dt=params["dt"], t_end=params.get("t_end", params.get("horizon")))
-    out.mkdir(parents=True, exist_ok=True)
+    with writing(out, "out_dir"):
+        out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(name, seed, params)
     summary = runner(out, seed, params, want_svg)
     _write_json(out / "manifest.json", manifest)

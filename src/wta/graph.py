@@ -26,6 +26,7 @@ from .errors import (
     read_integer,
     read_number,
     read_path,
+    writing,
 )
 
 __all__ = [
@@ -385,7 +386,7 @@ def dump_graph(g: Graph, path) -> None:
     """Write g as graph JSON: json.dumps(graph_to_json_dict(g),
     sort_keys=True) and a newline, a chunk of edges at a time."""
     m = g.num_edges
-    with open(read_path(path, "graph path"), "w") as fh:
+    with writing(path, "graph path") as path, open(path, "w") as fh:
         fh.write('{"edges": [')
         fh.writelines(_edge_text(g.edge_src[m:], g.edge_dst[m:], g.edge_w[m:],
                                  "[%d, %d, %r]", ", "))

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (SEED_MAX, ConfigError, TooManyCandidatesError, read_integer,
-                     read_number, read_numbers, read_path)
+                     read_number, read_numbers)
 from .graph import MAX_AGENTS, Graph, _finish, new_graph
 from .integrate import MAX_STEPS, IntegratorOptions, _simulate, _write_csv, simulate
 from . import svg
@@ -331,7 +331,6 @@ class SweepResult:
 
     def write_svg(self, path, star: Optional[tuple[float, float]] = None) -> None:
         """Final vs. initial value, with lines y = x + others_mass and y = x; * marks star."""
-        path = read_path(path, "SVG path")
         svg.scatter_chart([(x0, v) for x0, _mask, v in self.rows], path,
                           title="Final vs. initial value over all opponent masks",
                           x_label="initial value", y_label="final value",

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
+from .errors import writing
+
 __all__ = ["line_chart", "bar_chart", "scatter_chart"]
 
 WIDTH = 720
@@ -18,6 +20,8 @@ PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 )
+# a log-scale line chart plots values below this (zero entropy) at it
+LOG_FLOOR = 1e-16
 
 
 def _bounds(values, pad_frac=0.05):
@@ -115,7 +119,7 @@ class _Canvas:
         )
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
+        with writing(path, "SVG path") as path, open(path, "w") as fh:
             fh.write("\n".join(self.parts + ["</svg>"]) + "\n")
 
 
@@ -126,15 +130,14 @@ def line_chart(
     x_label: str = "t",
     y_label: str = "",
     log_y: bool = False,
-    log_floor: float = 1e-16,
 ):
-    """Polyline chart; with log_y the y data is plotted as log10(max(y, floor))."""
+    """Polyline chart; with log_y the y data is plotted as log10(max(y, LOG_FLOOR))."""
     all_x = [float(x) for xs, _ys in series for x in xs]
     ys_t = []
     for xs, ys in series:
         vals = [float(v) for v in ys]
         if log_y:
-            vals = [math.log10(max(v, log_floor)) for v in vals]
+            vals = [math.log10(max(v, LOG_FLOOR)) for v in vals]
         ys_t.append(vals)
     all_y = [v for vals in ys_t for v in vals]
     cv = _Canvas(title, x_label, y_label, _bounds(all_x), _bounds(all_y))

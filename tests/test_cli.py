@@ -395,6 +395,39 @@ class TestExperiment:
 
 
 @pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["optimize", "--mode", "exhaustive"],
+    ["optimize", "--sweep"],
+    ["experiment", "fig4_nine_agents", "--t-end", "0.01"],
+])
+def test_out_that_is_a_file_exits_1(tmp_path, capsys, argv):
+    out = a_file(tmp_path / "out")
+    config = {"simulate": run_config, "optimize": optimize_config}.get(argv[0])
+    if config:
+        argv = [argv[0], "--config", config(tmp_path), *argv[1:]]
+    assert main([*argv, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert f"{out}: File exists" in err
+    assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("fig4_nine_agents", ["--t-end", "0.05"]),
+    ("fig5_sweep", ["--grid-count", "1", "--horizon", "0.1"]),
+])
+def test_largest_seed_runs_every_manifest(tmp_path, name, flags):
+    """At seed 2^64 - 1 the first G(9, 0.35) draw is disconnected, and the
+    retry seeds wrap around mod 2^64 rather than leave the seed range."""
+    seed = 2**64 - 1
+    assert len(graph.connected_components(random_graph(9, 0.35, "unit", seed))) > 1
+    out = tmp_path / "out"
+    assert main(["experiment", name, "--seed", str(seed), *flags, "--quiet",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+
+
+@pytest.mark.parametrize("argv", [
     ["simulate", "--seed", "-1"],
     ["simulate", "--seed", str(2**64)],
     ["simulate", "--seed", "1.5"],
@@ -438,6 +471,11 @@ def experiment(out, seed=0, **overrides):
 
 
 PAIR = new_graph(2, [(0, 1, 1.0)])  # [1, 1] on it is an E_u state
+
+
+def a_file(path: Path) -> Path:
+    path.write_text("")
+    return path
 
 
 @pytest.mark.parametrize("call, error", [
@@ -496,10 +534,6 @@ PAIR = new_graph(2, [(0, 1, 1.0)])  # [1, 1] on it is an E_u state
     pytest.param(lambda out: step(PAIR, [1.0, 1.0], "0.1"), ConfigError, id="step-dt-string"),
     pytest.param(lambda out: step(PAIR, [1.0, 1.0], -1.0), ConfigError, id="step-dt-negative"),
     pytest.param(lambda out: step(PAIR, [1.0, 1.0], float("nan")), ConfigError, id="step-dt-nan"),
-    pytest.param(lambda out: step(PAIR, [1.0, 1.0], 0.1, positivity_shrink=True),
-                 ConfigError, id="positivity-shrink-bool"),
-    pytest.param(lambda out: step(PAIR, [1.0, 1.0], 0.1, positivity_shrink=-1),
-                 ConfigError, id="positivity-shrink-negative"),
     pytest.param(lambda out: random_graph(5, 0.5, seed=-1), ConfigError,
                  id="random-graph-seed-negative"),
     pytest.param(lambda out: random_graph(5, 0.5, seed=1.5), ConfigError,
@@ -565,6 +599,16 @@ PAIR = new_graph(2, [(0, 1, 1.0)])  # [1, 1] on it is an E_u state
     pytest.param(lambda out: run_experiment("fig4_nine_agents", None), ConfigError,
                  id="out-dir-none"),
     pytest.param(lambda out: graph.dump_graph(PAIR, ""), ConfigError, id="graph-path-empty"),
+    # an output path that cannot be written: a file where the directory
+    # goes, a missing parent directory, a directory where the file goes
+    pytest.param(lambda out: run_experiment("fig4_nine_agents", a_file(out.parent / "f")),
+                 ConfigError, id="out-dir-is-a-file"),
+    pytest.param(lambda out: graph.dump_graph(PAIR, out / "g.json"), ConfigError,
+                 id="graph-path-no-parent"),
+    pytest.param(lambda out: integrate.simulate(PAIR, [2.0, 1.0], IntegratorOptions(
+        dt=0.1, t_end=0.1))[0].write_csv(out.parent), ConfigError, id="csv-path-is-a-directory"),
+    pytest.param(lambda out: sweep_initial_value(problem(), [1.0]).write_svg(out / "s.svg"),
+                 ConfigError, id="svg-path-no-parent"),
 ])
 def test_library_boundary_rejects_bad_input(tmp_path, call, error):
     """Each entry point named in README "CLI" rejects what the CLI rejects,
@@ -617,6 +661,10 @@ def test_library_boundary_keeps_normalized_values():
     assert (p.alpha, p.x_alpha0, p.x0_others, p.horizon) == (0, 2.0, (1.0,), 1.0)
     assert [type(v) for v in (p.alpha, p.x_alpha0, p.x0_others[0], p.horizon)] == [
         int, float, float, float]
+    # a float32 is read as the double it equals, without an overflow warning
+    w = float(np.float32(0.1))
+    assert new_graph(2, [(0, 1, np.float32(0.1))]).edge_w.tolist() == [w, w]
+    assert random_graph(2, np.float32(0.5)).n == 2
 
 
 # --- the README's example configs, and every leaf of them mutated ---
