@@ -29,7 +29,7 @@ from .graph import (
     random_graph,
 )
 from .integrate import IntegratorOptions, _write_csv, simulate, simulate_reverse
-from .optimize import (GRID_MAX, OptimizeProblem, evaluate_choice, mask_to_bits,
+from .optimize import (GRID_MAX, OptimizeProblem, _guard, evaluate_choice, mask_to_bits,
                        sweep_initial_value)
 from . import svg
 
@@ -294,8 +294,11 @@ def run_experiment(
             raise ConfigError(f"unknown override {key!r} for {name}")
         read, bounds = OVERRIDES[key]
         params[key] = read(value, key, **bounds)
-    # check the step count (IntegratorOptions) before any output is written
+    # check the step count (IntegratorOptions) and a sweep's size against the
+    # search guard before any output is written or a grid is built
     IntegratorOptions(dt=params["dt"], t_end=params.get("t_end", params.get("horizon")))
+    if "grid_count" in params:
+        _guard(params["grid_count"], params["agents"] - 1)
     with writing(out, "out_dir"):
         out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(name, seed, params)

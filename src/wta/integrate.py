@@ -1,9 +1,8 @@
 """Positivity-preserving fixed-step integration with conservation auditing.
 
-RK4 (default) or explicit Euler; a step whose result leaves the
-nonnegative orthant is retried with a halved step, and residual negatives
-inside the round-off window are clamped to zero. Total mass is audited
-(or optionally renormalized) every step.
+Classical RK4; a step whose result leaves the nonnegative orthant is
+retried with a halved step, and residual negatives inside the round-off
+window are clamped to zero. Total mass is audited every step.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import CLAMP, InteractionSpec, _field, _field_kernel, prepare_state
-from .errors import (ConfigError, PositivityFailureError, read_bool, read_choice,
-                     read_integer, read_number, writing)
+from .errors import (ConfigError, PositivityFailureError, read_bool, read_integer,
+                     read_number, writing)
 from .graph import Graph
 
 __all__ = [
@@ -28,8 +27,6 @@ __all__ = [
     "simulate_reverse",
 ]
 
-METHODS = ("rk4", "euler")
-CONSERVATION_MODES = ("audit", "renormalize")
 # Most fixed steps a run may take: about 55 minutes at 33 us a step (RK4 on
 # a 60-agent graph with p = 0.15, the fastest of six 5000-step runs on 2
 # vCPUs with numpy 2.4.6).
@@ -45,12 +42,10 @@ HALVINGS = 40
 @dataclass(frozen=True)
 class IntegratorOptions:
     dt: float = 1e-3
-    method: str = "rk4"
     t_end: float = 1.0
     record_stride: int = 1
     stop_on_equilibrium: bool = False
     equilibrium_tol: float = 1e-10
-    conservation_mode: str = "audit"
 
     def __post_init__(self):
         for name in ("dt", "t_end", "equilibrium_tol"):
@@ -62,11 +57,6 @@ class IntegratorOptions:
             raise ConfigError(
                 f"t_end / dt = {self.t_end} / {self.dt} is more than {MAX_STEPS} steps"
             )
-        read_choice(self.method, "method", METHODS)
-        read_choice(self.conservation_mode, "conservation_mode", CONSERVATION_MODES)
-
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -120,18 +110,15 @@ def _write_csv(path, header: list[str], rows, text: tuple[int, ...] = ()) -> Non
         fh.writelines(row % tuple(values) for values in rows)
 
 
-def _raw_step(f: Callable, x: np.ndarray, h, method: str,
-              k1: np.ndarray) -> np.ndarray:
-    """One unchecked explicit step from x, where the field is k1; h is a
-    float or one step size per entry.
+def _raw_step(f: Callable, x: np.ndarray, h, k1: np.ndarray) -> np.ndarray:
+    """One unchecked RK4 step from x, where the field is k1; h is a float
+    or one step size per entry.
 
-    RK4 runs the textbook x + (h/6)(k1 + 2 k2 + 2 k3 + k4) operation for
+    It runs the textbook x + (h/6)(k1 + 2 k2 + 2 k3 + k4) operation for
     operation, with the stage states in one reused buffer and the weighted
     sum in a second; x and the stages are only read (a halving retry steps
     from x and k1 again). Products and sums swap their operands, which IEEE
     arithmetic rounds the same, so the bits are those of the textbook form."""
-    if method == "euler":
-        return k1 * h + x
     hh = 0.5 * h
     s = k1 * hh
     s += x
@@ -152,8 +139,7 @@ def _raw_step(f: Callable, x: np.ndarray, h, method: str,
     return acc
 
 
-def _substep(f: Callable, x: np.ndarray, h, method: str, n: int,
-             k1: Optional[np.ndarray] = None):
+def _substep(f: Callable, x: np.ndarray, h, n: int, k1: Optional[np.ndarray] = None):
     """Advance every lane of the flat block x (lane l owns x[l*n:(l+1)*n])
     by its step h, a float or one size per lane; k1 is f(x) when the caller
     already has it.
@@ -166,8 +152,7 @@ def _substep(f: Callable, x: np.ndarray, h, method: str, n: int,
     """
     if k1 is None:
         k1 = f(x)
-    cand = _raw_step(f, x, np.repeat(h, n) if isinstance(h, np.ndarray) else h,
-                     method, k1)
+    cand = _raw_step(f, x, np.repeat(h, n) if isinstance(h, np.ndarray) else h, k1)
     # the common case, every entry positive, in one comparison and one count
     if np.count_nonzero(cand > 0.0) == cand.size:
         return cand, h
@@ -185,7 +170,7 @@ def _substep(f: Callable, x: np.ndarray, h, method: str, n: int,
     for _ in range(HALVINGS):
         used[cand.reshape(-1, n).min(axis=1) < -CLAMP] *= 0.5
         # lanes that passed recompute the same candidate from the same step
-        cand = _raw_step(f, x, np.repeat(used, n), method, k1)
+        cand = _raw_step(f, x, np.repeat(used, n), k1)
         if cand.min() >= -CLAMP:
             return np.where(cand <= 0.0, 0.0, cand), used
     raise PositivityFailureError(
@@ -200,23 +185,17 @@ _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 @_quiet_overflow
-def step(
-    g: Graph,
-    x,
-    dt: float,
-    method: str = "rk4",
-) -> tuple[np.ndarray, float]:
-    """One explicit step of size dt (or less).
+def step(g: Graph, x, dt: float) -> tuple[np.ndarray, float]:
+    """One RK4 step of size dt (or less).
 
     If the result has a component below the -1e-12 round-off window, the
     step size is halved and retried, up to HALVINGS times; the
     actually-used step size is returned alongside the new state. Residual
     negatives inside the window are clamped to zero. dt is a number > 0.
     """
-    read_choice(method, "method", METHODS)
     dt = read_number(dt, "dt", gt=0.0)
     x = prepare_state(x, g.n)
-    x, used = _substep(_field(g), x, dt, method, g.n)
+    x, used = _substep(_field(g), x, dt, g.n)
     return x, float(np.min(used))
 
 
@@ -226,7 +205,7 @@ class _Run:
 
     states: np.ndarray  # (B, n) final states
     mass0: np.ndarray
-    max_drift: np.ndarray  # pre-correction drift in renormalize mode
+    max_drift: np.ndarray
     steps: np.ndarray
     final_time: np.ndarray
     stopped: np.ndarray
@@ -266,16 +245,15 @@ def _simulate(
 
     Lane l starts from the clean state x0[l] (x0 has shape (B, n)) and runs
     on g restricted to the edges row l of keep (B, num_edges) enables (all
-    of g for a single lane when keep is None). Each lane has its own positivity halving,
-    mass audit, renormalization and equilibrium stop, with the arithmetic
+    of g for a single lane when keep is None). Each lane has its own
+    positivity halving, mass audit and equilibrium stop, with the arithmetic
     of a lone run, so a lane's bits do not depend on the rest of its block.
     A stopped lane leaves the block. record=True keeps lane 0's stamps.
     """
     b, n = x0.shape
-    dt, t_end, method = opts.dt, opts.t_end, opts.method
+    dt, t_end = opts.dt, opts.t_end
     stride, tol = opts.record_stride, opts.equilibrium_tol
     stop_eq = opts.stop_on_equilibrium
-    renormalize = opts.conservation_mode == "renormalize"
     n_steps = max(1, int(np.ceil(t_end / dt - 1e-12)))
     x = x0.ravel().copy()
     mass0 = x0.sum(axis=1)
@@ -294,7 +272,7 @@ def _simulate(
     # into a block of history rows and folds their masses in once a block.
     hi, lo = mass0.copy(), mass0.copy()
     rows = min(_HISTORY_ROWS, max(1, _HISTORY_DOUBLES // (b * n)))
-    history = None if renormalize else np.empty((rows, b * n))
+    history = np.empty((rows, b * n))
     filled = 0
     reverse = direction == "reverse"
     f = _field(g, interaction, keep, reverse)
@@ -313,29 +291,19 @@ def _simulate(
         t_k = t_end if k == n_steps else k * dt
         h = t_k - t_prev
         if h > tiny:
-            x, used = _substep(f, x, h, method, n, fx)
+            x, used = _substep(f, x, h, n, fx)
             if used is not h:  # some lane halved: finish each lane's interval
                 remaining = h - used
                 while (todo := remaining > tiny).any():
-                    x, used = _substep(f, x, np.where(todo, remaining, 0.0), method, n)
+                    x, used = _substep(f, x, np.where(todo, remaining, 0.0), n)
                     remaining = remaining - used
         t_prev = t_k
         fx = None
-
-        if renormalize:
-            # the correction needs this step's mass: a per-step reduce
-            lane_x = x.reshape(-1, n)
-            mass = np.add.reduce(lane_x, 1)
-            np.maximum(hi, mass, out=hi)
-            np.minimum(lo, mass, out=lo)
-            scale = np.divide(mass0, mass, out=np.ones_like(mass), where=mass > 0.0)
-            x = (lane_x * scale[:, None]).ravel()
-        else:
-            history[filled] = x
-            filled += 1
-            if filled == rows:
-                _fold_mass(history, n, hi, lo)
-                filled = 0
+        history[filled] = x
+        filled += 1
+        if filled == rows:
+            _fold_mass(history, n, hi, lo)
+            filled = 0
 
         record_now = record and (k % stride == 0 or k == n_steps)
         stop = None
@@ -368,8 +336,7 @@ def _simulate(
             lanes, mass0, hi, lo = lanes[live], mass0[live], hi[live], lo[live]
             x = x.reshape(-1, n)[live].ravel()
             fx = fx.reshape(-1, n)[live].ravel()
-            if history is not None:
-                history = np.empty((rows, x.size))
+            history = np.empty((rows, x.size))
             keep = keep[live]
             f = _field(g, interaction, keep, reverse)
     if filled:
@@ -403,21 +370,17 @@ def _trajectory(g: Graph, x0, opts: IntegratorOptions, direction: str,
         residual=np.array(run.residuals),
         direction=direction,
         metadata={
-            "graph_hash": g.hash_hex,
             "field_kernel": _field_kernel(g, interaction),
-            "options": opts.to_json_dict(),
-            "direction": direction,
             "stopped_at_equilibrium": bool(run.stopped[0]),
             "steps_taken": int(run.steps[0]),
             "final_time": final_t,
         },
     )
-    elapsed = final_t if final_t > 0.0 else opts.t_end
     max_drift = float(run.max_drift[0])
     audit = ConservationAudit(
         initial_mass=float(run.mass0[0]),
         max_abs_drift=max_drift,
-        drift_per_unit_time=max_drift / elapsed,
+        drift_per_unit_time=max_drift / final_t,
     )
     return traj, audit
 

@@ -148,6 +148,8 @@ class TestSimulate:
         {"integrator": {"t_end": 2**64, "dt": 1e-3}},
         {"graph": {"random": {"n": 1048576, "p": 1.0}}},
         {"graph": {"random": {"n": 1048576, "p": 1e-5}}},
+        {"integrator": {"method": "euler"}},
+        {"integrator": {"conservation_mode": "renormalize"}},
     ])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, overrides):
         cfg = run_config(tmp_path, **overrides)
@@ -330,20 +332,23 @@ class TestOptimize:
         assert not out.exists()
 
     def test_refused_count_grid_is_never_built(self, tmp_path):
-        # the README arena has 2^8 masks; 2^24 grid points of it would be
-        # refused only after np.linspace had built 128 MiB of them
+        # the README arena and fig5's nine agents have 2^8 masks; 2^24 grid
+        # points of either would be refused only after np.linspace had built
+        # 128 MiB of them
         cfg = write(tmp_path / "opt.json",
                     dict(README_CONFIGS["optimize"], sweep_grid={"count": 2**24}))
         out = tmp_path / "o"
-        tracemalloc.start()
-        try:
-            code = main(["optimize", "--config", cfg, "--sweep", "--out", str(out), "--quiet"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 3
-        assert peak < 8 << 20
-        assert not out.exists()
+        for argv in (["optimize", "--config", cfg, "--sweep"],
+                     ["experiment", "fig5_sweep", "--grid-count", str(2**24)]):
+            tracemalloc.start()
+            try:
+                code = main([*argv, "--out", str(out), "--quiet"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 3
+            assert peak < 8 << 20
+            assert not out.exists()
 
     def test_sweep_csv(self, tmp_path):
         cfg = optimize_config(

@@ -33,38 +33,26 @@ class TestStep:
         assert np.array_equal(out, x)
         assert used == 0.05
 
-    def test_euler_hand_step(self):
-        out, used = step(pair(), [2.0, 1.0], 0.1, method="euler")
-        assert out[0] == pytest.approx(2.2, abs=1e-15)
-        assert out[1] == pytest.approx(0.8, abs=1e-15)
-        assert used == 0.1
-
     def test_zero_component_stays_zero(self):
         g = random_graph(5, 0.8, "unit", seed=2)
         x = np.random.default_rng(3).uniform(0.1, 1, 5)
         x[2] = 0.0
-        for method in ("euler", "rk4"):
-            out, _ = step(g, x, 0.01, method=method)
-            assert out[2] == 0.0
-
-    def test_bad_method(self):
-        with pytest.raises(ConfigError):
-            step(pair(), [1.0, 1.0], 0.1, method="rk45")
+        out, _ = step(g, x, 0.01)
+        assert out[2] == 0.0
 
     def test_halving_preserves_positivity(self):
-        # a deliberately huge Euler step overshoots the boundary; the step
-        # must shrink instead of going negative
-        out, used = step(pair(), [5.0, 1.0], 1.0, method="euler")
-        assert used < 1.0
+        # a deliberately huge step overshoots the boundary; the step must
+        # shrink instead of going negative
+        out, used = step(pair(), [5.0, 1.0], 1.0)
+        assert used == 0.125
         assert np.all(out >= 0.0)
 
-    @pytest.mark.parametrize("method", ["euler", "rk4"])
-    def test_overflow_raises_without_warnings(self, method):
+    def test_overflow_raises_without_warnings(self):
         # the suite turns warnings into errors, so numpy's overflow warnings
         # would fail this test before the PositivityFailureError
         g = new_graph(2, [(0, 1, 1e300)])
         with pytest.raises(PositivityFailureError, match="overflowed"):
-            step(g, [1e100, 2e100], 1e-3, method=method)
+            step(g, [1e100, 2e100], 1e-3)
 
 
 def same_bits(a, b) -> bool:
@@ -121,8 +109,7 @@ class TestStepOracle:
             k1_before = k1.copy()
             # one step size, and one per entry as a halving retry passes it
             for h in (0.01, rng.uniform(0.001, 0.02, g.n)):
-                assert same_bits(_raw_step(f, x, h, "rk4", k1), textbook_rk4(ref, x, h))
-                assert same_bits(_raw_step(f, x, h, "euler", k1), x + h * k1)
+                assert same_bits(_raw_step(f, x, h, k1), textbook_rk4(ref, x, h))
             assert same_bits(x, x_before) and same_bits(k1, k1_before)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
@@ -250,16 +237,6 @@ class TestSimulateForward:
         assert traj.metadata["final_time"] < 100.0
         assert traj.residual[-1] < 1e-10
 
-    def test_renormalize_mode(self):
-        g = random_graph(10, 0.4, "unit", seed=13)
-        x0 = np.random.default_rng(14).uniform(0, 1, 10)
-        traj, audit = simulate(
-            g, x0, IntegratorOptions(dt=1e-2, t_end=2.0,
-                                     conservation_mode="renormalize")
-        )
-        assert np.abs(traj.mass - x0.sum()).max() <= 1e-12 * x0.sum()
-        assert audit.max_abs_drift >= 0.0
-
 
 class TestSimulateReverse:
     def test_two_agent_consensus_oracle(self):
@@ -320,9 +297,9 @@ def assert_lanes_match_single_runs(g, x0, opts, keep=None):
 class TestLaneBlock:
     def test_one_lane_halves_while_another_does_not(self):
         x0 = np.array([[5.0, 1.0], [1.0, 0.9], [0.0, 1.0]])
-        opts = IntegratorOptions(dt=0.5, t_end=2.0, method="euler")
-        assert step(pair(), x0[0], 0.5, method="euler")[1] < 0.5
-        assert step(pair(), x0[1], 0.5, method="euler")[1] == 0.5
+        opts = IntegratorOptions(dt=0.5, t_end=2.0)
+        assert step(pair(), x0[0], 0.5)[1] == 0.125
+        assert step(pair(), x0[1], 0.5)[1] == 0.5
         assert_lanes_match_single_runs(pair(), x0, opts)
 
     def test_lanes_stop_on_different_steps(self):
@@ -364,15 +341,15 @@ class TestLaneBlock:
         assert run.stopped.all() and len(set(run.steps.tolist())) == len(x0)
         assert paired_builds == [6 * entries, 5 * entries]
 
-    def test_renormalize_block_with_lane_edge_subsets(self):
+    def test_block_with_lane_edge_subsets(self):
         g = random_graph(7, 0.7, ("uniform", 0.3, 1.5), seed=5)
         rng = np.random.default_rng(6)
         x0 = rng.uniform(0.0, 1.0, (4, 7))
         undirected = rng.random((4, g.n, g.n)) < 0.6
         m = g.num_edges
         keep = undirected[:, g.edge_src[m:], g.edge_dst[m:]]
-        opts = IntegratorOptions(dt=5e-2, t_end=3.0, conservation_mode="renormalize",
-                                 stop_on_equilibrium=True, equilibrium_tol=1e-7)
+        opts = IntegratorOptions(dt=5e-2, t_end=3.0, stop_on_equilibrium=True,
+                                 equilibrium_tol=1e-7)
         assert_lanes_match_single_runs(g, x0, opts, keep=keep)
 
 
@@ -412,10 +389,10 @@ class TestDenseKernel:
 
     def test_integrator_uses_the_vector_field_kernel(self):
         g, x0 = fig2_instance()
-        euler = x0 + 1e-3 * vector_field(g, x0)
-        opts = IntegratorOptions(dt=1e-3, t_end=1e-3, method="euler")
-        assert np.array_equal(simulate(g, x0, opts)[0].final_state, euler)
-        assert np.array_equal(step(g, x0, 1e-3, method="euler")[0], euler)
+        rk4 = textbook_rk4(lambda x: vector_field(g, x), x0, 1e-3)
+        opts = IntegratorOptions(dt=1e-3, t_end=1e-3)
+        assert np.array_equal(simulate(g, x0, opts)[0].final_state, rk4)
+        assert np.array_equal(step(g, x0, 1e-3)[0], rk4)
 
     def test_metadata_names_the_kernel(self):
         opts = IntegratorOptions(dt=1e-3, t_end=0.002)
