@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import laplacian, prepare_state, vector_field
+from .dynamics import _quiet_overflow, laplacian, prepare_state, vector_field
 from .errors import (SEED_MAX, ComponentTooSmallError, EmptyStateError, NonFiniteStateError,
                      NotEuError, NotSymmetricError, read_array, read_integer, read_number)
 from .graph import Graph, _components, induced_subgraph
@@ -99,7 +99,7 @@ def classify_equilibrium(
             equal_ok = False
         components.append((nodes, c))
 
-    if residual >= 1e-6 * (1.0 + float(x.max())) or not equal_ok:
+    if not residual < 1e-6 * (1.0 + float(x.max())) or not equal_ok:
         klass = "not_equilibrium"
     elif any(len(nodes) > 1 for nodes, _c in components):  # winners share an edge
         klass = "E_u"
@@ -117,20 +117,22 @@ def classify_equilibrium(
     )
 
 
+@_quiet_overflow
 def symmetric_eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a symmetric real matrix, sorted ascending: numpy's
     ``eigvalsh`` of its symmetric part, once the matrix is found symmetric
-    within 1e-12 relative to its largest entry. Every entry is finite."""
+    within 1e-12 relative to its largest entry. Every entry is finite, and
+    so is every entry of a + a.T, else NonFiniteStateError."""
     a = read_array(m, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetricError(f"matrix must be square, got shape {a.shape}")
-    top = float(np.abs(a).max(initial=0.0))  # NaN if any entry is
-    if not np.isfinite(top):
-        raise NonFiniteStateError("matrix has a NaN or infinite entry")
-    scale = max(1.0, top)
+    twice = a + a.T  # NaN or infinite where an entry is, or past half the double range
+    if not np.isfinite(twice).all():
+        raise NonFiniteStateError("matrix has a NaN or infinite entry, or a + a.T overflows")
+    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     if float(np.abs(a - a.T).max(initial=0.0)) > 1e-12 * scale:
         raise NotSymmetricError("matrix is not symmetric within 1e-12 relative")
-    return np.linalg.eigvalsh(0.5 * (a + a.T))
+    return np.linalg.eigvalsh(0.5 * twice)
 
 
 @dataclass(frozen=True)

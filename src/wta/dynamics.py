@@ -14,8 +14,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (SEED_MAX, ConfigError, DimensionMismatchError, EmptyStateError,
-                     NegativeStateError, NonFiniteStateError, read_array, read_choice,
-                     read_integer, read_numbers)
+                     NegativeStateError, NonFiniteStateError, PositivityFailureError,
+                     read_array, read_choice, read_integer, read_numbers)
 from .graph import Graph
 
 __all__ = [
@@ -25,9 +25,7 @@ __all__ = [
     "reverse_vector_field",
     "laplacian",
     "InteractionSpec",
-    "default_interaction",
     "interaction_from_names",
-    "generalized_vector_field",
     "check_interactions",
     "InteractionCheck",
     "BUILTIN_F",
@@ -41,6 +39,14 @@ MAX_SAMPLES = 1 << 20
 # Round-off absorption window: components in [-CLAMP, 0) are treated as 0,
 # anything below -CLAMP is a genuine violation of the nonnegative orthant.
 CLAMP = 1e-12
+
+# A field or Laplacian past the double range holds inf or NaN: the public
+# fields, the Laplacian and the integrator compute under _quiet_overflow and
+# raise PositivityFailureError(OVERFLOW_MESSAGE) for it once, where numpy's
+# warnings would repeat it. x_i * x_j overflows from about 1.3e154. It is
+# only a decorator: numpy 2 lets one errstate enter a with block only once.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+OVERFLOW_MESSAGE = "the field overflowed to NaN or infinity: the state or weights are too large"
 
 
 def prepare_state(x, n: int) -> np.ndarray:
@@ -227,26 +233,42 @@ def _field(g: Graph, spec: Optional[InteractionSpec] = None,
     return fn
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    """a, or PositivityFailureError(OVERFLOW_MESSAGE) if an entry is NaN or infinite."""
+    if not np.isfinite(a).all():
+        raise PositivityFailureError(OVERFLOW_MESSAGE)
+    return a
+
+
+@_quiet_overflow
 def vector_field(g: Graph, x) -> np.ndarray:
-    """dx_i = sum_j a_ij (x_i - x_j) x_i x_j; zero-sum up to rounding."""
-    return _field(g)(prepare_state(x, g.n))
+    """dx_i = sum_j a_ij (x_i - x_j) x_i x_j; zero-sum up to rounding.
+    PositivityFailureError if it overflows double precision."""
+    return _finite(_field(g)(prepare_state(x, g.n)))
 
 
+@_quiet_overflow
 def reverse_vector_field(g: Graph, y) -> np.ndarray:
     """Reverse-time (consensus) field: exact entrywise negation of the
-    forward field, so dy = -dx holds bit-for-bit."""
-    return _field(g, reverse=True)(prepare_state(y, g.n))
+    forward field, so dy = -dx holds bit-for-bit. PositivityFailureError if
+    it overflows double precision."""
+    return _finite(_field(g, reverse=True)(prepare_state(y, g.n)))
 
 
+@_quiet_overflow
 def laplacian(g: Graph, y) -> np.ndarray:
     """State-dependent Laplacian L with l_ij = -a_ij y_i y_j (i != j) and
     l_ii = -sum_j l_ij; every row sums to zero exactly and
-    reverse_vector_field(g, y) == -L @ y up to rounding."""
+    reverse_vector_field(g, y) == -L @ y up to rounding.
+    PositivityFailureError if it overflows double precision."""
     y = prepare_state(y, g.n)
-    L = -(g.weights * np.outer(y, y))
+    # the bits of -(g.weights * np.outer(y, y)), whose products off the
+    # edges would overflow to 0 * inf = NaN where the edges' do not
+    L = np.full((g.n, g.n), -0.0)
+    L[g.edge_src, g.edge_dst] = -(g.edge_w * (y[g.edge_src] * y[g.edge_dst]))
     np.fill_diagonal(L, 0.0)
     np.fill_diagonal(L, -L.sum(axis=1))
-    return L
+    return _finite(L)
 
 
 # --- generalized f/g interactions ---
@@ -297,20 +319,11 @@ class InteractionSpec:
         return self.f is _identity and self.g is _product
 
 
-def default_interaction() -> InteractionSpec:
-    return InteractionSpec(_identity, _product, "identity", "product")
-
-
 def interaction_from_names(f: str = "identity", g: str = "product") -> InteractionSpec:
     """The builtin interaction with f a key of BUILTIN_F and g one of BUILTIN_G."""
     f = read_choice(f, "interaction.f", BUILTIN_F)
     g = read_choice(g, "interaction.g", BUILTIN_G)
     return InteractionSpec(BUILTIN_F[f], BUILTIN_G[g], f, g)
-
-
-def generalized_vector_field(g: Graph, x, spec: InteractionSpec) -> np.ndarray:
-    """dx_i = sum_j a_ij f(x_i - x_j) g(x_i, x_j)."""
-    return _field(g, spec)(prepare_state(x, g.n))
 
 
 @dataclass(frozen=True)
@@ -321,6 +334,7 @@ class InteractionCheck:
     seed: int
 
 
+@_quiet_overflow
 def check_interactions(
     spec: InteractionSpec,
     samples: int = 256,
@@ -330,7 +344,8 @@ def check_interactions(
     """Sampled validation of the interaction hypotheses.
 
     Checks f odd and positive on positives, g symmetric and vanishing when
-    either argument is zero. Violations are report content, not exceptions.
+    either argument is zero. Violations are report content, not exceptions;
+    a value of f or g that is NaN or past the double range is one.
     samples is an integer in [1, MAX_SAMPLES], sample_range two numbers
     with 0 <= lo < hi and seed an integer in [0, 2^64 - 1].
     """
@@ -347,20 +362,25 @@ def check_interactions(
         a = rng.uniform(lo, hi)
         u = rng.uniform(lo, hi)
         v = rng.uniform(lo, hi)
-        fa = float(spec.f(a))
-        fneg = float(spec.f(-a))
+        try:  # a Python float power past the double range raises
+            values = (float(spec.f(a)), float(spec.f(-a)), float(spec.g(u, v)),
+                      float(spec.g(v, u)), float(spec.g(0.0, a)), float(spec.g(a, 0.0)))
+        except OverflowError:
+            values = (math.nan,)
+        if not all(map(math.isfinite, values)):
+            violations.append(f"f or g is NaN or past the double range at a={a}, u={u}, v={v}")
+            break
+        fa, fneg, guv, gvu, g0a, ga0 = values
         if abs(fa + fneg) > tol * max(1.0, abs(fa)):
             violations.append(f"f not odd at a={a}: f(a)+f(-a)={fa + fneg}")
             break
         if a > 0.0 and not fa > 0.0:
             violations.append(f"f({a})={fa} not positive")
             break
-        guv = float(spec.g(u, v))
-        gvu = float(spec.g(v, u))
         if abs(guv - gvu) > tol * max(1.0, abs(guv)):
             violations.append(f"g not symmetric at ({u},{v}): {guv} vs {gvu}")
             break
-        if abs(float(spec.g(0.0, a))) > tol or abs(float(spec.g(a, 0.0))) > tol:
+        if abs(g0a) > tol or abs(ga0) > tol:
             violations.append(f"g does not vanish at the boundary for a={a}")
             break
     return InteractionCheck(

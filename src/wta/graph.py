@@ -36,7 +36,6 @@ __all__ = [
     "induced_subgraph",
     "connected_components",
     "is_independent_set",
-    "graph_to_json_dict",
     "graph_from_json_dict",
     "load_graph",
     "dump_graph",
@@ -347,10 +346,6 @@ def is_independent_set(g: Graph, nodes: Iterable[int]) -> bool:
 # --- JSON schema: {"n": int, "edges": [[i, j, w], ...]} with i < j ---
 
 
-def graph_to_json_dict(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[i, j, w] for i, j, w in g.edges()]}
-
-
 def graph_from_json_dict(d: dict) -> Graph:
     """Graph from its JSON object; new_graph checks the values."""
     if not isinstance(d, dict) or "n" not in d or "edges" not in d:
@@ -383,8 +378,9 @@ def load_graph(path) -> Graph:
 
 
 def dump_graph(g: Graph, path) -> None:
-    """Write g as graph JSON: json.dumps(graph_to_json_dict(g),
-    sort_keys=True) and a newline, a chunk of edges at a time."""
+    """Write g as graph JSON, a chunk of edges at a time: the text of
+    json.dumps({"n": g.n, "edges": [[i, j, w], ...]}, sort_keys=True), the
+    edges as g.edges() lists them, and a newline."""
     m = g.num_edges
     with writing(path, "graph path") as path, open(path, "w") as fh:
         fh.write('{"edges": [')

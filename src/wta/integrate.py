@@ -13,7 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import CLAMP, InteractionSpec, _field, _field_kernel, prepare_state
+from .dynamics import (CLAMP, OVERFLOW_MESSAGE, InteractionSpec, _field, _field_kernel,
+                       _quiet_overflow, prepare_state)
 from .errors import (ConfigError, PositivityFailureError, read_bool, read_integer,
                      read_number, writing)
 from .graph import Graph
@@ -22,7 +23,6 @@ __all__ = [
     "IntegratorOptions",
     "Trajectory",
     "ConservationAudit",
-    "step",
     "simulate",
     "simulate_reverse",
 ]
@@ -162,10 +162,7 @@ def _substep(f: Callable, x: np.ndarray, h, n: int, k1: Optional[np.ndarray] = N
         return np.where(cand <= 0.0, 0.0, cand), h
     # NaN fails both tests above; an infinite field at x stays so at any h
     if lo != lo or not np.isfinite(k1).all():
-        raise PositivityFailureError(
-            "the field overflowed: a step produced NaN or infinity, so the state "
-            "or the edge weights are too large for double precision"
-        )
+        raise PositivityFailureError(OVERFLOW_MESSAGE)
     used = np.full(x.size // n, h, dtype=float)
     for _ in range(HALVINGS):
         used[cand.reshape(-1, n).min(axis=1) < -CLAMP] *= 0.5
@@ -177,26 +174,6 @@ def _substep(f: Callable, x: np.ndarray, h, n: int, k1: Optional[np.ndarray] = N
         f"state left the nonnegative orthant; dt halved {HALVINGS} "
         f"times down to {0.5 * used.min()} without recovery (pathological stiffness)"
     )
-
-
-# the arithmetic of a run that overflows makes inf and NaN; _substep reports
-# that as one PositivityFailureError, and numpy's warnings would repeat it
-_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
-
-
-@_quiet_overflow
-def step(g: Graph, x, dt: float) -> tuple[np.ndarray, float]:
-    """One RK4 step of size dt (or less).
-
-    If the result has a component below the -1e-12 round-off window, the
-    step size is halved and retried, up to HALVINGS times; the
-    actually-used step size is returned alongside the new state. Residual
-    negatives inside the window are clamped to zero. dt is a number > 0.
-    """
-    dt = read_number(dt, "dt", gt=0.0)
-    x = prepare_state(x, g.n)
-    x, used = _substep(_field(g), x, dt, g.n)
-    return x, float(np.min(used))
 
 
 @dataclass

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import wta.dynamics
+from wta.dynamics import _field, prepare_state
+from wta.integrate import _substep
 
 
 def _edge_field(src, dst, w, x: np.ndarray, f=None, gfun=None) -> np.ndarray:
@@ -22,6 +24,22 @@ def _edge_field(src, dst, w, x: np.ndarray, f=None, gfun=None) -> np.ndarray:
     gv = (xs * xd) if gfun is None else gfun(xs, xd)
     terms = (w * fd) * gv
     return np.bincount(src, weights=terms, minlength=x.size)
+
+
+def rk4_step(g, x, dt):
+    """One RK4 step of g's forward field from x through the integrator's
+    _substep: the step is halved while the result leaves the orthant, and
+    round-off negatives are clamped. Returns the new state and the step
+    size used."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, used = _substep(_field(g), prepare_state(x, g.n), dt, g.n)
+    return x, float(np.min(used))
+
+
+def graph_to_json_dict(g) -> dict:
+    """g's graph JSON object: dump_graph writes json.dumps of it with
+    sort_keys=True, and a newline."""
+    return {"n": g.n, "edges": [[i, j, w] for i, j, w in g.edges()]}
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ from wta import (
     analysis,
     check_interactions,
     classify_equilibrium,
-    default_interaction,
     dynamics,
     entropy,
     evaluate_choice,
@@ -27,6 +26,7 @@ from wta import (
     integrate,
     interaction_from_names,
     is_independent_set,
+    laplacian,
     linearize_at,
     mask_to_bits,
     new_graph,
@@ -34,15 +34,15 @@ from wta import (
     perturb_and_escape,
     prepare_state,
     random_graph,
+    reverse_vector_field,
     run_experiment,
-    step,
     sweep_initial_value,
     symmetric_eigenvalues,
     vector_field,
 )
 from wta.cli import _problem_from_config, main
 from wta.errors import (ComponentTooSmallError, ConfigError, InvalidProbabilityError,
-                        NonFiniteStateError, TooManyCandidatesError)
+                        NonFiniteStateError, PositivityFailureError, TooManyCandidatesError)
 
 
 def write(path, obj):
@@ -231,6 +231,16 @@ class TestClassify:
         code, = (main(["classify", "--graph", self.graph_file(tmp_path),
                        "--state", write(tmp_path / "s4.json", {"x": [1.0]})]),)
         assert code == 1
+
+    def test_state_past_double_range_exits_2(self, tmp_path, capsys):
+        # x_i * x_j overflows, and a NaN residual must not read as E_u
+        gf = write(tmp_path / "t.json", {"n": 3, "edges": [[0, 1, 1.0], [0, 2, 1.0],
+                                                           [1, 2, 1.0]]})
+        sf = write(tmp_path / "s6.json", {"x": [1e200, 1e200, 1e200]})
+        assert main(["classify", "--graph", gf, "--state", sf]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "overflowed" in captured.err and "NaN" not in captured.out
 
     def test_state_object_without_x_exit_1(self, tmp_path, capsys):
         sf = write(tmp_path / "s5.json", {"y": [1.0, 2.0]})
@@ -476,6 +486,8 @@ def experiment(out, seed=0, **overrides):
 
 
 PAIR = new_graph(2, [(0, 1, 1.0)])  # [1, 1] on it is an E_u state
+TRIANGLE = new_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
+HUGE = [1e200] * 3  # finite, but x_i * x_j overflows
 
 
 def a_file(path: Path) -> Path:
@@ -536,9 +548,6 @@ def a_file(path: Path) -> Path:
                  ConfigError, id="zero-tol-string"),
     pytest.param(lambda out: classify_equilibrium(PAIR, [1.0, 1.0], equal_tol=float("nan")),
                  ConfigError, id="equal-tol-nan"),
-    pytest.param(lambda out: step(PAIR, [1.0, 1.0], "0.1"), ConfigError, id="step-dt-string"),
-    pytest.param(lambda out: step(PAIR, [1.0, 1.0], -1.0), ConfigError, id="step-dt-negative"),
-    pytest.param(lambda out: step(PAIR, [1.0, 1.0], float("nan")), ConfigError, id="step-dt-nan"),
     pytest.param(lambda out: random_graph(5, 0.5, seed=-1), ConfigError,
                  id="random-graph-seed-negative"),
     pytest.param(lambda out: random_graph(5, 0.5, seed=1.5), ConfigError,
@@ -555,20 +564,21 @@ def a_file(path: Path) -> Path:
                  ConfigError, id="escape-magnitude-negative"),
     pytest.param(lambda out: sweep_initial_value(problem(), 0.5), ConfigError,
                  id="grid-not-a-list"),
-    pytest.param(lambda out: check_interactions(default_interaction(), seed=-1), ConfigError,
+    pytest.param(lambda out: check_interactions(interaction_from_names(), seed=-1), ConfigError,
                  id="check-seed-negative"),
-    pytest.param(lambda out: check_interactions(default_interaction(), samples=0), ConfigError,
+    pytest.param(lambda out: check_interactions(interaction_from_names(), samples=0), ConfigError,
                  id="check-samples-0"),
-    pytest.param(lambda out: check_interactions(default_interaction(), samples=True),
+    pytest.param(lambda out: check_interactions(interaction_from_names(), samples=True),
                  ConfigError, id="check-samples-bool"),
-    pytest.param(lambda out: check_interactions(default_interaction(),
+    pytest.param(lambda out: check_interactions(interaction_from_names(),
                                                 samples=dynamics.MAX_SAMPLES + 1),
                  ConfigError, id="check-samples-past-bound"),
-    pytest.param(lambda out: check_interactions(default_interaction(), sample_range=(1.0, 1.0)),
+    pytest.param(lambda out: check_interactions(interaction_from_names(), sample_range=(1.0, 1.0)),
                  ConfigError, id="check-range-empty"),
-    pytest.param(lambda out: check_interactions(default_interaction(), sample_range=(-1.0, 1.0)),
+    pytest.param(lambda out: check_interactions(interaction_from_names(),
+                                                sample_range=(-1.0, 1.0)),
                  ConfigError, id="check-range-negative"),
-    pytest.param(lambda out: check_interactions(default_interaction(), sample_range=(1.0,)),
+    pytest.param(lambda out: check_interactions(interaction_from_names(), sample_range=(1.0,)),
                  ConfigError, id="check-range-one-number"),
     pytest.param(lambda out: linearize_at(PAIR, classify_equilibrium(PAIR, [1.0, 1.0]), -1),
                  ConfigError, id="component-index-negative"),
@@ -583,6 +593,19 @@ def a_file(path: Path) -> Path:
     pytest.param(lambda out: entropy([float("nan")]), NonFiniteStateError, id="entropy-nan"),
     pytest.param(lambda out: symmetric_eigenvalues([[float("nan")]]), NonFiniteStateError,
                  id="eigenvalues-nan"),
+    # finite input whose products pass the double range
+    pytest.param(lambda out: vector_field(TRIANGLE, HUGE), PositivityFailureError,
+                 id="field-overflow"),
+    pytest.param(lambda out: reverse_vector_field(TRIANGLE, HUGE), PositivityFailureError,
+                 id="reverse-field-overflow"),
+    pytest.param(lambda out: laplacian(TRIANGLE, HUGE), PositivityFailureError,
+                 id="laplacian-overflow"),
+    pytest.param(lambda out: classify_equilibrium(TRIANGLE, HUGE), PositivityFailureError,
+                 id="classify-overflow"),
+    pytest.param(lambda out: perturb_and_escape(TRIANGLE, HUGE), PositivityFailureError,
+                 id="escape-overflow"),
+    pytest.param(lambda out: symmetric_eigenvalues([[1e308, 1e308], [1e308, 1e308]]),
+                 NonFiniteStateError, id="eigenvalues-overflow"),
     pytest.param(lambda out: interaction_from_names("x"), ConfigError, id="interaction-f-name"),
     pytest.param(lambda out: interaction_from_names(g="x"), ConfigError,
                  id="interaction-g-name"),
@@ -659,6 +682,11 @@ def test_package_api_is_the_module_lists():
     for module in modules:
         for name in module.__all__:
             assert getattr(wta, name) is getattr(module, name)
+
+
+def test_readme_names_every_public_name():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert [name for name in wta.__all__ if f"`{name}`" not in readme] == []
 
 
 def test_library_boundary_keeps_normalized_values():

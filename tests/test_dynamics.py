@@ -3,8 +3,6 @@ import pytest
 
 from wta import (
     check_interactions,
-    default_interaction,
-    generalized_vector_field,
     interaction_from_names,
     laplacian,
     new_graph,
@@ -19,6 +17,7 @@ from wta.dynamics import (
     InteractionSpec,
     _field,
     _field_kernel,
+    prepare_state,
 )
 from wta.errors import DimensionMismatchError, NegativeStateError
 
@@ -27,6 +26,12 @@ from conftest import _edge_field
 
 def pair():
     return new_graph(2, [(0, 1, 1.0)])
+
+
+def generalized_field(g, x, spec):
+    """dx_i = sum_j a_ij f(x_i - x_j) g(x_i, x_j), the field simulate runs
+    under spec."""
+    return _field(g, spec)(prepare_state(x, g.n))
 
 
 class TestVectorField:
@@ -58,8 +63,8 @@ class TestVectorField:
     @pytest.mark.parametrize("field", [
         vector_field,
         reverse_vector_field,
-        lambda g, x: generalized_vector_field(g, x, interaction_from_names("cubic")),
-        lambda g, x: generalized_vector_field(g, x, default_interaction()),
+        lambda g, x: generalized_field(g, x, interaction_from_names("cubic")),
+        lambda g, x: generalized_field(g, x, interaction_from_names()),
     ], ids=["forward", "reverse", "generalized-cubic", "generalized-default"])
     def test_edgeless_graph_field_is_float_zeros(self, field):
         # np.bincount over no edges returns integers; the field must not
@@ -126,6 +131,22 @@ class TestLaplacian:
     def test_zero_state(self):
         assert not laplacian(pair(), [0.0, 0.0]).any()
 
+    def test_same_bits_as_the_weight_matrix_form(self):
+        for trial in range(50):
+            g = random_graph(12, 0.4, ("uniform", 0.2, 2.0), seed=trial)
+            y = np.random.default_rng(trial + 1).uniform(0, 2, 12)
+            y[::5] = 0.0
+            ref = -(g.weights * np.outer(y, y))
+            np.fill_diagonal(ref, 0.0)
+            np.fill_diagonal(ref, -ref.sum(axis=1))
+            assert laplacian(g, y).tobytes() == ref.tobytes()
+
+    def test_finite_where_only_non_neighbours_overflow(self):
+        # y_0 * y_1 overflows, but agents 0 and 1 are not neighbours
+        g = new_graph(3, [(0, 2, 1.0), (1, 2, 1.0)])
+        L = laplacian(g, [1e200, 1e200, 1e-200])
+        assert L.tolist() == [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [-1.0, -1.0, 2.0]]
+
     def test_row_sums_and_reverse_identity(self):
         for trial in range(100):
             g = random_graph(12, 0.4, ("uniform", 0.2, 2.0), seed=trial)
@@ -140,17 +161,17 @@ class TestLaplacian:
 
 class TestGeneralized:
     def test_default_spec_bit_identical(self):
-        spec = default_interaction()
+        spec = interaction_from_names()
         for trial in range(1000):
             g = random_graph(8, 0.5, ("uniform", 0.1, 2.0), seed=trial)
             x = np.random.default_rng(trial).uniform(0, 1.5, 8)
             assert np.array_equal(
-                generalized_vector_field(g, x, spec), vector_field(g, x)
+                generalized_field(g, x, spec), vector_field(g, x)
             )
 
     def test_cubic_hand_substitution(self):
         spec = interaction_from_names("cubic", "product")
-        dx = generalized_vector_field(pair(), [2.0, 1.0], spec)
+        dx = generalized_field(pair(), [2.0, 1.0], spec)
         assert dx[0] == pytest.approx(2.0, abs=1e-15)  # 1^3 * 2 * 1
 
     def test_uniform_state_fixed_for_any_valid_spec(self):
@@ -158,7 +179,7 @@ class TestGeneralized:
                          ("tanh", "product")]:
             spec = interaction_from_names(f, gname)
             g = random_graph(7, 0.7, "unit", seed=5)
-            dx = generalized_vector_field(g, np.full(7, 1.3), spec)
+            dx = generalized_field(g, np.full(7, 1.3), spec)
             assert np.all(dx == 0.0)
 
 
@@ -230,13 +251,13 @@ class TestDenseKernel:
             assert diff.max() <= 1e-12 * g.n * np.abs(y).max()
 
     def test_default_spec_bit_identical_on_dense_graph(self):
-        spec = default_interaction()
+        spec = interaction_from_names()
         for trial in range(20):
             g = random_graph(100, 0.8, ("uniform", 0.1, 2.0), seed=trial)
             assert _field_kernel(g, spec) == "dense"
             x = np.random.default_rng(trial).uniform(0, 1.5, 100)
             assert np.array_equal(
-                generalized_vector_field(g, x, spec), vector_field(g, x)
+                generalized_field(g, x, spec), vector_field(g, x)
             )
 
     def test_generalized_specs_stay_on_edge_kernel(self):
@@ -245,7 +266,7 @@ class TestDenseKernel:
         assert _field_kernel(g, spec) == "edge"
         x = np.random.default_rng(4).uniform(0, 1, 100)
         assert np.array_equal(
-            generalized_vector_field(g, x, spec),
+            generalized_field(g, x, spec),
             _edge_field(g.edge_src, g.edge_dst, g.edge_w, x, spec.f, spec.g),
         )
 
@@ -334,7 +355,16 @@ class TestPairedKernel:
 
 class TestCheckInteractions:
     def test_default_passes(self):
-        assert check_interactions(default_interaction()).passed
+        assert check_interactions(interaction_from_names()).passed
+
+    @pytest.mark.parametrize("f", ["cubic", "tanh"])
+    def test_value_past_double_range_is_a_violation(self, f):
+        # at samples near 1e200, a**3 raises OverflowError on a Python
+        # float and u * v is inf; the check reports the first sample
+        report = check_interactions(interaction_from_names(f, "product"), 4, (0, 1e200))
+        assert not report.passed and len(report.violations) == 1
+        a = np.random.default_rng(0).uniform(0, 1e200)
+        assert "double range" in report.violations[0] and f"a={a}," in report.violations[0]
 
     def test_builtins_pass(self):
         for f in ("identity", "cubic", "tanh"):

@@ -12,7 +12,6 @@ from wta import (
     connected_components,
     dump_graph,
     graph_from_json_dict,
-    graph_to_json_dict,
     induced_subgraph,
     is_independent_set,
     load_graph,
@@ -28,6 +27,8 @@ from wta.errors import (
     SelfLoopError,
     WtaError,
 )
+
+from conftest import graph_to_json_dict
 
 
 def path3():

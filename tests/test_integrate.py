@@ -10,7 +10,6 @@ from wta import (
     random_graph,
     simulate,
     simulate_reverse,
-    step,
     vector_field,
 )
 import wta.dynamics
@@ -18,7 +17,7 @@ from wta.dynamics import _dense_field, _field, _field_kernel
 from wta.errors import ConfigError, NonFiniteStateError, PositivityFailureError, WtaError
 from wta.integrate import _HISTORY_ROWS, Trajectory, _raw_step, _simulate
 
-from conftest import _edge_field
+from conftest import _edge_field, rk4_step
 
 
 def pair():
@@ -29,7 +28,7 @@ class TestStep:
     def test_uniform_state_unchanged(self):
         g = random_graph(6, 0.7, "unit", seed=1)
         x = np.full(6, 0.9)
-        out, used = step(g, x, 0.05)
+        out, used = rk4_step(g, x, 0.05)
         assert np.array_equal(out, x)
         assert used == 0.05
 
@@ -37,13 +36,13 @@ class TestStep:
         g = random_graph(5, 0.8, "unit", seed=2)
         x = np.random.default_rng(3).uniform(0.1, 1, 5)
         x[2] = 0.0
-        out, _ = step(g, x, 0.01)
+        out, _ = rk4_step(g, x, 0.01)
         assert out[2] == 0.0
 
     def test_halving_preserves_positivity(self):
         # a deliberately huge step overshoots the boundary; the step must
         # shrink instead of going negative
-        out, used = step(pair(), [5.0, 1.0], 1.0)
+        out, used = rk4_step(pair(), [5.0, 1.0], 1.0)
         assert used == 0.125
         assert np.all(out >= 0.0)
 
@@ -52,7 +51,7 @@ class TestStep:
         # would fail this test before the PositivityFailureError
         g = new_graph(2, [(0, 1, 1e300)])
         with pytest.raises(PositivityFailureError, match="overflowed"):
-            step(g, [1e100, 2e100], 1e-3)
+            rk4_step(g, [1e100, 2e100], 1e-3)
 
 
 def same_bits(a, b) -> bool:
@@ -116,7 +115,7 @@ class TestStepOracle:
     def test_step_is_textbook_rk4(self, name):
         g = ORACLE_GRAPHS[name][0]()
         x = np.random.default_rng(6).uniform(0.1, 1.0, g.n)
-        out, used = step(g, x, 0.01)
+        out, used = rk4_step(g, x, 0.01)
         assert used == 0.01 and np.all(out > 0.0)
         assert same_bits(out, textbook_rk4(plain_field(g), x, 0.01))
 
@@ -271,7 +270,7 @@ class TestNonFiniteState:
             with pytest.raises(NonFiniteStateError):
                 run(pair(), [bad, 1.0], IntegratorOptions(t_end=0.1))
         with pytest.raises(WtaError):
-            step(pair(), [1.0, bad], 0.1)
+            rk4_step(pair(), [1.0, bad], 0.1)
 
 
 def assert_lanes_match_single_runs(g, x0, opts, keep=None):
@@ -298,8 +297,8 @@ class TestLaneBlock:
     def test_one_lane_halves_while_another_does_not(self):
         x0 = np.array([[5.0, 1.0], [1.0, 0.9], [0.0, 1.0]])
         opts = IntegratorOptions(dt=0.5, t_end=2.0)
-        assert step(pair(), x0[0], 0.5)[1] == 0.125
-        assert step(pair(), x0[1], 0.5)[1] == 0.5
+        assert rk4_step(pair(), x0[0], 0.5)[1] == 0.125
+        assert rk4_step(pair(), x0[1], 0.5)[1] == 0.5
         assert_lanes_match_single_runs(pair(), x0, opts)
 
     def test_lanes_stop_on_different_steps(self):
@@ -392,7 +391,7 @@ class TestDenseKernel:
         rk4 = textbook_rk4(lambda x: vector_field(g, x), x0, 1e-3)
         opts = IntegratorOptions(dt=1e-3, t_end=1e-3)
         assert np.array_equal(simulate(g, x0, opts)[0].final_state, rk4)
-        assert np.array_equal(step(g, x0, 1e-3)[0], rk4)
+        assert np.array_equal(rk4_step(g, x0, 1e-3)[0], rk4)
 
     def test_metadata_names_the_kernel(self):
         opts = IntegratorOptions(dt=1e-3, t_end=0.002)
