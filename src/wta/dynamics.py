@@ -183,15 +183,19 @@ DENSE_MIN_N = 32
 DENSE_FILL_DIV = 4
 
 
+def _dense_fits(n: int, num_edges: int) -> bool:
+    """Whether the default interaction on a graph of n agents and num_edges
+    undirected edges runs the dense kernel: the rule _field_kernel applies."""
+    return n >= DENSE_MIN_N and 2 * num_edges * DENSE_FILL_DIV >= n * n
+
+
 def _field_kernel(g: Graph, spec: Optional[InteractionSpec] = None) -> str:
     """Kernel that evaluates the field of g under spec (None: the default
     interaction): "dense" for the default interaction on a graph that is
     large and dense enough, else "edge". Generalized specs use "edge"."""
     if spec is not None and not spec.is_default:
         return "edge"
-    if g.n >= DENSE_MIN_N and 2 * g.num_edges * DENSE_FILL_DIV >= g.n * g.n:
-        return "dense"
-    return "edge"
+    return "dense" if _dense_fits(g.n, g.num_edges) else "edge"
 
 
 def _field(g: Graph, spec: Optional[InteractionSpec] = None,

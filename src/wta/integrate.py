@@ -170,9 +170,11 @@ def _substep(f: Callable, x: np.ndarray, h, n: int, k1: Optional[np.ndarray] = N
         cand = _raw_step(f, x, np.repeat(used, n), k1)
         if cand.min() >= -CLAMP:
             return np.where(cand <= 0.0, 0.0, cand), used
+    # the smallest step a failing lane tried; a finished lane's step is 0
+    tried = used[cand.reshape(-1, n).min(axis=1) < -CLAMP].min()
     raise PositivityFailureError(
         f"state left the nonnegative orthant; dt halved {HALVINGS} "
-        f"times down to {0.5 * used.min()} without recovery (pathological stiffness)"
+        f"times down to {tried} without recovery (pathological stiffness)"
     )
 
 

@@ -7,20 +7,24 @@ enumerates all masks (guarded), greedy search hill-climbs over bit flips,
 and the initial-value sweep evaluates the whole mask table over a grid of
 starting values for alpha. Each problem builds its arena once: the graph
 with every candidate edge, from which a mask keeps its base edges and the
-alpha edges it enables. Exhaustive search and the sweep integrate their
-(initial value, mask) pairs as lanes of one block on the arena
-(_lane_values), bit-for-bit equal to evaluate_choice; greedy search
-evaluates one mask at a time.
+alpha edges it enables. Exhaustive search, the sweep and greedy search
+integrate their (initial value, mask) pairs as lanes of blocks on the arena
+(_lane_values), bit-for-bit equal to evaluate_choice: exhaustive search and
+the sweep send every pair, greedy search each climb's unevaluated
+neighbours. Greedy's other asks run alone through evaluate_choice.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .dynamics import _dense_fits
 from .errors import (SEED_MAX, ConfigError, TooManyCandidatesError, read_integer,
                      read_number, read_numbers)
 from .graph import MAX_AGENTS, Graph, _finish, new_graph
@@ -43,8 +47,10 @@ GRID_MAX = 1 << EXHAUSTIVE_GUARD_BITS  # most sweep grid points
 TABLE_LIMIT_BITS = 16
 TIE_TOL = 1e-12
 # Most restarts greedy_search takes. A restart whose masks are all memoized
-# took about 7 us on a 3-agent arena (2 vCPUs, numpy 2.4.6), so 2^16 of them
-# take about half a second; each mask not yet memoized adds one run.
+# took about 3.7 us on a 3-agent arena and 5.6 us on a 9-agent one (2 vCPUs,
+# numpy 2.4.6; process time, the least of 7 runs of 2^16 restarts), so 2^16
+# of them take under half a second; each mask not yet evaluated adds one
+# run, alone or as a lane.
 MAX_RESTARTS = 1 << 16
 # (initial value, mask) pairs integrated together as lanes of one block. It
 # bounds the block's edge arrays at LANE_BLOCK * 2 * num_edges entries; on
@@ -137,7 +143,7 @@ class OptimizeProblem:
     def total_mass(self, x_alpha0: Optional[float] = None) -> float:
         return float(self.initial_state(x_alpha0).sum())
 
-    def _keep(self, masks: list[int]) -> np.ndarray:
+    def _keep(self, masks: Sequence[int]) -> np.ndarray:
         """(len(masks), arena edges) bool over the edges in arena.edges() order:
         every base edge and the alpha edge to each candidate whose bit is set.
         Bits come from bytes, so a mask may be any width."""
@@ -162,27 +168,25 @@ def evaluate_choice(p: OptimizeProblem, mask: int, x_alpha0: Optional[float] = N
     return float(traj.final_state[p.alpha])
 
 
-def _lane_values(p: OptimizeProblem, grid: tuple[float, ...]):
-    """Yield (x_alpha0, mask, evaluate_choice(p, mask, x_alpha0)) for every
-    grid value and mask, grid-major with masks ascending.
+def _lane_values(p: OptimizeProblem, pairs: Iterable[tuple[float, int]]):
+    """Yield (x_alpha0, mask, value) for each (x_alpha0, mask) of pairs, in
+    order, reading pairs LANE_BLOCK at a time.
 
-    Up to LANE_BLOCK pairs run as lanes of one _simulate block on the
-    arena, each lane keeping the edges of graph_for_mask in the arena's
-    order; so each value is the same bits evaluate_choice gives.
+    Each block of pairs runs as lanes of one _simulate block on the arena,
+    each lane keeping the edges of graph_for_mask in the arena's order, so
+    each value is the bits evaluate_choice(p, mask, x_alpha0) gives when the
+    mask's own graph runs the edge kernel, as lanes always do.
     """
-    m = p.num_candidates
     x = p.initial_state()
-    grid_arr = np.array(grid, dtype=float)
-    total = len(grid) << m
-    for start in range(0, total, LANE_BLOCK):
-        pair = np.arange(start, min(start + LANE_BLOCK, total))
-        masks = pair & ((1 << m) - 1)
-        x_alpha0 = grid_arr[pair >> m]
-        x0 = np.tile(x, (len(pair), 1))
+    pairs = iter(pairs)
+    while block := tuple(itertools.islice(pairs, LANE_BLOCK)):
+        x_alpha0, masks = zip(*block)
+        x_alpha0 = np.array(x_alpha0, dtype=float)
+        x0 = np.tile(x, (len(block), 1))
         x0[:, p.alpha] = x_alpha0
         final = _simulate(p._arena, x0, p._run_options, "forward", None,
-                          keep=p._keep(masks.tolist())).states
-        yield from zip(x_alpha0.tolist(), masks.tolist(), final[:, p.alpha].tolist())
+                          keep=p._keep(masks)).states
+        yield from zip(x_alpha0.tolist(), masks, final[:, p.alpha].tolist())
 
 
 def _guard(grid_points: int, m: int) -> None:
@@ -266,7 +270,7 @@ def exhaustive_search(p: OptimizeProblem) -> OptimizeResult:
     table: list[tuple[int, float]] = []
     best = (0, -np.inf, False)
     vmin, vmax = np.inf, -np.inf
-    for _x0, mask, v in _lane_values(p, (p.x_alpha0,)):
+    for _x0, mask, v in _lane_values(p, ((p.x_alpha0, mask) for mask in range(1 << m))):
         if keep_table:
             table.append((mask, v))
         vmin, vmax = min(vmin, v), max(vmax, v)
@@ -282,23 +286,45 @@ def greedy_search(p: OptimizeProblem, restarts: int = 8, seed: int = 0) -> Optim
     deterministic for a fixed seed. Evaluations are memoized across restarts;
     restarts is an integer in [1, MAX_RESTARTS], seed one in [0, 2^64 - 1],
     and the arena has at most 63 candidates.
+
+    The climb is sequential first-improvement, but it evaluates ahead: on
+    each mask it lands on (a restart's start or a move) the single-bit
+    neighbours not yet evaluated run as lanes of one block, and their
+    values wait in a look-ahead store until the climb asks for them. A
+    restart's start mask that no block has reached runs alone through
+    evaluate_choice, and so does a mask whose own graph runs the dense
+    kernel, whose bits lanes would not reproduce. Only asked masks are
+    memoized and counted, so the result has the bits of evaluating one mask
+    at a time.
     """
     restarts = read_integer(restarts, "restarts", 1, MAX_RESTARTS)
     rng = np.random.default_rng(read_integer(seed, "seed", 0, SEED_MAX))
     m = p.num_candidates
     if m > 63:  # the start masks are drawn as int64 below 2^m
         raise TooManyCandidatesError(f"greedy search takes at most 63 candidates, got {m}")
-    cache: dict[int, float] = {}
+    n, base_edges = p.base_graph.n, p.base_graph.num_edges
+    cache: dict[int, float] = {}  # the masks the climb asked for
+    ahead: dict[int, float] = {}  # lane values not yet asked for
+    scanned: set[int] = set()  # masks whose neighbours went to a block
 
     def value(mask: int) -> float:
         if mask not in cache:
-            cache[mask] = evaluate_choice(p, mask)
+            cache[mask] = ahead.pop(mask) if mask in ahead else evaluate_choice(p, mask)
         return cache[mask]
+
+    def land(mask: int) -> None:
+        scanned.add(mask)
+        todo = [c for c in (mask ^ (1 << k) for k in range(m))
+                if c not in cache and c not in ahead
+                and not _dense_fits(n, base_edges + c.bit_count())]
+        ahead.update((c, v) for _x0, c, v in _lane_values(p, ((p.x_alpha0, c) for c in todo)))
 
     best = (0, -np.inf, False)
     for _ in range(restarts):
         mask = int(rng.integers(0, 1 << m))
         cur = value(mask)
+        if mask not in scanned:
+            land(mask)
         improved = True
         while improved:
             improved = False
@@ -307,6 +333,8 @@ def greedy_search(p: OptimizeProblem, restarts: int = 8, seed: int = 0) -> Optim
                 v = value(cand)
                 if v > cur + TIE_TOL:
                     mask, cur = cand, v
+                    if mask not in scanned:
+                        land(mask)
                     improved = True
         best = _fold(best, mask, cur)
     return _result(p, "greedy", best, len(cache), min(cache.values()), max(cache.values()))
@@ -356,6 +384,6 @@ def sweep_initial_value(p: OptimizeProblem, x_alpha0_grid) -> SweepResult:
         alpha=p.alpha,
         grid=grid,
         num_candidates=m,
-        rows=tuple(_lane_values(p, grid)),
+        rows=tuple(_lane_values(p, ((x0, mask) for x0 in grid for mask in range(1 << m)))),
         others_mass=float(sum(p.x0_others)),
     )

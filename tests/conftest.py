@@ -4,6 +4,7 @@ import pytest
 import wta.dynamics
 from wta.dynamics import _field, prepare_state
 from wta.integrate import _substep
+from wta.optimize import TIE_TOL, _fold, _result, evaluate_choice
 
 
 def _edge_field(src, dst, w, x: np.ndarray, f=None, gfun=None) -> np.ndarray:
@@ -34,6 +35,38 @@ def rk4_step(g, x, dt):
     with np.errstate(over="ignore", invalid="ignore"):
         x, used = _substep(_field(g), prepare_state(x, g.n), dt, g.n)
     return x, float(np.min(used))
+
+
+def reference_greedy(p, restarts: int = 8, seed: int = 0):
+    """greedy_search as a plain memo over evaluate_choice, one mask at a
+    time, with the same first-improvement climb; the reference whose
+    OptimizeResult greedy_search must equal. Returns the result and the
+    masks it evaluated."""
+    rng = np.random.default_rng(seed)
+    m = p.num_candidates
+    cache = {}
+
+    def value(mask):
+        if mask not in cache:
+            cache[mask] = evaluate_choice(p, mask)
+        return cache[mask]
+
+    best = (0, -np.inf, False)
+    for _ in range(restarts):
+        mask = int(rng.integers(0, 1 << m))
+        cur = value(mask)
+        improved = True
+        while improved:
+            improved = False
+            for k in range(m):
+                cand = mask ^ (1 << k)
+                v = value(cand)
+                if v > cur + TIE_TOL:
+                    mask, cur = cand, v
+                    improved = True
+        best = _fold(best, mask, cur)
+    result = _result(p, "greedy", best, len(cache), min(cache.values()), max(cache.values()))
+    return result, set(cache)
 
 
 def graph_to_json_dict(g) -> dict:

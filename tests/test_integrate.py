@@ -1,11 +1,14 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
 from wta import (
+    BUILTIN_F,
     IntegratorOptions,
+    InteractionSpec,
     new_graph,
     random_graph,
     simulate,
@@ -15,7 +18,7 @@ from wta import (
 import wta.dynamics
 from wta.dynamics import _dense_field, _field, _field_kernel
 from wta.errors import ConfigError, NonFiniteStateError, PositivityFailureError, WtaError
-from wta.integrate import _HISTORY_ROWS, Trajectory, _raw_step, _simulate
+from wta.integrate import HALVINGS, _HISTORY_ROWS, Trajectory, _raw_step, _simulate, _substep
 
 from conftest import _edge_field, rk4_step
 
@@ -52,6 +55,27 @@ class TestStep:
         g = new_graph(2, [(0, 1, 1e300)])
         with pytest.raises(PositivityFailureError, match="overflowed"):
             rk4_step(g, [1e100, 2e100], 1e-3)
+
+
+# g = 1 does not vanish at the boundary, so on [0, 1] agent 0 goes below
+# zero at every step size: the run fails after HALVINGS halvings
+NO_BOUNDARY = InteractionSpec(BUILTIN_F["identity"], lambda u, v: np.ones_like(u))
+HALVED_TO = re.escape(f"dt halved {HALVINGS} times down to {2.0**-HALVINGS} without")
+
+
+class TestHalvingFailure:
+    def test_single_run_reports_smallest_step_tried(self):
+        g = new_graph(2, [(0, 1, 10.0)])
+        with pytest.raises(PositivityFailureError, match=HALVED_TO):
+            simulate(g, [0.0, 1.0], IntegratorOptions(dt=1.0, t_end=1.0),
+                     interaction=NO_BOUNDARY)
+
+    def test_finished_lane_is_not_reported(self):
+        # a finishing pass: lane 0 has no step left, lane 1 fails
+        g = new_graph(2, [(0, 1, 10.0)])
+        f = _field(g, NO_BOUNDARY, keep=np.ones((2, 1), dtype=bool))
+        with pytest.raises(PositivityFailureError, match=HALVED_TO):
+            _substep(f, np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.0, 1.0]), 2)
 
 
 def same_bits(a, b) -> bool:

@@ -13,8 +13,11 @@ from wta import (
     random_graph,
     sweep_initial_value,
 )
+from wta.dynamics import _field_kernel
 from wta.errors import ConfigError, TooManyCandidatesError
 from wta.optimize import TIE_TOL, SweepResult, mask_to_bits
+
+from conftest import reference_greedy
 
 
 def two_agent_problem(x_alpha0=2.0, other=1.0, horizon=10.0):
@@ -237,6 +240,39 @@ class TestGreedy:
         exh = exhaustive_search(p)
         grd = greedy_search(p, restarts=4, seed=1)
         assert grd.best_value <= exh.best_value + 1e-12
+
+    @pytest.mark.parametrize("n, p_edge, seed, restarts", [
+        (3, 0.5, 0, 8), (4, 0.5, 1, 8), (5, 0.6, 2, 8), (6, 0.5, 3, 64), (7, 0.4, 4, 8),
+        (8, 0.5, 5, 8), (9, 0.4, 6, 16), (13, 0.3, 7, 4), (40, 0.235, 2, 2)],
+        ids=["3", "4", "5", "6", "7", "8", "9", "12-candidates", "40-dense-and-edge"])
+    def test_matches_one_mask_at_a_time(self, n, p_edge, seed, restarts, monkeypatch):
+        # greedy evaluates neighbours ahead as lanes; the result must be the
+        # plain memo's to the bit, and every call must still make a public
+        # simulate call through evaluate_choice
+        g = random_graph(n, p_edge, ("uniform", 0.5, 1.5) if n % 2 else "unit", seed=seed)
+        x0 = np.random.default_rng(seed + 1).uniform(0.05, 1.0, n)
+        p = OptimizeProblem(
+            base_graph=new_graph(n, [(i, j, w) for i, j, w in g.edges() if 0 not in (i, j)]),
+            alpha=0,
+            x_alpha0=float(x0[0]),
+            x0_others=tuple(float(v) for v in x0[1:]),
+            horizon=0.3 if n == 40 else 2.0,
+            candidate_weight=0.8 if n % 2 else 1.0,
+            options=IntegratorOptions(dt=1e-2, stop_on_equilibrium=True,
+                                      equilibrium_tol=1e-9),
+        )
+        want, asked = reference_greedy(p, restarts=restarts, seed=seed)
+        calls = []
+        evaluate = wta.optimize.evaluate_choice
+        monkeypatch.setattr(wta.optimize, "evaluate_choice",
+                            lambda *args: calls.append(args) or evaluate(*args))
+        assert greedy_search(p, restarts=restarts, seed=seed) == want
+        assert calls
+        if n == 40:
+            # masks whose own graph runs the dense kernel, which lanes would
+            # change in low bits, and masks on the edge kernel
+            kernels = [_field_kernel(p.graph_for_mask(mask)) for mask in asked]
+            assert kernels.count("dense") >= 10 and kernels.count("edge") >= 10
 
     def test_restarts_are_bounded(self, monkeypatch):
         p = two_agent_problem(2.0, 1.0)
