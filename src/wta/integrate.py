@@ -170,8 +170,9 @@ def _substep(f: Callable, x: np.ndarray, h, n: int, k1: Optional[np.ndarray] = N
         cand = _raw_step(f, x, np.repeat(used, n), k1)
         if cand.min() >= -CLAMP:
             return np.where(cand <= 0.0, 0.0, cand), used
-    # the smallest step a failing lane tried; a finished lane's step is 0
-    tried = used[cand.reshape(-1, n).min(axis=1) < -CLAMP].min()
+    # the smallest step a failing lane tried; a finished lane's step is 0,
+    # and a lane whose candidate turned NaN fails too
+    tried = used[~(cand.reshape(-1, n).min(axis=1) >= -CLAMP)].min()
     raise PositivityFailureError(
         f"state left the nonnegative orthant; dt halved {HALVINGS} "
         f"times down to {tried} without recovery (pathological stiffness)"

@@ -10,8 +10,9 @@ with every candidate edge, from which a mask keeps its base edges and the
 alpha edges it enables. Exhaustive search, the sweep and greedy search
 integrate their (initial value, mask) pairs as lanes of blocks on the arena
 (_lane_values), bit-for-bit equal to evaluate_choice: exhaustive search and
-the sweep send every pair, greedy search each climb's unevaluated
-neighbours. Greedy's other asks run alone through evaluate_choice.
+the sweep send every pair, greedy search blocks of the neighbours its
+climb is about to ask for. Greedy's other asks run alone through
+evaluate_choice.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ GRID_MAX = 1 << EXHAUSTIVE_GUARD_BITS  # most sweep grid points
 TABLE_LIMIT_BITS = 16
 TIE_TOL = 1e-12
 # Most restarts greedy_search takes. A restart whose masks are all memoized
-# took about 3.7 us on a 3-agent arena and 5.6 us on a 9-agent one (2 vCPUs,
+# took about 3.1 us on a 3-agent arena and 4.4 us on a 9-agent one (2 vCPUs,
 # numpy 2.4.6; process time, the least of 7 runs of 2^16 restarts), so 2^16
 # of them take under half a second; each mask not yet evaluated adds one
 # run, alone or as a lane.
@@ -57,6 +58,14 @@ MAX_RESTARTS = 1 << 16
 # 9-agent arenas 256 lanes ran the 16 x 256 sweep about twice as fast as
 # 1024, whose per-edge temporaries no longer stay in cache
 LANE_BLOCK = 256
+# Neighbours in greedy_search's first look-ahead block on a mask; each later
+# block on the same mask is twice the last, so on each mask the lanes the
+# climb never reads stay below those it reads plus LOOKAHEAD. A block's
+# fixed cost per step is that of a few lanes: on arenas of 6 to 64 agents
+# (2 vCPUs, numpy 2.4.6) 4 was within noise of the fastest of 1, 2, 4, 8
+# and all neighbours at once, which ran 10 lanes per mask read on a
+# 40-agent arena and took 2.2x as long as one mask at a time.
+LOOKAHEAD = 4
 
 
 def mask_to_bits(mask: int, width: int) -> str:
@@ -287,15 +296,16 @@ def greedy_search(p: OptimizeProblem, restarts: int = 8, seed: int = 0) -> Optim
     restarts is an integer in [1, MAX_RESTARTS], seed one in [0, 2^64 - 1],
     and the arena has at most 63 candidates.
 
-    The climb is sequential first-improvement, but it evaluates ahead: on
-    each mask it lands on (a restart's start or a move) the single-bit
-    neighbours not yet evaluated run as lanes of one block, and their
-    values wait in a look-ahead store until the climb asks for them. A
-    restart's start mask that no block has reached runs alone through
-    evaluate_choice, and so does a mask whose own graph runs the dense
-    kernel, whose bits lanes would not reproduce. Only asked masks are
-    memoized and counted, so the result has the bits of evaluating one mask
-    at a time.
+    The climb is sequential first-improvement, but it evaluates ahead: when
+    it asks for a neighbour of its current mask that no block has reached,
+    that neighbour and the next ones the climb would ask for run as lanes
+    of one block, LOOKAHEAD of them at first and twice as many at each
+    later miss on the same mask. Their values wait in a look-ahead store
+    until the climb asks for them. A restart's start mask that no block has
+    reached runs alone through evaluate_choice, and so does a mask whose
+    own graph runs the dense kernel, whose bits lanes would not reproduce.
+    Only asked masks are memoized and counted, so the result has the bits
+    of evaluating one mask at a time.
     """
     restarts = read_integer(restarts, "restarts", 1, MAX_RESTARTS)
     rng = np.random.default_rng(read_integer(seed, "seed", 0, SEED_MAX))
@@ -305,36 +315,40 @@ def greedy_search(p: OptimizeProblem, restarts: int = 8, seed: int = 0) -> Optim
     n, base_edges = p.base_graph.n, p.base_graph.num_edges
     cache: dict[int, float] = {}  # the masks the climb asked for
     ahead: dict[int, float] = {}  # lane values not yet asked for
-    scanned: set[int] = set()  # masks whose neighbours went to a block
+
+    def lane(mask: int) -> bool:
+        return (mask not in cache and mask not in ahead
+                and not _dense_fits(n, base_edges + mask.bit_count()))
 
     def value(mask: int) -> float:
         if mask not in cache:
             cache[mask] = ahead.pop(mask) if mask in ahead else evaluate_choice(p, mask)
         return cache[mask]
 
-    def land(mask: int) -> None:
-        scanned.add(mask)
-        todo = [c for c in (mask ^ (1 << k) for k in range(m))
-                if c not in cache and c not in ahead
-                and not _dense_fits(n, base_edges + c.bit_count())]
-        ahead.update((c, v) for _x0, c, v in _lane_values(p, ((p.x_alpha0, c) for c in todo)))
-
     best = (0, -np.inf, False)
     for _ in range(restarts):
         mask = int(rng.integers(0, 1 << m))
         cur = value(mask)
-        if mask not in scanned:
-            land(mask)
+        chunk = LOOKAHEAD
         improved = True
         while improved:
             improved = False
             for k in range(m):
                 cand = mask ^ (1 << k)
-                v = value(cand)
+                v = cache.get(cand)
+                if v is None:
+                    if lane(cand):
+                        # the next chunk of neighbours in the order the
+                        # climb asks for them: bits k..m-1, then 0..k-1
+                        bits = itertools.chain(range(k, m), range(k))
+                        todo = [c for c in (mask ^ (1 << j) for j in bits) if lane(c)][:chunk]
+                        ahead.update((c, v) for _x0, c, v in
+                                     _lane_values(p, ((p.x_alpha0, c) for c in todo)))
+                        chunk *= 2
+                    v = value(cand)
                 if v > cur + TIE_TOL:
                     mask, cur = cand, v
-                    if mask not in scanned:
-                        land(mask)
+                    chunk = LOOKAHEAD
                     improved = True
         best = _fold(best, mask, cur)
     return _result(p, "greedy", best, len(cache), min(cache.values()), max(cache.values()))

@@ -77,6 +77,16 @@ class TestHalvingFailure:
         with pytest.raises(PositivityFailureError, match=HALVED_TO):
             _substep(f, np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.0, 1.0]), 2)
 
+    def test_lane_turned_nan_is_reported(self):
+        # g is NaN on (-1, -0.1): the candidate at dt = 1 is finite and
+        # negative, but at dt = 1/8 a stage state lands there, and the lane
+        # stays NaN through the remaining halvings
+        spec = InteractionSpec(BUILTIN_F["identity"],
+                               lambda u, v: np.where((u < -0.1) & (u > -1.0), np.nan, 1.0))
+        g = new_graph(2, [(0, 1, 10.0)])
+        with pytest.raises(PositivityFailureError, match=re.escape("down to 0.125 without")):
+            simulate(g, [0.0, 1.0], IntegratorOptions(dt=1.0, t_end=1.0), interaction=spec)
+
 
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)

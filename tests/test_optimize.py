@@ -247,8 +247,9 @@ class TestGreedy:
         ids=["3", "4", "5", "6", "7", "8", "9", "12-candidates", "40-dense-and-edge"])
     def test_matches_one_mask_at_a_time(self, n, p_edge, seed, restarts, monkeypatch):
         # greedy evaluates neighbours ahead as lanes; the result must be the
-        # plain memo's to the bit, and every call must still make a public
-        # simulate call through evaluate_choice
+        # plain memo's to the bit, every call must still make a public
+        # simulate call through evaluate_choice, and the lanes the climb
+        # never reads must stay fewer than the masks it asks for
         g = random_graph(n, p_edge, ("uniform", 0.5, 1.5) if n % 2 else "unit", seed=seed)
         x0 = np.random.default_rng(seed + 1).uniform(0.05, 1.0, n)
         p = OptimizeProblem(
@@ -262,12 +263,16 @@ class TestGreedy:
                                       equilibrium_tol=1e-9),
         )
         want, asked = reference_greedy(p, restarts=restarts, seed=seed)
-        calls = []
-        evaluate = wta.optimize.evaluate_choice
+        calls, lanes = [], []
+        evaluate, lane_values = wta.optimize.evaluate_choice, wta.optimize._lane_values
         monkeypatch.setattr(wta.optimize, "evaluate_choice",
                             lambda *args: calls.append(args) or evaluate(*args))
+        monkeypatch.setattr(wta.optimize, "_lane_values", lambda p, pairs: lane_values(
+            p, [lanes.append(mask) or (x0, mask) for x0, mask in pairs]))
         assert greedy_search(p, restarts=restarts, seed=seed) == want
         assert calls
+        assert len(set(lanes)) == len(lanes)
+        assert len(set(lanes) - asked) < want.evaluations
         if n == 40:
             # masks whose own graph runs the dense kernel, which lanes would
             # change in low bits, and masks on the edge kernel
