@@ -146,7 +146,9 @@ def _substep(f: Callable, x: np.ndarray, h, n: int, k1: Optional[np.ndarray] = N
 
     A lane whose result has a component below -CLAMP retries with its step
     halved, up to HALVINGS times, while the other lanes keep their
-    step; residual negatives inside the window are clamped to zero. Returns
+    step; residual negatives inside the window are clamped to zero. A
+    candidate holding a NaN, or an infinite k1, raises
+    PositivityFailureError(OVERFLOW_MESSAGE). Returns
     the new block and the steps used: h itself when no lane halved, else
     one size per lane.
     """
@@ -168,11 +170,14 @@ def _substep(f: Callable, x: np.ndarray, h, n: int, k1: Optional[np.ndarray] = N
         used[cand.reshape(-1, n).min(axis=1) < -CLAMP] *= 0.5
         # lanes that passed recompute the same candidate from the same step
         cand = _raw_step(f, x, np.repeat(used, n), k1)
-        if cand.min() >= -CLAMP:
+        lo = cand.min()
+        if lo >= -CLAMP:
             return np.where(cand <= 0.0, 0.0, cand), used
-    # the smallest step a failing lane tried; a finished lane's step is 0,
-    # and a lane whose candidate turned NaN fails too
-    tried = used[~(cand.reshape(-1, n).min(axis=1) >= -CLAMP)].min()
+        # a NaN lane fails every comparison, so it would never halve again
+        if lo != lo:
+            raise PositivityFailureError(OVERFLOW_MESSAGE)
+    # the smallest step a failing lane tried; a finished lane's step is 0
+    tried = used[cand.reshape(-1, n).min(axis=1) < -CLAMP].min()
     raise PositivityFailureError(
         f"state left the nonnegative orthant; dt halved {HALVINGS} "
         f"times down to {tried} without recovery (pathological stiffness)"

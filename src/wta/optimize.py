@@ -11,8 +11,9 @@ alpha edges it enables. Exhaustive search, the sweep and greedy search
 integrate their (initial value, mask) pairs as lanes of blocks on the arena
 (_lane_values), bit-for-bit equal to evaluate_choice: exhaustive search and
 the sweep send every pair, greedy search blocks of the neighbours its
-climb is about to ask for. Greedy's other asks run alone through
-evaluate_choice.
+climb is about to ask for, the first of them with every later restart's
+start mask. Greedy's first start mask and its dense-kernel masks run
+alone through evaluate_choice.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ TIE_TOL = 1e-12
 # took about 3.1 us on a 3-agent arena and 4.4 us on a 9-agent one (2 vCPUs,
 # numpy 2.4.6; process time, the least of 7 runs of 2^16 restarts), so 2^16
 # of them take under half a second; each mask not yet evaluated adds one
-# run, alone or as a lane.
+# run, alone or as a lane. The start masks are drawn up front, and those of
+# the later restarts ride the first look-ahead block: up to 2^16 - 1 lanes,
+# LANE_BLOCK at a time, every one of which the climb asks for.
 MAX_RESTARTS = 1 << 16
 # (initial value, mask) pairs integrated together as lanes of one block. It
 # bounds the block's edge arrays at LANE_BLOCK * 2 * num_edges entries; on
@@ -301,9 +304,12 @@ def greedy_search(p: OptimizeProblem, restarts: int = 8, seed: int = 0) -> Optim
     that neighbour and the next ones the climb would ask for run as lanes
     of one block, LOOKAHEAD of them at first and twice as many at each
     later miss on the same mask. Their values wait in a look-ahead store
-    until the climb asks for them. A restart's start mask that no block has
-    reached runs alone through evaluate_choice, and so does a mask whose
-    own graph runs the dense kernel, whose bits lanes would not reproduce.
+    until the climb asks for them. The start masks are drawn before the
+    first restart, and the first block also carries every later restart's
+    start mask, each of which the climb asks for first on its restart. The
+    first start mask, asked before any block, runs alone through
+    evaluate_choice, and so does a mask whose own graph runs the dense
+    kernel, whose bits lanes would not reproduce.
     Only asked masks are memoized and counted, so the result has the bits
     of evaluating one mask at a time.
     """
@@ -325,9 +331,12 @@ def greedy_search(p: OptimizeProblem, restarts: int = 8, seed: int = 0) -> Optim
             cache[mask] = ahead.pop(mask) if mask in ahead else evaluate_choice(p, mask)
         return cache[mask]
 
+    # every restart asks for its start mask first, so the later ones ride
+    # the first look-ahead block; scalar draws keep the seed's masks
+    starts = [int(rng.integers(0, 1 << m)) for _ in range(restarts)]
+    later = starts[1:]
     best = (0, -np.inf, False)
-    for _ in range(restarts):
-        mask = int(rng.integers(0, 1 << m))
+    for mask in starts:
         cur = value(mask)
         chunk = LOOKAHEAD
         improved = True
@@ -342,6 +351,8 @@ def greedy_search(p: OptimizeProblem, restarts: int = 8, seed: int = 0) -> Optim
                         # climb asks for them: bits k..m-1, then 0..k-1
                         bits = itertools.chain(range(k, m), range(k))
                         todo = [c for c in (mask ^ (1 << j) for j in bits) if lane(c)][:chunk]
+                        todo = dict.fromkeys(todo + [s for s in later if lane(s)])
+                        later = []
                         ahead.update((c, v) for _x0, c, v in
                                      _lane_values(p, ((p.x_alpha0, c) for c in todo)))
                         chunk *= 2

@@ -16,7 +16,7 @@ from wta import (
     vector_field,
 )
 import wta.dynamics
-from wta.dynamics import _dense_field, _field, _field_kernel
+from wta.dynamics import OVERFLOW_MESSAGE, _dense_field, _field, _field_kernel
 from wta.errors import ConfigError, NonFiniteStateError, PositivityFailureError, WtaError
 from wta.integrate import HALVINGS, _HISTORY_ROWS, Trajectory, _raw_step, _simulate, _substep
 
@@ -79,12 +79,12 @@ class TestHalvingFailure:
 
     def test_lane_turned_nan_is_reported(self):
         # g is NaN on (-1, -0.1): the candidate at dt = 1 is finite and
-        # negative, but at dt = 1/8 a stage state lands there, and the lane
-        # stays NaN through the remaining halvings
+        # negative, but at dt = 1/8 a stage state lands there, and the run
+        # fails at once as a non-finite field, not after the other halvings
         spec = InteractionSpec(BUILTIN_F["identity"],
                                lambda u, v: np.where((u < -0.1) & (u > -1.0), np.nan, 1.0))
         g = new_graph(2, [(0, 1, 10.0)])
-        with pytest.raises(PositivityFailureError, match=re.escape("down to 0.125 without")):
+        with pytest.raises(PositivityFailureError, match=re.escape(OVERFLOW_MESSAGE)):
             simulate(g, [0.0, 1.0], IntegratorOptions(dt=1.0, t_end=1.0), interaction=spec)
 
 

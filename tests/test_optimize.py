@@ -49,20 +49,22 @@ def nine_agent_problem(seed=0, horizon=5.0):
     )
 
 
-def acceptance_seven_problem():
-    # the instance of tests/test_acceptance.py::test_7_optimizer
+def seeded_arena_problem(n=9, p_edge=0.4, horizon=5.0):
+    # the first connected G(n, p) from seeds 40, 1040, ..., x0 from seed 41:
+    # at the defaults the instance of tests/test_acceptance.py::test_7_optimizer,
+    # at (6, 0.5, 1.25) the benchmark's arena_search arena before relabelling
     for k in range(100):
-        arena = random_graph(9, 0.4, "unit", seed=40 + 1000 * k)
+        arena = random_graph(n, p_edge, "unit", seed=40 + 1000 * k)
         if len(connected_components(arena)) == 1:
             break
-    base = new_graph(9, [(i, j, w) for i, j, w in arena.edges() if 0 not in (i, j)])
-    x0 = np.random.default_rng(41).uniform(0.05, 1.0, 9)
+    base = new_graph(n, [(i, j, w) for i, j, w in arena.edges() if 0 not in (i, j)])
+    x0 = np.random.default_rng(41).uniform(0.05, 1.0, n)
     return OptimizeProblem(
         base_graph=base,
         alpha=0,
         x_alpha0=float(x0[0]),
         x0_others=tuple(float(v) for v in x0[1:]),
-        horizon=5.0,
+        horizon=horizon,
         options=IntegratorOptions(dt=1e-2, stop_on_equilibrium=True,
                                   equilibrium_tol=1e-9),
     )
@@ -200,7 +202,7 @@ class TestExhaustive:
         # exhaustive search integrates its masks as lanes of one block; every
         # value, the argmax and the tie flag must equal the one-mask-at-a-time
         # evaluation and reduction exactly
-        p = acceptance_seven_problem()
+        p = seeded_arena_problem()
         res = exhaustive_search(p)
         scalar = [evaluate_choice(p, mask) for mask in range(256)]
         assert [v for _mask, v in res.table] == scalar
@@ -278,6 +280,28 @@ class TestGreedy:
             # change in low bits, and masks on the edge kernel
             kernels = [_field_kernel(p.graph_for_mask(mask)) for mask in asked]
             assert kernels.count("dense") >= 10 and kernels.count("edge") >= 10
+
+    def test_later_start_masks_ride_the_first_block(self, monkeypatch):
+        # on the benchmark's arena only the first start mask runs alone: every
+        # later one is a lane of the first look-ahead block
+        p = seeded_arena_problem(6, 0.5, horizon=1.25)
+        want, _asked = reference_greedy(p, restarts=64, seed=0)
+        rng = np.random.default_rng(0)
+        starts = [int(rng.integers(0, 1 << 5)) for _ in range(64)]
+        calls, blocks = [], []
+        evaluate, lane_values = wta.optimize.evaluate_choice, wta.optimize._lane_values
+
+        def record_block(p, pairs):
+            pairs = list(pairs)
+            blocks.append({mask for _x0, mask in pairs})
+            return lane_values(p, pairs)
+
+        monkeypatch.setattr(wta.optimize, "evaluate_choice",
+                            lambda *args: calls.append(args) or evaluate(*args))
+        monkeypatch.setattr(wta.optimize, "_lane_values", record_block)
+        assert greedy_search(p, restarts=64, seed=0) == want
+        assert len(calls) == 1
+        assert set(starts) - {starts[0]} <= blocks[0]
 
     def test_restarts_are_bounded(self, monkeypatch):
         p = two_agent_problem(2.0, 1.0)
