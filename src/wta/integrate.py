@@ -48,10 +48,15 @@ class IntegratorOptions:
     equilibrium_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("dt", "t_end", "equilibrium_tol"):
-            read_number(getattr(self, name), name, gt=0.0)
-        read_integer(self.record_stride, "record_stride", lo=1)
-        read_bool(self.stop_on_equilibrium, "stop_on_equilibrium")
+        # each field keeps the value read from it: a float32 dt would count
+        # steps and stamp times in float32
+        checked = {name: read_number(getattr(self, name), name, gt=0.0)
+                   for name in ("dt", "t_end", "equilibrium_tol")}
+        checked["record_stride"] = read_integer(self.record_stride, "record_stride", lo=1)
+        checked["stop_on_equilibrium"] = read_bool(self.stop_on_equilibrium,
+                                                   "stop_on_equilibrium")
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         # ceil(t_end / dt - 1e-12) <= MAX_STEPS, as _simulate counts steps
         if not self.t_end / self.dt - 1e-12 <= MAX_STEPS:
             raise ConfigError(

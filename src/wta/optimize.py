@@ -10,10 +10,9 @@ with every candidate edge, from which a mask keeps its base edges and the
 alpha edges it enables. Exhaustive search, the sweep and greedy search
 integrate their (initial value, mask) pairs as lanes of blocks on the arena
 (_lane_values), bit-for-bit equal to evaluate_choice: exhaustive search and
-the sweep send every pair, greedy search blocks of the neighbours its
-climb is about to ask for, the first of them with every later restart's
-start mask. Greedy's first start mask and its dense-kernel masks run
-alone through evaluate_choice.
+the sweep send every pair; greedy search climbs up to LANE_BLOCK restarts
+in lockstep and sends each round's new asks as one block. Greedy's first
+start mask and its dense-kernel masks run alone through evaluate_choice.
 """
 
 from __future__ import annotations
@@ -49,26 +48,18 @@ GRID_MAX = 1 << EXHAUSTIVE_GUARD_BITS  # most sweep grid points
 TABLE_LIMIT_BITS = 16
 TIE_TOL = 1e-12
 # Most restarts greedy_search takes. A restart whose masks are all memoized
-# took about 3.1 us on a 3-agent arena and 4.4 us on a 9-agent one (2 vCPUs,
-# numpy 2.4.6; process time, the least of 7 runs of 2^16 restarts), so 2^16
-# of them take under half a second; each mask not yet evaluated adds one
-# run, alone or as a lane. The start masks are drawn up front, and those of
-# the later restarts ride the first look-ahead block: up to 2^16 - 1 lanes,
-# LANE_BLOCK at a time, every one of which the climb asks for.
+# took about 3.3 us on a 3-agent arena and 3.9 us on the README's 9-agent
+# one (2 vCPUs, numpy 2.4.6; process time from 2^12 to 2^16 restarts, the
+# least of 7 runs each), and 2^16 restarts took 0.24 s and 0.49 s in all;
+# each mask not yet evaluated adds one lane, or one run if its graph fits
+# the dense kernel. Restarts climb LANE_BLOCK at a time, which bounds each
+# round's block and the climbs held at once.
 MAX_RESTARTS = 1 << 16
 # (initial value, mask) pairs integrated together as lanes of one block. It
 # bounds the block's edge arrays at LANE_BLOCK * 2 * num_edges entries; on
 # 9-agent arenas 256 lanes ran the 16 x 256 sweep about twice as fast as
 # 1024, whose per-edge temporaries no longer stay in cache
 LANE_BLOCK = 256
-# Neighbours in greedy_search's first look-ahead block on a mask; each later
-# block on the same mask is twice the last, so on each mask the lanes the
-# climb never reads stay below those it reads plus LOOKAHEAD. A block's
-# fixed cost per step is that of a few lanes: on arenas of 6 to 64 agents
-# (2 vCPUs, numpy 2.4.6) 4 was within noise of the fastest of 1, 2, 4, 8
-# and all neighbours at once, which ran 10 lanes per mask read on a
-# 40-agent arena and took 2.2x as long as one mask at a time.
-LOOKAHEAD = 4
 
 
 def mask_to_bits(mask: int, width: int) -> str:
@@ -299,19 +290,16 @@ def greedy_search(p: OptimizeProblem, restarts: int = 8, seed: int = 0) -> Optim
     restarts is an integer in [1, MAX_RESTARTS], seed one in [0, 2^64 - 1],
     and the arena has at most 63 candidates.
 
-    The climb is sequential first-improvement, but it evaluates ahead: when
-    it asks for a neighbour of its current mask that no block has reached,
-    that neighbour and the next ones the climb would ask for run as lanes
-    of one block, LOOKAHEAD of them at first and twice as many at each
-    later miss on the same mask. Their values wait in a look-ahead store
-    until the climb asks for them. The start masks are drawn before the
-    first restart, and the first block also carries every later restart's
-    start mask, each of which the climb asks for first on its restart. The
-    first start mask, asked before any block, runs alone through
-    evaluate_choice, and so does a mask whose own graph runs the dense
-    kernel, whose bits lanes would not reproduce.
-    Only asked masks are memoized and counted, so the result has the bits
-    of evaluating one mask at a time.
+    The climbs run in lockstep, LANE_BLOCK restarts at a time in restart
+    order. In each round every running climb asks for the next mask it
+    reads that no earlier round evaluated, and the distinct asks run as
+    lanes of one block; a mask whose own graph runs the dense kernel, whose
+    bits lanes would not reproduce, runs alone through evaluate_choice, as
+    does the first start mask before any round. Only asked masks are
+    evaluated, memoized and counted, and the end points fold in restart
+    order, so the result has the bits of climbing one restart after
+    another, one mask at a time. One restart sends one lane a round, so its
+    blocks share nothing; 8 or more restarts fill them.
     """
     restarts = read_integer(restarts, "restarts", 1, MAX_RESTARTS)
     rng = np.random.default_rng(read_integer(seed, "seed", 0, SEED_MAX))
@@ -319,49 +307,43 @@ def greedy_search(p: OptimizeProblem, restarts: int = 8, seed: int = 0) -> Optim
     if m > 63:  # the start masks are drawn as int64 below 2^m
         raise TooManyCandidatesError(f"greedy search takes at most 63 candidates, got {m}")
     n, base_edges = p.base_graph.n, p.base_graph.num_edges
-    cache: dict[int, float] = {}  # the masks the climb asked for
-    ahead: dict[int, float] = {}  # lane values not yet asked for
-
-    def lane(mask: int) -> bool:
-        return (mask not in cache and mask not in ahead
-                and not _dense_fits(n, base_edges + mask.bit_count()))
-
-    def value(mask: int) -> float:
-        if mask not in cache:
-            cache[mask] = ahead.pop(mask) if mask in ahead else evaluate_choice(p, mask)
-        return cache[mask]
-
-    # every restart asks for its start mask first, so the later ones ride
-    # the first look-ahead block; scalar draws keep the seed's masks
+    # scalar draws keep the seed's start masks; the first one runs alone, so
+    # every call makes a public simulate call
     starts = [int(rng.integers(0, 1 << m)) for _ in range(restarts)]
-    later = starts[1:]
-    best = (0, -np.inf, False)
-    for mask in starts:
-        cur = value(mask)
-        chunk = LOOKAHEAD
-        improved = True
+    cache = {starts[0]: evaluate_choice(p, starts[0])}  # the masks the climbs asked for
+
+    def climb(i: int, mask: int):
+        """Restart i's first-improvement climb over single-bit flips from
+        mask: yields each mask it reads that cache lacks, then records the
+        mask and value it ends on as ends[i]."""
+        if mask not in cache:
+            yield mask
+        cur, improved = cache[mask], True
         while improved:
             improved = False
             for k in range(m):
                 cand = mask ^ (1 << k)
-                v = cache.get(cand)
-                if v is None:
-                    if lane(cand):
-                        # the next chunk of neighbours in the order the
-                        # climb asks for them: bits k..m-1, then 0..k-1
-                        bits = itertools.chain(range(k, m), range(k))
-                        todo = [c for c in (mask ^ (1 << j) for j in bits) if lane(c)][:chunk]
-                        todo = dict.fromkeys(todo + [s for s in later if lane(s)])
-                        later = []
-                        ahead.update((c, v) for _x0, c, v in
-                                     _lane_values(p, ((p.x_alpha0, c) for c in todo)))
-                        chunk *= 2
-                    v = value(cand)
-                if v > cur + TIE_TOL:
-                    mask, cur = cand, v
-                    chunk = LOOKAHEAD
-                    improved = True
-        best = _fold(best, mask, cur)
+                if cand not in cache:
+                    yield cand
+                if cache[cand] > cur + TIE_TOL:
+                    mask, cur, improved = cand, cache[cand], True
+        ends[i] = mask, cur
+
+    best = (0, -np.inf, False)
+    for w in range(0, restarts, LANE_BLOCK):
+        window = starts[w:w + LANE_BLOCK]
+        ends = [None] * len(window)
+        climbs = [climb(i, mask) for i, mask in enumerate(window)]
+        while climbs:
+            # one round: each running climb's next ask, then one block of them
+            climbs = {c: ask for c in climbs if (ask := next(c, None)) is not None}
+            asks = dict.fromkeys(climbs.values())
+            dense = [c for c in asks if _dense_fits(n, base_edges + c.bit_count())]
+            cache.update((c, evaluate_choice(p, c)) for c in dense)
+            cache.update((c, v) for _x0, c, v in _lane_values(
+                p, ((p.x_alpha0, c) for c in asks if c not in dense)))
+        for end in ends:  # in restart order: near-ties make _fold order-sensitive
+            best = _fold(best, *end)
     return _result(p, "greedy", best, len(cache), min(cache.values()), max(cache.values()))
 
 

@@ -7,14 +7,14 @@ trajectory CSV among them.
 
 The first form runs the set in-process through wta.cli.main, with every
 warning raised as an error, into OUT_DIR (new or empty), one directory a
-command. It writes OUT_DIR/SHA256SUMS, one "digest  path" line a file,
-sorted by path, and prints the contract report: a line for each contract
-a trajectory CSV breaks, then a count. A broken contract does not change
-the exit code; a command that exits nonzero does. Until the step enforces
-monotone extremes, expect two broken files, both forward runs where RK4
-at dt = 1e-3 passes its stability limit: fig2 at seed 1315760028 (max,
-min and entropy) and the cubic/product run on uniform weights (max and
-entropy).
+command: 94 files in all. It writes OUT_DIR/SHA256SUMS, one "digest  path"
+line a file, sorted by path, and prints the contract report: a line for
+each contract a trajectory CSV breaks, then a count. A broken contract
+does not change the exit code; a command that exits nonzero does. Until
+the step enforces monotone extremes, expect two broken files, both
+forward runs where RK4 at dt = 1e-3 passes its stability limit: fig2 at
+seed 1315760028 (max, min and entropy) and the cubic/product run on
+uniform weights (max and entropy).
 
 The second form lists every file that differs between two such
 directories, or is in one of them only, and exits 1 if any does. So two
@@ -84,6 +84,9 @@ def runs():
                        "stop_on_equilibrium": True}}, ["simulate", "--svg"]
     yield "optimize-exhaustive", README_OPTIMIZE, ["optimize", "--mode", "exhaustive"]
     yield "optimize-greedy", README_OPTIMIZE, ["optimize", "--mode", "greedy"]
+    # more restarts than greedy climbs at once (LANE_BLOCK)
+    yield "optimize-greedy-300", {**README_OPTIMIZE, "greedy": {"restarts": 300, "seed": 0}}, [
+        "optimize", "--mode", "greedy"]
     yield "optimize-sweep", README_OPTIMIZE, ["optimize", "--sweep", "--svg"]
     for f, g in INTERACTIONS:
         for weights, mode in (("unit", "unit"), ("uniform", {"uniform": [0.2, 1.5]})):

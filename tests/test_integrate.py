@@ -196,6 +196,21 @@ class TestOptions:
             with pytest.raises(ConfigError, match="steps"):
                 IntegratorOptions(dt=dt, t_end=t_end)
 
+    def test_fields_hold_the_values_read(self):
+        # a float32 dt counted 50 steps, not 51, and stamped float32 times
+        numpy_typed = IntegratorOptions(dt=np.float32(0.01), t_end=0.5,
+                                        record_stride=np.int64(2),
+                                        stop_on_equilibrium=np.bool_(False))
+        plain = IntegratorOptions(dt=float(np.float32(0.01)), t_end=0.5, record_stride=2)
+        assert numpy_typed == plain
+        for name, kind in [("dt", float), ("t_end", float), ("equilibrium_tol", float),
+                           ("record_stride", int), ("stop_on_equilibrium", bool)]:
+            assert type(getattr(numpy_typed, name)) is kind
+        g, x0 = new_graph(3, [(0, 1, 1.0), (1, 2, 0.5)]), [0.2, 0.5, 0.3]
+        a, _ = simulate(g, x0, numpy_typed)
+        b, _ = simulate(g, x0, plain)
+        assert same_bits(a.times, b.times) and same_bits(a.states, b.states)
+
 
 class TestSimulateForward:
     def test_two_agent_oracle(self):

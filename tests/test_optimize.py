@@ -17,6 +17,7 @@ from wta.dynamics import _field_kernel
 from wta.errors import ConfigError, TooManyCandidatesError
 from wta.optimize import TIE_TOL, SweepResult, mask_to_bits
 
+import conftest
 from conftest import reference_greedy
 
 
@@ -245,13 +246,16 @@ class TestGreedy:
 
     @pytest.mark.parametrize("n, p_edge, seed, restarts", [
         (3, 0.5, 0, 8), (4, 0.5, 1, 8), (5, 0.6, 2, 8), (6, 0.5, 3, 64), (7, 0.4, 4, 8),
-        (8, 0.5, 5, 8), (9, 0.4, 6, 16), (13, 0.3, 7, 4), (40, 0.235, 2, 2)],
-        ids=["3", "4", "5", "6", "7", "8", "9", "12-candidates", "40-dense-and-edge"])
+        (8, 0.5, 5, 8), (9, 0.4, 6, 16), (9, 0.4, 6, 1), (13, 0.3, 7, 4), (6, 0.5, 8, 300),
+        (40, 0.235, 2, 2)],
+        ids=["3", "4", "5", "6", "7", "8", "9", "9-one-restart", "12-candidates",
+             "6-past-one-window", "40-dense-and-edge"])
     def test_matches_one_mask_at_a_time(self, n, p_edge, seed, restarts, monkeypatch):
-        # greedy evaluates neighbours ahead as lanes; the result must be the
-        # plain memo's to the bit, every call must still make a public
-        # simulate call through evaluate_choice, and the lanes the climb
-        # never reads must stay fewer than the masks it asks for
+        # greedy climbs its restarts in lockstep and evaluates their asks as
+        # lanes; the result must be the plain memo's to the bit (past
+        # LANE_BLOCK restarts too), every call must still make a public
+        # simulate call through evaluate_choice, and every lane must be a
+        # mask the climbs ask for
         g = random_graph(n, p_edge, ("uniform", 0.5, 1.5) if n % 2 else "unit", seed=seed)
         x0 = np.random.default_rng(seed + 1).uniform(0.05, 1.0, n)
         p = OptimizeProblem(
@@ -274,16 +278,38 @@ class TestGreedy:
         assert greedy_search(p, restarts=restarts, seed=seed) == want
         assert calls
         assert len(set(lanes)) == len(lanes)
-        assert len(set(lanes) - asked) < want.evaluations
+        assert set(lanes) <= asked
         if n == 40:
             # masks whose own graph runs the dense kernel, which lanes would
             # change in low bits, and masks on the edge kernel
             kernels = [_field_kernel(p.graph_for_mask(mask)) for mask in asked]
             assert kernels.count("dense") >= 10 and kernels.count("edge") >= 10
 
+    def test_end_points_fold_in_restart_order(self, monkeypatch):
+        # every arena above has one local optimum, so all its restarts end on
+        # one mask; on a rugged stand-in objective whose optima lie within
+        # TIE_TOL of each other _fold is order-sensitive, and past
+        # LANE_BLOCK restarts every end point must still fold in restart
+        # order, as in the one-at-a-time reference
+        rng = np.random.default_rng(0)
+        table = (rng.integers(0, 4, 256) + rng.integers(0, 3, 256) * 0.6 * TIE_TOL).tolist()
+        for module in (wta.optimize, conftest):
+            monkeypatch.setattr(module, "evaluate_choice", lambda p, mask: table[mask])
+        monkeypatch.setattr(wta.optimize, "_lane_values", lambda p, pairs: (
+            (x0, mask, table[mask]) for x0, mask in pairs))
+        fold, want_ends, ends = wta.optimize._fold, [], []
+        monkeypatch.setattr(conftest, "_fold",
+                            lambda best, *end: want_ends.append(end) or fold(best, *end))
+        p = seeded_arena_problem()  # 8 candidates: the table's 256 masks
+        want, _asked = reference_greedy(p, restarts=600, seed=5)
+        monkeypatch.setattr(wta.optimize, "_fold",
+                            lambda best, *end: ends.append(end) or fold(best, *end))
+        assert greedy_search(p, restarts=600, seed=5) == want
+        assert ends == want_ends and len(set(ends)) > 10
+
     def test_later_start_masks_ride_the_first_block(self, monkeypatch):
         # on the benchmark's arena only the first start mask runs alone: every
-        # later one is a lane of the first look-ahead block
+        # later one is a lane of the first round's block
         p = seeded_arena_problem(6, 0.5, horizon=1.25)
         want, _asked = reference_greedy(p, restarts=64, seed=0)
         rng = np.random.default_rng(0)
