@@ -57,8 +57,7 @@ def _canonical_hash(obj) -> str:
 
 def _write_json(path, obj) -> None:
     with writing(path, "JSON path") as path, open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _connected_random_graph(n: int, p: float, seed: int) -> Graph:

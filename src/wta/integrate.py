@@ -8,6 +8,7 @@ window are clamped to zero. Total mass is audited every step.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -27,8 +28,8 @@ __all__ = [
     "simulate_reverse",
 ]
 
-# Most fixed steps a run may take: about 55 minutes at 33 us a step (RK4 on
-# a 60-agent graph with p = 0.15, the fastest of six 5000-step runs on 2
+# Most fixed steps a run may take: about 52 minutes at 31 us a step (RK4 on
+# a 60-agent graph with p = 0.15, the fastest of twenty 5000-step runs on 2
 # vCPUs with numpy 2.4.6).
 MAX_STEPS = 10**8
 # Most times a step that leaves the orthant is halved before the run fails
@@ -115,6 +116,26 @@ def _write_csv(path, header: list[str], rows, text: tuple[int, ...] = ()) -> Non
         fh.writelines(row % tuple(values) for values in rows)
 
 
+def _frozen(value: float) -> np.ndarray:
+    """value as a read-only 0-d float64 array: a ufunc operand numpy takes
+    without the Python-scalar promotion path, with the same value."""
+    a = np.array(value, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+_TWO, _ZERO = _frozen(2.0), _frozen(0.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _coefficients(h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """h, h/2 and h/6 for one float step, each through _frozen. A run's steps
+    k*dt - (k-1)*dt take few distinct values (13 over 10^4 steps at
+    dt = 1e-3, 22 over 10^6 at dt = 1e-2), so the memo serves almost every
+    step."""
+    return _frozen(h), _frozen(0.5 * h), _frozen(h / 6.0)
+
+
 def _raw_step(f: Callable, x: np.ndarray, h, k1: np.ndarray) -> np.ndarray:
     """One unchecked RK4 step from x, where the field is k1; h is a float
     or one step size per entry.
@@ -123,8 +144,17 @@ def _raw_step(f: Callable, x: np.ndarray, h, k1: np.ndarray) -> np.ndarray:
     operation, with the stage states in one reused buffer and the weighted
     sum in a second; x and the stages are only read (a halving retry steps
     from x and k1 again). Products and sums swap their operands, which IEEE
-    arithmetic rounds the same, so the bits are those of the textbook form."""
-    hh = 0.5 * h
+    arithmetic rounds the same, so the bits are those of the textbook form.
+
+    Every scalar operand (a float h, h/2, h/6 and the 2) enters as a 0-d
+    float64 array, not a Python float. x is float64, so both kinds of
+    operand give a float64 product of the same double value, the same bits;
+    but numpy 2 types a Python-float operand by its promotion rules on
+    every call (NEP 50), which costs about 0.2 us more than a 0-d array."""
+    if isinstance(h, np.ndarray):
+        hh, h6 = 0.5 * h, h / 6.0
+    else:
+        h, hh, h6 = _coefficients(h)
     s = k1 * hh
     s += x
     k2 = f(s)
@@ -134,12 +164,12 @@ def _raw_step(f: Callable, x: np.ndarray, h, k1: np.ndarray) -> np.ndarray:
     np.multiply(k3, h, s)
     s += x
     k4 = f(s)
-    acc = k2 * 2.0
+    acc = k2 * _TWO
     acc += k1
-    np.multiply(k3, 2.0, s)
+    np.multiply(k3, _TWO, s)
     acc += s
     acc += k4
-    acc *= h / 6.0
+    acc *= h6
     acc += x
     return acc
 
@@ -161,7 +191,7 @@ def _substep(f: Callable, x: np.ndarray, h, n: int, k1: Optional[np.ndarray] = N
         k1 = f(x)
     cand = _raw_step(f, x, np.repeat(h, n) if isinstance(h, np.ndarray) else h, k1)
     # the common case, every entry positive, in one comparison and one count
-    if np.count_nonzero(cand > 0.0) == cand.size:
+    if np.count_nonzero(cand > _ZERO) == cand.size:
         return cand, h
     lo = np.minimum.reduce(cand)
     if lo >= -CLAMP:
@@ -242,7 +272,7 @@ def _simulate(
     """
     b, n = x0.shape
     dt, t_end = opts.dt, opts.t_end
-    stride, tol = opts.record_stride, opts.equilibrium_tol
+    stride, tol = opts.record_stride, _frozen(opts.equilibrium_tol)
     stop_eq = opts.stop_on_equilibrium
     n_steps = max(1, int(np.ceil(t_end / dt - 1e-12)))
     x = x0.ravel().copy()

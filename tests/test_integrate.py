@@ -18,7 +18,8 @@ from wta import (
 import wta.dynamics
 from wta.dynamics import OVERFLOW_MESSAGE, _dense_field, _field, _field_kernel
 from wta.errors import ConfigError, NonFiniteStateError, PositivityFailureError, WtaError
-from wta.integrate import HALVINGS, _HISTORY_ROWS, Trajectory, _raw_step, _simulate, _substep
+from wta.integrate import (HALVINGS, _HISTORY_ROWS, Trajectory, _coefficients, _raw_step,
+                           _simulate, _substep)
 
 from conftest import _edge_field, rk4_step
 
@@ -119,6 +120,10 @@ ORACLE_GRAPHS = {
 }
 
 
+# the float steps k*dt - (k-1)*dt of 10^4 steps at dt = 1e-3
+STEPS = sorted({k * 1e-3 - (k - 1) * 1e-3 for k in range(1, 10**4 + 1)})
+
+
 class TestStepOracle:
     """The integrator's RK4 step, with its reused buffers and in-place
     products, gives the bits of textbook RK4 on fresh arrays."""
@@ -140,10 +145,14 @@ class TestStepOracle:
             k1 = f(x)
             assert same_bits(k1, ref(x))
             k1_before = k1.copy()
-            # one step size, and one per entry as a halving retry passes it
-            for h in (0.01, rng.uniform(0.001, 0.02, g.n)):
+            # one step size; a run's float steps, each twice, the second
+            # from the memo of coefficients; and one per entry as a halving
+            # retry passes it
+            for h in (0.01, *STEPS, *STEPS, rng.uniform(0.001, 0.02, g.n)):
                 assert same_bits(_raw_step(f, x, h, k1), textbook_rk4(ref, x, h))
             assert same_bits(x, x_before) and same_bits(k1, k1_before)
+        assert len(STEPS) == 13
+        assert not any(a.flags.writeable for h in STEPS for a in _coefficients(h))
 
     @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
     def test_step_is_textbook_rk4(self, name):
