@@ -15,8 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import _quiet_overflow, laplacian, prepare_state, vector_field
-from .errors import (SEED_MAX, ComponentTooSmallError, EmptyStateError, NonFiniteStateError,
-                     NotEuError, NotSymmetricError, read_array, read_integer, read_number)
+from .errors import (SEED_MAX, ComponentTooSmallError, ConfigError, EmptyStateError,
+                     NonFiniteStateError, NotEuError, NotSymmetricError, read_array,
+                     read_integer, read_number)
 from .graph import Graph, _components, induced_subgraph
 from .integrate import IntegratorOptions, _variance, simulate
 
@@ -202,8 +203,9 @@ def perturb_and_escape(
     Applies a small zero-sum random perturbation to the winner nodes (so
     escape cannot be blamed on a mass change), simulates forward, and
     reports whether the trajectory left a 100*delta neighborhood. magnitude
-    is a number >= 0 (by default 1e-4 times the largest entry) and seed an
-    integer in [0, 2^64 - 1].
+    is a number >= 0 and at most the smallest winner, so no winner is
+    pushed below zero (by default 1e-4 times the largest entry, or the
+    smallest winner if that is less); seed is an integer in [0, 2^64 - 1].
     """
     if magnitude is not None:
         magnitude = read_number(magnitude, "magnitude", lo=0.0)
@@ -212,12 +214,19 @@ def perturb_and_escape(
     report = classify_equilibrium(g, x_eq)
     if report.klass != "E_u":
         raise NotEuError(f"perturb_and_escape requires class E_u, got {report.klass!r}")
-    delta = magnitude if magnitude is not None else 1e-4 * float(x_eq.max())
+    widx = np.array(report.winners)
+    smallest = float(x_eq[widx].min())
+    if magnitude is None:
+        delta = min(1e-4 * float(x_eq.max()), smallest)
+    elif magnitude > smallest:
+        raise ConfigError(f"magnitude must be <= {smallest!r}, the smallest winner, "
+                          f"got {magnitude!r}")
+    else:
+        delta = magnitude
 
     perturbed = x_eq.copy()
     if delta > 0.0:
         rng = np.random.default_rng(seed)
-        widx = np.array(report.winners)
         v = rng.standard_normal(len(widx))
         v -= v.mean()
         if np.abs(v).max() == 0.0:  # measure-zero draw; any zero-sum pattern works
@@ -225,6 +234,7 @@ def perturb_and_escape(
             v[0], v[1] = 1.0, -1.0
             v -= v.mean()
         v *= delta / np.abs(v).max()
+        # delta <= every winner, so this clamp takes at most round-off
         perturbed[widx] = np.maximum(perturbed[widx] + v, 0.0)
 
     opts = IntegratorOptions(

@@ -25,8 +25,10 @@ LOG_FLOOR = 1e-16
 
 
 def _bounds(values, pad_frac=0.05):
-    lo = min(values)
-    hi = max(values)
+    """The padded range of the finite values, or of [0, 1] if none is."""
+    finite = [v for v in values if math.isfinite(v)] or [0.0]
+    lo = min(finite)
+    hi = max(finite)
     if hi == lo:
         hi = lo + 1.0
     pad = (hi - lo) * pad_frac
@@ -88,7 +90,9 @@ class _Canvas:
             )
 
     def polyline(self, xs, ys, color, width=1.2, dashed=False):
-        pts = " ".join(f"{self.px(x):.2f},{self.py(y):.2f}" for x, y in zip(xs, ys))
+        """A line through the points whose coordinates are both finite."""
+        pts = " ".join(f"{self.px(x):.2f},{self.py(y):.2f}" for x, y in zip(xs, ys)
+                       if math.isfinite(x) and math.isfinite(y))
         dash = ' stroke-dasharray="6 4"' if dashed else ""
         self.parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'

@@ -1,20 +1,22 @@
 """The canonical run set: one fixed list of wta commands, the digests of
 every file they write, and the README's numerical contracts on every
-trajectory CSV among them.
+trajectory CSV among them. It is the one list of commands whose output
+bytes the project checks.
 
     PYTHONPATH=src python tests/canon.py OUT_DIR
     python tests/canon.py --compare DIR_A DIR_B
+    python tests/canon.py --pins OUT_DIR > tests/canon.sha256
 
 The first form runs the set in-process through wta.cli.main, with every
 warning raised as an error, into OUT_DIR (new or empty), one directory a
 command: 94 files in all. It writes OUT_DIR/SHA256SUMS, one "digest  path"
-line a file, sorted by path, and prints the contract report: a line for
-each contract a trajectory CSV breaks, then a count. A broken contract
-does not change the exit code; a command that exits nonzero does. Until
-the step enforces monotone extremes, expect two broken files, both
-forward runs where RK4 at dt = 1e-3 passes its stability limit: fig2 at
-seed 1315760028 (max, min and entropy) and the cubic/product run on
-uniform weights (max and entropy).
+line a file, sorted by path (the format of sha256sum), and prints the
+contract report: a line for each contract a trajectory CSV breaks, then a
+count. A broken contract does not change the exit code; a command that
+exits nonzero raises. Until the step enforces monotone extremes, expect two
+broken files, both forward runs where RK4 at dt = 1e-3 passes its stability
+limit: fig2 at seed 1315760028 (max, min and entropy) and the cubic/product
+run on uniform weights (max and entropy).
 
 The second form lists every file that differs between two such
 directories, or is in one of them only, and exits 1 if any does. So two
@@ -22,32 +24,40 @@ runs of one tree compare equal, and a run with PYTHONPATH on a parent's
 src against one on a change's src shows every output byte the change
 moved.
 
-Pytest does not collect this file. Wall time: about 4.5 s a run on 2
-vCPUs (Python 3.11.7, numpy 2.4.6).
+Pinned digests. tests/canon.sha256 holds the lines of SHA256SUMS for the
+run directories that pinned() selects: 43 files from 12 directories, which
+tests/test_canon.py writes and compares in tier-1 (about 3 s). The rule
+leaves out whole directories, those whose bytes moved with the CPU code
+that numpy runs (numpy 2.4.6 on one x86-64 machine with AVX-512):
+  - fig1-fig3, and fig2 at seed 1315760028, run the dense kernel. Its BLAS
+    matmul changed 15 of their files under OPENBLAS_CORETYPE=Prescott and
+    under OPENBLAS_CORETYPE=Sandybridge (none under Haswell).
+  - The cubic and tanh interaction runs go through numpy's SIMD loops for
+    a**3 and tanh. NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"
+    changed 3 files of the cubic runs; with X86_V3 disabled as well, 9
+    files of the cubic and tanh runs.
+No pinned file changed under any of these settings. A change that means to
+move pinned bytes re-pins with the third form, which prints the pinned
+lines of a fresh run's SHA256SUMS, and names each moved file in CHANGES.md.
+
+Pytest does not collect this file; tests/test_canon.py and tests/test_cli.py
+import it. Wall time: about 4.5 s a run on 2 vCPUs (Python 3.11.7, numpy
+2.4.6).
 """
 
 import hashlib
 import json
+import re
 import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-README_SIMULATE = {
-    "graph": {"random": {"n": 100, "p": 0.05, "seed": 0}},
-    "x0": {"random": {"low": 0.0, "high": 1.0, "seed": 1}},
-    "direction": "forward",
-    "integrator": {"dt": 1e-3, "t_end": 1.0, "record_stride": 10},
-}
-README_OPTIMIZE = {
-    "graph": {"inline": {"n": 9, "edges": [[1, 2, 1.0], [2, 5, 1.0]]}},
-    "alpha": 0,
-    "x_alpha0": 0.5,
-    "x0_others": [0.7, 0.3, 0.9, 0.2, 0.8, 0.4, 0.6, 0.1],
-    "horizon": 5.0,
-    "greedy": {"restarts": 8, "seed": 0},
-    "sweep_grid": {"start": 0.0, "stop": 1.5, "count": 16},
+README_CONFIGS = {  # subcommand -> its example config in README.md
+    "optimize" if "alpha" in cfg else "simulate": cfg
+    for cfg in map(json.loads, re.findall(
+        r"```json\n(.*?)```", (Path(__file__).parents[1] / "README.md").read_text(), re.S))
 }
 INTERACTIONS = [("cubic", "product"), ("tanh", "scaled_product"),
                 ("identity", "scaled_product")]
@@ -65,29 +75,30 @@ def generalized(n: int, p: float, weight_mode, f: str, g: str, t_end: float, str
 def runs():
     """(directory, config or None, wta argv) for each command of the set;
     a directory whose runs are reverse-time has "reverse" in its name."""
+    readme_simulate, readme_optimize = README_CONFIGS["simulate"], README_CONFIGS["optimize"]
     for seed in (0, 7):
         for name, flags in (("fig1_bars", ["--t-end", "0.3"]),
                             ("fig2_trajectories", ["--t-end", "0.3"]),
                             ("fig3_entropy", ["--t-end", "0.3"]),
                             ("fig4_nine_agents", []),
-                            ("fig5_sweep", ["--grid-count", "3"])):
+                            ("fig5_sweep", ["--grid-count", "4"])):
             yield f"{name}-{seed}", None, ["experiment", name, "--seed", str(seed), "--svg",
                                            *flags]
     # the one manifest seed of the benchmark's dense_fan checks that fails
     yield "fig2_trajectories-1315760028", None, [
         "experiment", "fig2_trajectories", "--t-end", "0.25", "--seed", "1315760028"]
-    yield "simulate-readme", README_SIMULATE, ["simulate", "--svg"]
+    yield "simulate-readme", readme_simulate, ["simulate", "--svg"]
     yield "simulate-readme-reverse", {
-        **README_SIMULATE, "direction": "reverse",
+        **readme_simulate, "direction": "reverse",
         # stops at equilibrium, at step 13129
         "integrator": {"dt": 1e-2, "t_end": 200.0, "record_stride": 100,
                        "stop_on_equilibrium": True}}, ["simulate", "--svg"]
-    yield "optimize-exhaustive", README_OPTIMIZE, ["optimize", "--mode", "exhaustive"]
-    yield "optimize-greedy", README_OPTIMIZE, ["optimize", "--mode", "greedy"]
+    yield "optimize-exhaustive", readme_optimize, ["optimize", "--mode", "exhaustive"]
+    yield "optimize-greedy", readme_optimize, ["optimize", "--mode", "greedy"]
     # more restarts than greedy climbs at once (LANE_BLOCK)
-    yield "optimize-greedy-300", {**README_OPTIMIZE, "greedy": {"restarts": 300, "seed": 0}}, [
+    yield "optimize-greedy-300", {**readme_optimize, "greedy": {"restarts": 300, "seed": 0}}, [
         "optimize", "--mode", "greedy"]
-    yield "optimize-sweep", README_OPTIMIZE, ["optimize", "--sweep", "--svg"]
+    yield "optimize-sweep", readme_optimize, ["optimize", "--sweep", "--svg"]
     for f, g in INTERACTIONS:
         for weights, mode in (("unit", "unit"), ("uniform", {"uniform": [0.2, 1.5]})):
             yield f"simulate-{f}-{g}-24-{weights}", generalized(24, 0.3, mode, f, g, 1.0, 10), [
@@ -96,11 +107,24 @@ def runs():
         1000, 5 / 999, "unit", "tanh", "scaled_product", 0.5, 50), ["simulate"]
 
 
-def run_set(out: Path) -> None:
-    warnings.simplefilter("error")
+# Run directories left out of tests/canon.sha256, by a part of their name:
+# the dense-kernel manifests and the interactions that run numpy's SIMD
+# tanh and cube loops (see the docstring).
+UNPINNED = {"fig1_bars", "fig2_trajectories", "fig3_entropy", "tanh", "cubic"}
+PINS = Path(__file__).with_name("canon.sha256")
+
+
+def pinned(name: str) -> bool:
+    """Whether the bytes of run directory name are pinned in PINS."""
+    return not UNPINNED & set(name.split("-"))
+
+
+def run_set(out: Path, rows) -> None:
+    """Run each (directory, config, argv) of rows into its directory under
+    out; raise RuntimeError on the first command that exits nonzero."""
     from wta.cli import main
 
-    for name, config, argv in runs():
+    for name, config, argv in rows:
         where = out / name
         where.mkdir()
         if config is not None:
@@ -108,7 +132,7 @@ def run_set(out: Path) -> None:
             argv = [*argv, "--config", str(where / "config.json")]
         code = main([*argv, "--out", str(where), "--quiet"])
         if code != 0:
-            sys.exit(f"{name}: wta {' '.join(argv)} exited {code}")
+            raise RuntimeError(f"{name}: wta {' '.join(argv)} exited {code}")
 
 
 def digests(root: Path) -> dict:
@@ -156,6 +180,16 @@ def contract_report(out: Path, paths) -> None:
     print(f"{failures} broken contracts in {len(trajectories)} trajectory CSVs")
 
 
+def sums_text(sums: dict) -> str:
+    """The lines of SHA256SUMS for a path -> digest dict, in its order."""
+    return "".join(f"{h}  {p}\n" for p, h in sums.items())
+
+
+def read_sums(path: Path) -> dict:
+    """Path -> digest, from a file that sums_text wrote."""
+    return {p: h for h, p in (line.split("  ", 1) for line in path.read_text().splitlines())}
+
+
 def compare(a: Path, b: Path) -> int:
     da, db = digests(a), digests(b)
     differ = []
@@ -173,15 +207,20 @@ def compare(a: Path, b: Path) -> int:
 def main(argv) -> int:
     if len(argv) == 3 and argv[0] == "--compare":
         return compare(Path(argv[1]), Path(argv[2]))
+    if len(argv) == 2 and argv[0] == "--pins":
+        sums = read_sums(Path(argv[1]) / "SHA256SUMS")
+        sys.stdout.write(sums_text({p: h for p, h in sums.items() if pinned(p.split("/")[0])}))
+        return 0
     if len(argv) != 1:
         sys.exit(__doc__)
     out = Path(argv[0])
     if out.exists() and any(out.iterdir()):
         sys.exit(f"{out} is not empty")
     out.mkdir(parents=True, exist_ok=True)
-    run_set(out)
+    warnings.simplefilter("error")
+    run_set(out, runs())
     sums = digests(out)
-    (out / "SHA256SUMS").write_text("".join(f"{h}  {p}\n" for p, h in sums.items()))
+    (out / "SHA256SUMS").write_text(sums_text(sums))
     contract_report(out, sums)
     return 0
 

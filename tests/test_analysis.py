@@ -14,6 +14,7 @@ from wta import (
 )
 from wta.errors import (
     ComponentTooSmallError,
+    ConfigError,
     EmptyStateError,
     NotEuError,
     NotSymmetricError,
@@ -272,3 +273,20 @@ class TestEscape:
         # escape must not be attributable to a mass change
         report = perturb_and_escape(triangle(), [1.0, 1.0, 1.0], seed=9)
         assert sum(report.final_state) == pytest.approx(3.0, abs=1e-8)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_small_winner_bounds_the_default_magnitude(self, seed):
+        # an isolated winner below 1e-4 times the largest: the default
+        # magnitude shrinks to it, so no winner is clipped at zero and the
+        # perturbation adds no mass
+        g = new_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+        report = perturb_and_escape(g, [1.0, 1.0, 1.0, 1e-6], seed=seed)
+        assert report.delta == 1e-6
+        assert sum(report.final_state) == pytest.approx(3.000001, abs=1e-12)
+
+    def test_magnitude_up_to_the_smallest_winner(self):
+        # the bound is inclusive; one past it would clip a winner at zero
+        report = perturb_and_escape(triangle(), [0.5, 0.5, 0.5], magnitude=0.5)
+        assert sum(report.final_state) == pytest.approx(1.5, abs=1e-12)
+        with pytest.raises(ConfigError, match="smallest winner"):
+            perturb_and_escape(triangle(), [0.5, 0.5, 0.5], magnitude=0.5000001)

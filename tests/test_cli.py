@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 import os
 import re
@@ -43,6 +42,8 @@ from wta import (
 from wta.cli import _problem_from_config, main
 from wta.errors import (ComponentTooSmallError, ConfigError, InvalidProbabilityError,
                         NonFiniteStateError, PositivityFailureError, TooManyCandidatesError)
+
+from canon import README_CONFIGS
 
 
 def write(path, obj):
@@ -114,6 +115,9 @@ class TestSimulate:
         rows = (out / "trajectory.csv").read_text().splitlines()
         # columns t, x_0, x_1, x_2, mass, entropy, ...
         assert [row.split(",")[5] for row in rows[1:]] == ["inf"] * 4
+        # a value past the double range is left out of each chart
+        for name in ("trajectory.svg", "entropy.svg"):
+            assert not re.search(r"\b(nan|inf)\b", (out / name).read_text()), name
 
     def test_non_finite_state_exits_1(self, tmp_path, capsys):
         cfg = run_config(tmp_path, x0={"inline": [float("nan"), 1.0]})
@@ -562,6 +566,8 @@ def a_file(path: Path) -> Path:
                  ConfigError, id="escape-magnitude-nan"),
     pytest.param(lambda out: perturb_and_escape(PAIR, [1.0, 1.0], magnitude=-1.0),
                  ConfigError, id="escape-magnitude-negative"),
+    pytest.param(lambda out: perturb_and_escape(PAIR, [1.0, 1.0], magnitude=1.5),
+                 ConfigError, id="escape-magnitude-above-smallest-winner"),
     pytest.param(lambda out: sweep_initial_value(problem(), 0.5), ConfigError,
                  id="grid-not-a-list"),
     pytest.param(lambda out: check_interactions(interaction_from_names(), seed=-1), ConfigError,
@@ -700,13 +706,8 @@ def test_library_boundary_keeps_normalized_values():
     assert random_graph(2, np.float32(0.5)).n == 2
 
 
-# --- the README's example configs, and every leaf of them mutated ---
+# --- the README's example configs (canon.README_CONFIGS), every leaf of them mutated ---
 
-README_CONFIGS = {  # subcommand -> its example config
-    "optimize" if "alpha" in cfg else "simulate": cfg
-    for cfg in map(json.loads, re.findall(
-        r"```json\n(.*?)```", (Path(__file__).parents[1] / "README.md").read_text(), re.S))
-}
 MUTATIONS = [True, "x", [], {}, float("nan"), -1, 1.5]
 
 
@@ -785,41 +786,3 @@ def test_readme_config_leaf_mutations(tmp_path, capsys, command):
             mutated = replace_leaf(cfg, path, value)
             if json.dumps(mutated) != json.dumps(cfg):  # 1.5 may be the leaf's own value
                 assert run(mutated, flags) in (0, 1), (path, value)
-
-
-# --- outputs pinned by SHA-256 ---
-
-# Every file these runs write is computed by elementwise ufuncs, bincount in
-# edge order, exact max/min reduces, CPython sums and CPython formatting, so
-# its bytes should not depend on the CPU. Files with a mass, entropy or
-# audit value (np.add.reduce, np.var) and dense-kernel runs are left out.
-# The JSON files embed wta.__version__.
-PINNED_DIGESTS = {
-    "exhaustive/optimize.json": "149882a1108bf3d12cdafd61e50826980a4c4e3be073271e81558824211d598c",
-    "greedy/optimize.json": "add8bf39990ab7c1a25d4d49495fe7117204888e0919f33e9076426733fc8feb",
-    "sweep/sweep.csv": "b77507472b4c985d3279a7182b060d54febd044dd3f881f40b0fae9ad3e9deec",
-    "sweep/sweep.svg": "3d03bc647fc2f6d5e5fc3235802919746b322eec37b9d2c243833fffcd84fe2d",
-    "fig5/fig5_sweep.csv": "cf926f74f122d9b7ee7e7fc3abc42c0245769d70bf216b406f9906f6e471852e",
-    "fig5/fig5_sweep.svg": "f05d3b8549bc1087c6a662842157a8ab6e6b88181129838f454659c04e7f6db3",
-    "fig5/manifest.json": "5cb14a735db19e658ebf431ce4e1ce4ee4838508ca5ed00967d4b76d843c986d",
-    "fig5/report.json": "b9bb13c133b2041c5c582298a91b66019b51bfc58e91acff3db56903b9d6fe76",
-}
-
-
-def test_pinned_output_digests(tmp_path):
-    """The README optimize example in each mode and a trimmed fig5_sweep
-    write the same bytes as when their digests were pinned."""
-    cfg = write(tmp_path / "optimize.json", README_CONFIGS["optimize"])
-    runs = {
-        "exhaustive": ["optimize", "--config", cfg, "--mode", "exhaustive"],
-        "greedy": ["optimize", "--config", cfg, "--mode", "greedy"],
-        "sweep": ["optimize", "--config", cfg, "--sweep", "--svg"],
-        "fig5": ["experiment", "fig5_sweep", "--seed", "0", "--svg", "--grid-count", "4"],
-    }
-    for name, argv in runs.items():
-        assert main([*argv, "--quiet", "--out", str(tmp_path / name)]) == 0
-    digests = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in tmp_path.glob("*/*")}
-    assert sorted(digests) == sorted(PINNED_DIGESTS)
-    changed = [name for name, digest in PINNED_DIGESTS.items() if digests[name] != digest]
-    assert not changed, f"{changed} differ from their pinned SHA-256 under numpy {np.__version__}"
