@@ -11,14 +11,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pickle
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analysis import classify_equilibrium
-from .errors import (SEED_MAX, ConfigError, read_choice, read_integer, read_number,
-                     read_object, read_path, writing)
+from .errors import (SEED_MAX, ConfigError, WtaError, read_bool, read_choice, read_integer,
+                     read_number, read_object, read_path, writing)
 from .graph import (
     MAX_AGENTS,
     Graph,
@@ -111,22 +115,92 @@ def _run_fig1(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
     return summary
 
 
-def _fig2_runs(params: dict, seed: int):
+def _can_fork() -> bool:
+    """Whether _both may fork: a second CPU to run on, no other thread to
+    copy mid-call, and a Python older than 3.12, whose os.fork warns when
+    OpenBLAS's threads exist."""
+    if not hasattr(os, "fork") or sys.version_info >= (3, 12):
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cpus or 1) >= 2 and threading.active_count() == 1
+
+
+def _both(first, second) -> tuple:
+    """(first(), second()), with second run in a forked child while this
+    process runs first, when _can_fork(); otherwise both here, in order.
+
+    The child pickles (ok, value) into a pipe and leaves by os._exit. The
+    parent reads the whole pipe before it reaps the child, since a result
+    may outgrow the pipe's buffer, and reaps it even when first raises.
+    first's error is raised before second's, each as it was raised.
+    """
+    if not _can_fork():
+        return first(), second()
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to be had: run both here
+        os.close(r)
+        os.close(w)
+        return first(), second()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            try:
+                result = (True, second())
+            except BaseException as exc:  # the parent raises it
+                result = (False, exc)
+            with os.fdopen(w, "wb") as fh:
+                fh.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        value = first()
+    finally:
+        try:
+            with os.fdopen(r, "rb") as fh:
+                data = fh.read()
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    try:
+        ok, other = pickle.loads(data)
+    except Exception:
+        raise WtaError(f"a forked child exited with status {status} without a readable "
+                       "result") from None
+    if not ok:
+        raise other
+    return value, other
+
+
+def _fig2_runs(params: dict, seed: int, out: Path | None = None):
+    """fig2's instance, run forward in this process and in reverse time in
+    a child (_both). With out, each branch then writes its own CSV,
+    fig2_forward.csv and fig2_reverse.csv."""
     g, x0 = _instance(random_graph(params["agents"], params["edge_prob"], "unit", seed), seed)
     steps = int(round(params["t_end"] / params["dt"]))
     stride = max(1, steps // 200)
     opts = IntegratorOptions(
         dt=params["dt"], t_end=params["t_end"], record_stride=stride
     )
-    fwd, fwd_audit = simulate(g, x0, opts)
-    rev, rev_audit = simulate_reverse(g, x0, opts)
+
+    def branch(run, name):
+        def thunk():
+            traj, audit = run(g, x0, opts)
+            if out is not None:
+                traj.write_csv(out / name)
+            return traj, audit
+        return thunk
+
+    (fwd, fwd_audit), (rev, rev_audit) = _both(
+        branch(simulate, "fig2_forward.csv"), branch(simulate_reverse, "fig2_reverse.csv"))
     return g, x0, fwd, fwd_audit, rev, rev_audit
 
 
 def _run_fig2(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
-    g, _x0, fwd, fwd_audit, rev, rev_audit = _fig2_runs(params, seed)
-    fwd.write_csv(out / "fig2_forward.csv")
-    rev.write_csv(out / "fig2_reverse.csv")
+    g, _x0, fwd, fwd_audit, rev, rev_audit = _fig2_runs(params, seed, out)
     if want_svg:
         series = []
         # reverse branch plotted at negative time, forward at positive
@@ -287,6 +361,7 @@ def run_experiment(
     runner, defaults = EXPERIMENTS[read_choice(name, "experiment", EXPERIMENTS)]
     out = Path(read_path(out_dir, "out_dir"))
     seed = read_integer(seed, "seed", 0, SEED_MAX)
+    want_svg = read_bool(want_svg, "want_svg")
     params = dict(defaults)
     for key, value in read_object(overrides or {}, "overrides").items():
         if key not in params:

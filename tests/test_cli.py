@@ -41,7 +41,8 @@ from wta import (
 )
 from wta.cli import _problem_from_config, main
 from wta.errors import (ComponentTooSmallError, ConfigError, InvalidProbabilityError,
-                        NonFiniteStateError, PositivityFailureError, TooManyCandidatesError)
+                        NonFiniteStateError, PositivityFailureError, TooManyCandidatesError,
+                        WtaError)
 
 from canon import README_CONFIGS
 
@@ -413,6 +414,93 @@ class TestExperiment:
             assert line == f"{branch},{float(t):.17g},{float(h):.17g}"
 
 
+# a small fig2/fig3 instance: 8 agents, 50 steps
+SMALL_FAN = ["--agents", "8", "--t-end", "0.05", "--quiet"]
+
+
+def assert_no_child_left():
+    """No child of this process runs or waits to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(params=["forked", "serial"])
+def fork_gate(request, monkeypatch):
+    """fig2/fig3 fork their reverse branch as the machine's gate says, or
+    run it in this process with the gate turned off."""
+    if request.param == "serial":
+        monkeypatch.setattr(experiments, "_can_fork", lambda: False)
+
+
+def fail(exc):
+    def run(*_args, **_kwargs):
+        raise exc
+    return run
+
+
+class TestForkedBranches:
+    def test_same_bytes_as_serial(self, tmp_path, monkeypatch):
+        """fig2 (with its SVG) and fig3 write the same bytes whether the
+        reverse branch runs in a child or in this process, and leave no
+        child behind."""
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        forked = experiments._can_fork()
+        runs = {}
+        for mode in ("forked", "serial"):
+            if mode == "serial":
+                monkeypatch.setattr(experiments, "_can_fork", lambda: False)
+            for name in ("fig2_trajectories", "fig3_entropy"):
+                out = tmp_path / mode / name
+                assert main(["experiment", name, "--svg", *SMALL_FAN, "--out", str(out)]) == 0
+                assert_no_child_left()
+                runs[mode, name] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(forks) == (2 if forked else 0)
+        for name in ("fig2_trajectories", "fig3_entropy"):
+            assert len(runs["forked", name]) == 5
+            assert runs["forked", name] == runs["serial", name]
+
+    def test_reverse_error_keeps_class_and_message(self, tmp_path, monkeypatch, fork_gate):
+        monkeypatch.setattr(experiments, "simulate_reverse",
+                            fail(PositivityFailureError("reverse overflowed")))
+        for name in ("fig2_trajectories", "fig3_entropy"):
+            with pytest.raises(PositivityFailureError, match="^reverse overflowed$"):
+                run_experiment(name, tmp_path / name, overrides={"agents": 8, "t_end": 0.05})
+            assert_no_child_left()
+
+    def test_reverse_error_exits_2(self, tmp_path, capsys, monkeypatch, fork_gate):
+        monkeypatch.setattr(experiments, "simulate_reverse",
+                            fail(PositivityFailureError("reverse overflowed")))
+        out = tmp_path / "out"
+        assert main(["experiment", "fig2_trajectories", *SMALL_FAN, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: reverse overflowed\n"
+        assert not (out / "report.json").exists()
+        assert not (out / "manifest.json").exists()
+        assert_no_child_left()
+
+    def test_forward_error_wins(self, tmp_path, monkeypatch, fork_gate):
+        monkeypatch.setattr(experiments, "simulate", fail(ConfigError("forward failed")))
+        monkeypatch.setattr(experiments, "simulate_reverse",
+                            fail(PositivityFailureError("reverse overflowed")))
+        with pytest.raises(ConfigError, match="^forward failed$"):
+            run_experiment("fig2_trajectories", tmp_path, overrides={"agents": 8, "t_end": 0.05})
+        assert_no_child_left()
+
+    def test_child_without_result_is_a_wta_error(self, tmp_path, monkeypatch):
+        if not experiments._can_fork():
+            pytest.skip("in this process os._exit would end the test run")
+        monkeypatch.setattr(experiments, "simulate_reverse", lambda *_args: os._exit(3))
+        with pytest.raises(WtaError, match="exited with status 3 "):
+            run_experiment("fig2_trajectories", tmp_path, overrides={"agents": 8, "t_end": 0.05})
+        assert_no_child_left()
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate"],
     ["optimize", "--mode", "exhaustive"],
@@ -632,6 +720,12 @@ def a_file(path: Path) -> Path:
     pytest.param(lambda out: mask_to_bits(8, 2), ConfigError, id="mask-above-width"),
     pytest.param(lambda out: run_experiment("fig4_nine_agents", None), ConfigError,
                  id="out-dir-none"),
+    pytest.param(lambda out: run_experiment("fig4_nine_agents", out, want_svg="no"),
+                 ConfigError, id="want-svg-string"),
+    pytest.param(lambda out: run_experiment("fig4_nine_agents", out, want_svg=1), ConfigError,
+                 id="want-svg-int"),
+    pytest.param(lambda out: run_experiment("fig4_nine_agents", out, want_svg=float("nan")),
+                 ConfigError, id="want-svg-nan"),
     pytest.param(lambda out: graph.dump_graph(PAIR, ""), ConfigError, id="graph-path-empty"),
     # an output path that cannot be written: a file where the directory
     # goes, a missing parent directory, a directory where the file goes
