@@ -10,7 +10,9 @@ wta.errors, which the library entry points check their arguments with too.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -145,9 +147,29 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _print(text: str) -> None:
+    """Print text to standard output and flush it. A failed write, such as a
+    closed pipe or a full disk, raises WtaError naming standard output;
+    before that, the stdout descriptor is pointed at os.devnull, because
+    the stream keeps the unwritten text and the interpreter flushes it
+    again at exit."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        try:
+            fd = sys.stdout.fileno()
+        except OSError:  # an in-process stream with no descriptor
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise WtaError(f"cannot write standard output: {exc.strerror or exc}") from exc
+
+
 def _say(args, message: str) -> None:
     if not args.quiet:
-        print(message)
+        _print(message)
 
 
 # --- subcommands ---
@@ -211,7 +233,7 @@ def cmd_classify(args) -> int:
         payload = payload["x"]
     x = _state(payload, "state", g.n)
     report = classify_equilibrium(g, x, zero_tol=args.zero_tol, equal_tol=args.equal_tol)
-    print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
+    _print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
     return 0
 
 
@@ -297,6 +319,7 @@ def cmd_experiment(args) -> int:
 # --- parser ---
 
 
+@functools.cache  # built on the first main() call, then reused: parsing leaves it unchanged
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON config path")
@@ -310,9 +333,8 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
-                           help="integrate a run config, write CSV/JSON (+SVG)")
-    p_sim.set_defaults(func=cmd_simulate)
+    sub.add_parser("simulate", parents=[common],
+                   help="integrate a run config, write CSV/JSON (+SVG)")
 
     p_cls = sub.add_parser("classify", parents=[common],
                            help="classify a state on a graph, print report JSON")
@@ -320,14 +342,12 @@ def build_parser() -> _Parser:
     p_cls.add_argument("--state", required=True, help="state JSON file")
     p_cls.add_argument("--zero-tol", type=_flag("--zero-tol", read_number, lo=0.0), default=1e-8)
     p_cls.add_argument("--equal-tol", type=_flag("--equal-tol", read_number, lo=0.0), default=1e-6)
-    p_cls.set_defaults(func=cmd_classify)
 
     p_opt = sub.add_parser("optimize", parents=[common],
                            help="opponent-selection search / initial-value sweep")
     p_opt.add_argument("--mode", choices=("exhaustive", "greedy"), default="exhaustive")
     p_opt.add_argument("--sweep", action="store_true",
                        help="run the initial-value sweep instead of a single search")
-    p_opt.set_defaults(func=cmd_optimize)
 
     p_exp = sub.add_parser("experiment", parents=[common],
                            help="run a named experiment manifest")
@@ -335,16 +355,16 @@ def build_parser() -> _Parser:
     for key, (read, bounds) in OVERRIDES.items():  # --agents ... --grid-max
         flag = "--" + key.replace("_", "-")
         p_exp.add_argument(flag, type=_flag(flag, read, **bounds))
-    p_exp.set_defaults(func=cmd_experiment)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        # by name, through this module's current bindings, so that a cmd_*
+        # rebound after the parser was built is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except TooManyCandidatesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

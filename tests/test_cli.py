@@ -1,8 +1,12 @@
 import dataclasses
+import errno
+import io
 import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -39,7 +43,8 @@ from wta import (
     symmetric_eigenvalues,
     vector_field,
 )
-from wta.cli import _problem_from_config, main
+import wta.cli
+from wta.cli import _problem_from_config, build_parser, main
 from wta.errors import (ComponentTooSmallError, ConfigError, InvalidProbabilityError,
                         NonFiniteStateError, PositivityFailureError, TooManyCandidatesError,
                         WtaError)
@@ -561,6 +566,135 @@ def test_bad_flag_exits_1(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+# --- one parser serves every main call; standard output that cannot be written ---
+
+
+def run_sequence(tmp_path, monkeypatch, fresh: bool) -> list:
+    """Seven main calls in a row, run in their own directory with relative
+    --out paths, so that their messages name the same paths. With fresh,
+    each call builds a new parser. Returns each call's exit code, stdout,
+    stderr and the files it wrote."""
+    cfg = run_config(tmp_path)
+    opt = optimize_config(tmp_path, n=3, x0_others=[1.0, 0.4], horizon=1.0)
+    graph = write(tmp_path / "g.json", {"n": 2, "edges": [[0, 1, 1.0]]})
+    state = write(tmp_path / "s.json", {"x": [1.0, 1.0]})
+    fig4 = ["experiment", "fig4_nine_agents", "--t-end", "0.05"]
+    calls = [
+        ["simulate", "--config", cfg, "--out", "sim"],
+        ["simulate", "--config", cfg, "--seed", "-1", "--out", "bad"],
+        ["classify", "--graph", graph, "--state", state],
+        ["optimize", "--config", opt, "--mode", "greedy", "--out", "opt"],
+        [*fig4, "--agents", "5", "--out", "fig4_five"],
+        [*fig4, "--out", "fig4_default"],
+        ["--version"],
+    ]
+    run_dir = tmp_path / ("fresh" if fresh else "reused")
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    build_parser.cache_clear()
+    results = []
+    for argv in calls:
+        if fresh:
+            build_parser.cache_clear()
+        before = set(run_dir.rglob("*"))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out, err = sys.stdout.getvalue(), sys.stderr.getvalue()
+        sys.stdout.seek(0), sys.stdout.truncate(), sys.stderr.seek(0), sys.stderr.truncate()
+        files = {str(p.relative_to(run_dir)): p.read_bytes()
+                 for p in sorted(set(run_dir.rglob("*")) - before) if p.is_file()}
+        results.append((code, out, err, files))
+    return results
+
+
+def test_one_parser_serves_many_calls(tmp_path, monkeypatch):
+    """A parse error, an experiment override and --version leave nothing in
+    the reused parser that a later call sees: every call gives what it
+    gives with a freshly built parser."""
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    reused = run_sequence(tmp_path, monkeypatch, fresh=False)
+    assert build_parser.cache_info().misses == 1
+    fresh = run_sequence(tmp_path, monkeypatch, fresh=True)
+    assert [r[0] for r in reused] == [0, 1, 0, 0, 0, 0, ("SystemExit", 0)]
+    assert reused[1][2].startswith("error: --seed must be >= 0")
+    assert reused[6][1] == wta.__version__ + "\n"
+    agents = [json.loads(r[3][f"{out}/report.json"])["manifest"]["parameters"]["agents"]
+              for r, out in zip(reused[4:6], ("fig4_five", "fig4_default"))]
+    assert agents == [5, 9]
+    assert reused == fresh
+
+
+def test_dispatch_reads_current_bindings(tmp_path, monkeypatch):
+    """A cmd_* rebound after the parser was built is the one main runs, as
+    the benchmark's tracer rebinds them."""
+    argv = ["optimize", "--config", optimize_config(tmp_path), "--quiet",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    seen = []
+    monkeypatch.setattr(wta.cli, "cmd_optimize", lambda args: seen.append(args) or 7)
+    assert main(argv) == 7
+    assert [(args.command, args.mode) for args in seen] == [("optimize", "exhaustive")]
+
+
+class UnwritableStream(io.StringIO):
+    def __init__(self, error: OSError):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize("error", [BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)),
+                                   OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))],
+                         ids=["broken-pipe", "no-space"])
+@pytest.mark.parametrize("command", ["classify", "simulate", "optimize", "experiment"])
+def test_unwritable_stdout_exits_1(tmp_path, capsys, monkeypatch, error, command):
+    argv = {
+        "classify": ["--graph", write(tmp_path / "g.json", {"n": 2, "edges": [[0, 1, 1.0]]}),
+                     "--state", write(tmp_path / "s.json", {"x": [1.0, 1.0]})],
+        "simulate": ["--config", run_config(tmp_path, integrator={"dt": 1e-2, "t_end": 0.1})],
+        "optimize": ["--config", optimize_config(tmp_path)],
+        "experiment": ["fig4_nine_agents", "--t-end", "0.05"],
+    }[command]
+    monkeypatch.setattr(sys, "stdout", UnwritableStream(error))
+    assert main([command, *argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write standard output: {error.strerror}\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
+def test_unwritable_stdout_in_a_process(tmp_path, target, unbuffered):
+    """The interpreter's own flush at exit reports nothing more."""
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full here")
+    graph = write(tmp_path / "g.json", {"n": 2, "edges": [[0, 1, 1.0]]})
+    state = write(tmp_path / "s.json", {"x": [1.0, 1.0]})
+    env = dict(os.environ, PYTHONPATH=str(Path(wta.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
+    argv = [sys.executable, "-m", "wta.cli", "classify", "--graph", graph, "--state", state]
+    if target == "/dev/full":
+        with open(target, "w") as stdout:
+            proc = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, env=env,
+                                  text=True, timeout=60)
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  text=True, timeout=60)
+        finally:
+            os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write standard output: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 # --- the library entry points apply the CLI's checks ---
