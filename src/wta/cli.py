@@ -45,6 +45,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); keep exit codes stable
         raise ConfigError(message)
 
+    def _print_message(self, message, file=None):
+        # --version and --help text: an unwritable stdout exits 1 as other output does
+        if message and file is sys.stdout is not None:
+            _write(message)
+        else:
+            super()._print_message(message, file)
+
 
 # --- config leaves: shapes here, values through the wta.errors readers ---
 
@@ -147,14 +154,14 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _print(text: str) -> None:
-    """Print text to standard output and flush it. A failed write, such as a
+def _write(text: str) -> None:
+    """Write text to standard output and flush it. A failed write, such as a
     closed pipe or a full disk, raises WtaError naming standard output;
     before that, the stdout descriptor is pointed at os.devnull, because
     the stream keeps the unwritten text and the interpreter flushes it
     again at exit."""
     try:
-        print(text, flush=True)
+        print(text, end="", flush=True)
     except OSError as exc:
         try:
             fd = sys.stdout.fileno()
@@ -165,6 +172,11 @@ def _print(text: str) -> None:
             os.dup2(devnull, fd)
             os.close(devnull)
         raise WtaError(f"cannot write standard output: {exc.strerror or exc}") from exc
+
+
+def _print(text: str) -> None:
+    """_write text and a newline."""
+    _write(text + "\n")
 
 
 def _say(args, message: str) -> None:

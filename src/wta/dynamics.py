@@ -84,8 +84,10 @@ def _edge_kernel(src, dst, w, spec: Optional[InteractionSpec] = None) -> Callabl
     multiplies its gathered arrays in place and skips the w * multiply
     when every weight is 1, an exact identity: on small graphs the count
     of numpy calls sets the cost. From PAIRED_MIN_ENTRIES entries it takes
-    _paired_kernel's closure; a custom f need not be odd bit for bit, so
-    generalized specs are never paired. src must be writeable."""
+    _paired_kernel's closure, which computes each edge's term once; below
+    that the unpaired closure is faster (the table above the rule). A
+    custom f need not be odd bit for bit, so generalized specs are never
+    paired. src must be writeable."""
     if spec is not None and not spec.is_default:
         f, g = spec.f, spec.g
 
@@ -113,16 +115,18 @@ def _edge_kernel(src, dst, w, spec: Optional[InteractionSpec] = None) -> Callabl
 
 
 # _edge_kernel pairs the entries iff there are at least PAIRED_MIN_ENTRIES
-# of them. Field time, paired over unpaired, by directed entries (median of
-# 31 alternating timings, three runs, 2 vCPUs, numpy 2.4.6): 6 1.83-1.84;
-# 256 1.33-1.35; 570 1.08-1.10; 1060 0.99-1.02; 1608 0.92-0.94; 2108
-# 0.82-0.86; 3988 0.87-0.88; 4974 0.82-0.87, weighted 0.81-0.83; 24828
-# 0.64-0.66. A paired build, a copy of the index and two buffers, took
-# 6-9.5 us at 4974 entries, against 2-5 us unpaired, and a block of lanes
-# rebuilds each time lanes stop: from 4096 entries the saving repays a
-# rebuild within two RK4 steps, and the analysis graphs and optimizer
-# arenas stay below it.
-PAIRED_MIN_ENTRIES = 4096
+# of them. Time paired over unpaired by directed entries, unit weights,
+# under _simulate's errstate (median of 15 interleaved rounds, 2 vCPUs,
+# numpy 2.4.6): per call 6 1.15; 64 1.24; 128 1.03; 160 0.98; 192 0.95;
+# 256 0.94; 570 0.86; 1024 0.81; 4800 0.68 (weighted: 128 1.06, 192 0.99,
+# 4800 0.71). A paired build, two buffers more, costs about 1-2 us more,
+# and a block of lanes rebuilds each time lanes stop: with a build every
+# 43 calls (fig5_sweep's mean) 128 1.05; 160 0.98; 192 0.97 (weighted
+# 1.00); 256 0.95, and with one every 5 calls (a rebuild after every RK4
+# step) 192 1.06; 256 1.03; 384 0.97. The rule sits at the smallest size
+# that is no slower at a build every 43 calls, so eu_spectra's G(40, 0.15)
+# and G(60, 0.15) pair and the triangle does not.
+PAIRED_MIN_ENTRIES = 192
 
 
 def _paired_kernel(src, w) -> Callable:
@@ -132,12 +136,16 @@ def _paired_kernel(src, w) -> Callable:
 
     Entry m + k is the k-th pair a < b and entry k the same pair reversed,
     so src = concat(b, a) holds the agent of each term. Per call it gathers
-    x over src into a buffer it owns, and the term of a is ((x_a - x_b) *
-    w) * (x_a * x_b) and that of b ((x_b - x_a) * w) * (x_a * x_b): the
-    arithmetic of the unpaired closure, as IEEE products commute. One
-    bincount over src then sums each entry's terms in array order, as the
-    unpaired closure does, so the bits are those of the plain form,
-    _edge_field in tests/conftest.py."""
+    x over src into a buffer it owns, computes b's term ((x_b - x_a) * w) *
+    (x_a * x_b) once, on m entries, and writes a's as its negation. That is
+    the unpaired closure's arithmetic up to sign: IEEE products commute, and
+    rounding is symmetric, so x_a - x_b and its products are the exact
+    negations of those of x_b - x_a. Only a zero term can take the other
+    sign. One bincount over src then sums each entry's terms in array
+    order, as the unpaired closure does, into an accumulator that starts at
+    +0.0, where adding a zero of either sign changes no bit; so the sums
+    are those of the plain form, _edge_field in tests/conftest.py. A NaN
+    term only reaches the overflow error."""
     m = src.size // 2
     w = w[:m]
     unit = np.count_nonzero(w != 1.0) == 0
@@ -145,18 +153,17 @@ def _paired_kernel(src, w) -> Callable:
     xb, xa = xe[:m], xe[m:]
     terms = np.empty(2 * m)
     tb, ta = terms[:m], terms[m:]
-    pairs = terms.reshape(2, m)
 
     def fn(x):
         # the default mode="raise" would gather into a temporary and copy
         # it to out; the indices are in range, so "clip" changes nothing
-        np.take(x, src, out=xe, mode="clip")
-        np.subtract(xb, xa, out=tb)
-        np.subtract(xa, xb, out=ta)
+        x.take(src, None, xe, "clip")
+        np.subtract(xb, xa, tb)
         if not unit:
-            np.multiply(pairs, w, out=pairs)
-        np.multiply(xa, xb, out=xa)
-        np.multiply(pairs, xa, out=pairs)
+            np.multiply(tb, w, tb)
+        np.multiply(xa, xb, xa)
+        np.multiply(tb, xa, tb)
+        np.negative(tb, ta)
         return np.bincount(src, terms, x.size)
 
     return fn

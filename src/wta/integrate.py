@@ -28,9 +28,9 @@ __all__ = [
     "simulate_reverse",
 ]
 
-# Most fixed steps a run may take: about 52 minutes at 31 us a step (RK4 on
-# a 60-agent graph with p = 0.15, the fastest of twenty 5000-step runs on 2
-# vCPUs with numpy 2.4.6).
+# Most fixed steps a run may take: about 43 minutes at 25.6 us a step (RK4
+# on a 60-agent graph with p = 0.15, which the paired edge closure runs, the
+# fastest of twenty 5000-step runs on 2 vCPUs with numpy 2.4.6).
 MAX_STEPS = 10**8
 # Most times a step that leaves the orthant is halved before the run fails
 # with PositivityFailureError, a factor of 2^-40 (about 1e-12). Measured

@@ -653,7 +653,8 @@ class UnwritableStream(io.StringIO):
 @pytest.mark.parametrize("error", [BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)),
                                    OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))],
                          ids=["broken-pipe", "no-space"])
-@pytest.mark.parametrize("command", ["classify", "simulate", "optimize", "experiment"])
+@pytest.mark.parametrize("command", ["classify", "simulate", "optimize", "experiment",
+                                     "--version", "--help", "optimize --help"])
 def test_unwritable_stdout_exits_1(tmp_path, capsys, monkeypatch, error, command):
     argv = {
         "classify": ["--graph", write(tmp_path / "g.json", {"n": 2, "edges": [[0, 1, 1.0]]}),
@@ -661,24 +662,22 @@ def test_unwritable_stdout_exits_1(tmp_path, capsys, monkeypatch, error, command
         "simulate": ["--config", run_config(tmp_path, integrator={"dt": 1e-2, "t_end": 0.1})],
         "optimize": ["--config", optimize_config(tmp_path)],
         "experiment": ["fig4_nine_agents", "--t-end", "0.05"],
-    }[command]
+    }.get(command, [])
     monkeypatch.setattr(sys, "stdout", UnwritableStream(error))
-    assert main([command, *argv, "--out", str(tmp_path / "out")]) == 1
+    assert main([*command.split(), *argv, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err == f"error: cannot write standard output: {error.strerror}\n"
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
-def test_unwritable_stdout_in_a_process(tmp_path, target, unbuffered):
-    """The interpreter's own flush at exit reports nothing more."""
+def assert_unwritable_stdout_exits_1(target: str, unbuffered: str, args: list) -> None:
+    """`python -m wta.cli *args` with stdout on target exits 1 with one
+    error line, and the interpreter's own flush at exit reports nothing
+    more."""
     if target == "/dev/full" and not os.path.exists(target):
         pytest.skip("no /dev/full here")
-    graph = write(tmp_path / "g.json", {"n": 2, "edges": [[0, 1, 1.0]]})
-    state = write(tmp_path / "s.json", {"x": [1.0, 1.0]})
     env = dict(os.environ, PYTHONPATH=str(Path(wta.__file__).parents[1]),
                PYTHONUNBUFFERED=unbuffered)
-    argv = [sys.executable, "-m", "wta.cli", "classify", "--graph", graph, "--state", state]
+    argv = [sys.executable, "-m", "wta.cli", *args]
     if target == "/dev/full":
         with open(target, "w") as stdout:
             proc = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, env=env,
@@ -695,6 +694,23 @@ def test_unwritable_stdout_in_a_process(tmp_path, target, unbuffered):
     assert proc.stderr.startswith("error: cannot write standard output: ")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
+def test_unwritable_stdout_in_a_process(tmp_path, target, unbuffered):
+    graph = write(tmp_path / "g.json", {"n": 2, "edges": [[0, 1, 1.0]]})
+    state = write(tmp_path / "s.json", {"x": [1.0, 1.0]})
+    assert_unwritable_stdout_exits_1(target, unbuffered,
+                                     ["classify", "--graph", graph, "--state", state])
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
+@pytest.mark.parametrize("command", ["--version", "--help", "optimize --help"])
+def test_unwritable_stdout_for_argparse_text_in_a_process(target, unbuffered, command):
+    """The text argparse writes to stdout fails like any other output."""
+    assert_unwritable_stdout_exits_1(target, unbuffered, command.split())
 
 
 # --- the library entry points apply the CLI's checks ---

@@ -341,6 +341,18 @@ class TestPairedKernel:
         for x in hard_states(3 * g.n, 5, seed=4):
             assert f(x).tobytes() == _edge_field(src, dst, w, x).tobytes()
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    def test_all_equal_state_sums_to_positive_zero(self, weighted, paired_builds):
+        # every term is zero, and each a's term is the negation of b's, so
+        # -0.0 where the unpaired closure has +0.0: the sums must not see it
+        g = sparse_large(weighted)
+        x = np.full(g.n, 0.5)
+        f = _field(g)
+        assert paired_builds == [g.edge_src.size]
+        field = f(x)
+        assert field.tobytes() == _edge_field(g.edge_src, g.edge_dst, g.edge_w, x).tobytes()
+        assert field.tobytes() == np.zeros(g.n).tobytes()
+
     def test_rule_is_inclusive(self, monkeypatch, paired_builds):
         g = random_graph(12, 0.5, ("uniform", 0.2, 2.0), seed=5)
         entries = g.edge_src.size

@@ -9,7 +9,9 @@ from wta import (
     BUILTIN_F,
     IntegratorOptions,
     InteractionSpec,
+    connected_components,
     new_graph,
+    perturb_and_escape,
     random_graph,
     simulate,
     simulate_reverse,
@@ -472,6 +474,18 @@ class TestPairedKernel:
         assert paired_builds == [g.edge_src.size] and traj.metadata["field_kernel"] == "edge"
         assert hashlib.sha256(traj.final_state.tobytes()).hexdigest() == (
             "3cedfc6d555b08d125fd9787825e39d5dfb9ff297127847b14e4b145aabaf6cd")
+
+    def test_escape_on_a_60_agent_graph_is_pinned(self, paired_builds):
+        # eu_spectra's G(60, 0.15) shape, 526 entries, which pairs; the
+        # digest is the unpaired closure's, taken with pairing off. The two
+        # classifications and the escape run each build a paired closure
+        g = random_graph(60, 0.15, "unit", seed=0)
+        assert len(connected_components(g)) == 1
+        rep = perturb_and_escape(g, np.full(60, 0.5), seed=1, t_end=5.0)
+        assert paired_builds == [g.edge_src.size] * 3 and g.edge_src.size == 526
+        assert rep.escaped
+        assert hashlib.sha256(np.array(rep.final_state).tobytes()).hexdigest() == (
+            "2b5d6d011ece3b59121ff755a213dd80d936ea4cff8dc737283e2adffd1c79a4")
 
 
 class TestTrajectoryCsv:
