@@ -98,7 +98,7 @@ def _run_fig1(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
     final = traj.final_state
     report = classify_equilibrium(g, final)
     _write_csv(out / "fig1_states.csv", ["agent", "initial", "final"],
-               zip(range(g.n), x0.tolist(), final.tolist()), text=(0,))
+               [[str(i) for i in range(g.n)], x0, final])
     dump_graph(g, out / "fig1_graph.json")
     summary = {
         "winner_count": len(report.winners),
@@ -221,9 +221,10 @@ def _run_fig2(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
 def _run_fig3(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
     g, _x0, fwd, _fa, rev, _ra = _fig2_runs(params, seed)
     # + 0.0 writes tau = 0 as 0, not -0
-    rows = [("reverse", -t + 0.0, h) for t, h in zip(rev.times.tolist(), rev.entropy.tolist())]
-    rows += [("forward", t, h) for t, h in zip(fwd.times.tolist(), fwd.entropy.tolist())]
-    _write_csv(out / "fig3_entropy.csv", ["branch", "t", "entropy"], rows, text=(0,))
+    _write_csv(out / "fig3_entropy.csv", ["branch", "t", "entropy"],
+               [["reverse"] * len(rev.times) + ["forward"] * len(fwd.times),
+                np.concatenate([-rev.times + 0.0, fwd.times]),
+                np.concatenate([rev.entropy, fwd.entropy])])
     if want_svg:
         svg.line_chart([(fwd.times, fwd.entropy)], out / "fig3_entropy_forward.svg",
                        title="Entropy, positive time", x_label="t", y_label="H")

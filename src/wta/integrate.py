@@ -103,17 +103,27 @@ class Trajectory:
                                 self.state_max, self.state_min, self.residual])
         header = ["t", *(f"x_{i}" for i in range(self.n)), "mass", "entropy", "max", "min",
                   "residual"]
-        _write_csv(path, header, (values.tolist() for values in cols))
+        _write_csv(path, header, [cols])
 
 
-def _write_csv(path, header: list[str], rows, text: tuple[int, ...] = ()) -> None:
-    """The one CSV writer: the header, then each row of values through one
-    %-format, the columns in text by str and every other one as a float at
-    17 significant digits, which round-trips."""
-    row = ",".join("%s" if k in text else "%.17g" for k in range(len(header))) + "\n"
-    with writing(path, "CSV path") as path, open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(row % tuple(values) for values in rows)
+def _write_csv(path, header: list[str], columns) -> None:
+    """The one CSV writer: the header, then one line a table row.
+
+    columns are in header order, at least one of them floats: each a float
+    array, of shape (rows,) for one column or (rows, k) for k, or a text
+    column, whose [a:b] gives rows a to b as a list of str or a bytes
+    array, written as is. A float is written as '%.17g' % v writes it: 17
+    significant digits, correctly rounded with ties to even, which
+    round-trip; trailing zeros dropped, and the point when no digit follows
+    it; fixed notation from 1e-4 to below 1e17, else d.ddde+XX; nan and inf
+    as Python spells them. numpy makes that text CSV_CHUNK values at a time
+    (wta.csvtext), and each chunk is written before the next is made."""
+    from . import csvtext  # compiled on first use, not by `import wta`
+
+    with writing(path, "CSV path") as path, open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for text in csvtext.body(columns):
+            fh.write(text)
 
 
 def _frozen(value: float) -> np.ndarray:

@@ -73,6 +73,34 @@ def mask_to_bits(mask: int, width: int) -> str:
     return "".join("1" if mask >> k & 1 else "0" for k in range(width))
 
 
+class _MaskBits:
+    """A column of masks as text, mask_to_bits of each, made a slice of
+    rows at a time from the masks' bytes: a text column for _write_csv."""
+
+    def __init__(self, masks: Sequence[int], width: int):
+        self.masks = masks
+        self.width = read_integer(width, "width", 0, MAX_AGENTS)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        width = self.width
+        masks = [m if type(m) is int else read_integer(m, "mask", lo=0)
+                 for m in self.masks[rows]]
+        size = width // 8 + 1  # a byte past the bits, where a mask >= 2^width shows
+        try:
+            raw = b"".join(m.to_bytes(size, "little") for m in masks)
+        except OverflowError:  # below 0, or at least 2^(8 * size)
+            raw = b""
+        bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(-1, size), axis=1,
+                             bitorder="little")
+        if len(bits) < len(masks) or bits[:, width:].any():
+            for mask in masks:
+                mask_to_bits(mask, width)  # raises ConfigError at the first bad mask
+        # one NUL column past the bits, so that width 0 gives b""
+        text = np.zeros((len(masks), width + 1), np.uint8)
+        np.add(bits[:, :width], ord("0"), out=text[:, :width])
+        return text.view(f"S{width + 1}").ravel()
+
+
 @dataclass(frozen=True)
 class OptimizeProblem:
     """Fixed arena for the opponent-selection search.
@@ -360,9 +388,10 @@ class SweepResult:
 
     def write_csv(self, path) -> None:
         """Header x_alpha0,mask,final_value, one row per (value, mask)."""
+        x0, masks, values = zip(*self.rows) if self.rows else ((), (), ())
         _write_csv(path, ["x_alpha0", "mask", "final_value"],
-                   ((x0, mask_to_bits(mask, self.num_candidates), v) for x0, mask, v in self.rows),
-                   text=(1,))
+                   [np.array(x0, float), _MaskBits(masks, self.num_candidates),
+                    np.array(values, float)])
 
     def write_svg(self, path, star: Optional[tuple[float, float]] = None) -> None:
         """Final vs. initial value, with lines y = x + others_mass and y = x; * marks star."""

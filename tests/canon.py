@@ -9,7 +9,7 @@ bytes the project checks.
 
 The first form runs the set in-process through wta.cli.main, with every
 warning raised as an error, into OUT_DIR (new or empty), one directory a
-command: 94 files in all. It writes OUT_DIR/SHA256SUMS, one "digest  path"
+command: 97 files in all. It writes OUT_DIR/SHA256SUMS, one "digest  path"
 line a file, sorted by path (the format of sha256sum), and prints the
 contract report: a line for each contract a trajectory CSV breaks, then a
 count. A broken contract does not change the exit code; a command that
@@ -25,7 +25,7 @@ src against one on a change's src shows every output byte the change
 moved.
 
 Pinned digests. tests/canon.sha256 holds the lines of SHA256SUMS for the
-run directories that pinned() selects: 43 files from 12 directories, which
+run directories that pinned() selects: 46 files from 13 directories, which
 tests/test_canon.py writes and compares in tier-1 (about 3 s). The rule
 leaves out whole directories, those whose bytes moved with the CPU code
 that numpy runs (numpy 2.4.6 on one x86-64 machine with AVX-512):
@@ -47,6 +47,7 @@ import it. Wall time: about 4.5 s a run on 2 vCPUs (Python 3.11.7, numpy
 
 import hashlib
 import json
+import math
 import re
 import sys
 import warnings
@@ -105,6 +106,15 @@ def runs():
                 "simulate"]
     yield "simulate-tanh-scaled_product-1000", generalized(
         1000, 5 / 999, "unit", "tanh", "scaled_product", 0.5, 50), ["simulate"]
+    # CSV number text at its hard cases: the field of an edgeless graph is
+    # zero, so every row repeats x0, a +-1-ulp pair at 1e-4, 1e16 and 1e17,
+    # an exact 17-digit tie (1234567890123456.25, written ...456.2), the
+    # least subnormal and 0.1; the mass and entropy columns reach exponent form
+    yield "simulate-csv-cases", {
+        "graph": {"inline": {"n": 10, "edges": []}},
+        "x0": {"inline": [*(math.nextafter(v, d) for v in (1e-4, 1e16, 1e17) for d in (0, math.inf)),
+                          1234567890123456.25, 5e-324, 0.1, 0.0]},
+        "integrator": {"dt": 0.1, "t_end": 0.3}}, ["simulate"]
 
 
 # Run directories left out of tests/canon.sha256, by a part of their name:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from wta import (
     vector_field,
 )
 import wta.dynamics
+from wta import csvtext, integrate
 from wta.dynamics import OVERFLOW_MESSAGE, _dense_field, _field, _field_kernel
 from wta.errors import ConfigError, NonFiniteStateError, PositivityFailureError, WtaError
 from wta.integrate import (HALVINGS, _HISTORY_ROWS, Trajectory, _coefficients, _raw_step,
                            _simulate, _substep)
 
+import csv_corpus
 from conftest import _edge_field, rk4_step
 
 
@@ -519,6 +522,66 @@ class TestTrajectoryCsv:
         assert np.array_equal(data[:, 0], traj.times)
         assert np.array_equal(data[:, 1:5], traj.states)
         assert np.array_equal(data[:, 5], traj.mass)
+
+
+class TestCsvText:
+    """wta.csvtext against Python's '%.17g' % v, value by value."""
+
+    def test_corpus_same_text_as_percent_format(self):
+        # 200,000 random bit patterns and the fixed cases of csv_corpus:
+        # about 341,000 values with every power of 2 and of 10, their
+        # neighbours, exact ties, +-0, +-inf and nan
+        values = csv_corpus.corpus(200_000, seed=1)
+        assert values.size > 2 * 10 ** 5
+        assert csv_corpus.mismatches(values) == []
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_exponent_estimate_off_by_one_same_text(self, monkeypatch, shift):
+        values = csv_corpus.corpus(20_000, seed=2)
+        estimate = csvtext._estimate
+        monkeypatch.setattr(csvtext, "_estimate", lambda a: estimate(a) + shift)
+        assert csv_corpus.mismatches(values) == []
+
+    def test_chunks_and_partial_chunk_same_bytes(self, tmp_path):
+        """Three whole chunks and a partial one, a text column among the
+        floats, each row checked against per-value formatting."""
+        k = 7
+        step = csvtext.CSV_CHUNK // k
+        rows = 3 * step + 17
+        rng = np.random.default_rng(3)
+        table = rng.integers(0, 2 ** 64, (rows, k), dtype=np.uint64).view(np.float64)
+        table[::5] = rng.random((len(table[::5]), k)) * 10.0 ** rng.integers(-6, 20, k)
+        table[np.isnan(table)] = -0.0
+        names = [f"id{i}" for i in range(rows)]
+        path = tmp_path / "t.csv"
+        integrate._write_csv(path, ["id", *map(str, range(k))], [names, table])
+        lines = [",".join([name, *(f"{v:.17g}" for v in row)])
+                 for name, row in zip(names, table.tolist())]
+        assert path.read_text() == "\n".join(["id," + ",".join(map(str, range(k))), *lines]) + "\n"
+
+    def test_writer_memory_bounded_by_chunk(self, tmp_path):
+        """tracemalloc's peak while writing a 2^16-value trajectory CSV
+        stays within 768 KiB of the stacked array it formats: the text is
+        made and written a chunk at a time (about 250 KiB at CSV_CHUNK =
+        1024), never held whole (about 1.3 MB here)."""
+        steps, n = 1 << 10, 59  # 1024 stamps x 64 columns
+        rng = np.random.default_rng(4)
+        states = rng.random((steps, n))
+        traj = Trajectory(times=np.arange(steps) * 1e-3, states=states, mass=states.sum(axis=1),
+                          entropy=rng.random(steps), state_max=states.max(axis=1),
+                          state_min=states.min(axis=1), residual=rng.random(steps) * 1e-6,
+                          direction="forward")
+        traj.write_csv(tmp_path / "warm.csv")  # the tables, built on first use
+        stacked = steps * (n + 5) * 8
+        assert stacked == 8 << 16
+        tracemalloc.start()
+        try:
+            traj.write_csv(tmp_path / "t.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "t.csv").stat().st_size > 2 * stacked
+        assert peak - stacked < 768 << 10
 
 
 def _reference_two_agent(a, b, t, sign=1.0):

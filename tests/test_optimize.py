@@ -409,3 +409,30 @@ class TestSweep:
         lines = [f"{x0:.17g},{mask_to_bits(mask, 3)},{v:.17g}" for x0, mask, v in rows]
         assert path.read_text() == "\n".join(["x_alpha0,mask,final_value", *lines]) + "\n"
         assert lines[:2] == ["0,000,-0", "4.9406564584124654e-324,101,1.0000000000000001e+300"]
+
+    def test_csv_masks_in_blocks_same_bytes(self, tmp_path):
+        """Mask text made a block of rows at a time from the masks' bytes:
+        numpy integer masks, widths 0, 9 (two bytes) and 70, more rows than
+        one block; no rows writes the header alone."""
+        for width, masks in ((0, [0] * 3), (9, [0, 1, 256, 511, np.int64(300)]),
+                             (70, [0, 2 ** 69 + 5, 2 ** 70 - 1])):
+            rows = tuple((0.5 * k, mask, 1.0 / (k + 1))
+                         for k, mask in enumerate(masks * 700))
+            sweep = SweepResult(alpha=0, grid=(0.0,), num_candidates=width, rows=rows,
+                                others_mass=1.0)
+            sweep.write_csv(tmp_path / "sweep.csv")
+            lines = [f"{x0:.17g},{mask_to_bits(mask, width)},{v:.17g}" for x0, mask, v in rows]
+            assert (tmp_path / "sweep.csv").read_text() == "\n".join(
+                ["x_alpha0,mask,final_value", *lines]) + "\n"
+        empty = SweepResult(alpha=0, grid=(0.0,), num_candidates=3, rows=(), others_mass=1.0)
+        empty.write_csv(tmp_path / "sweep.csv")
+        assert (tmp_path / "sweep.csv").read_text() == "x_alpha0,mask,final_value\n"
+
+    @pytest.mark.parametrize("mask", [8, 2 ** 20, -1, True, 1.0])
+    def test_csv_mask_outside_width_is_rejected(self, tmp_path, mask):
+        """A hand-built sweep whose mask is not an integer in [0, 2^width)
+        raises ConfigError, as mask_to_bits does."""
+        sweep = SweepResult(alpha=0, grid=(0.0,), num_candidates=3,
+                            rows=((0.0, 1, 1.0), (0.5, mask, 1.0)), others_mass=1.0)
+        with pytest.raises(ConfigError):
+            sweep.write_csv(tmp_path / "sweep.csv")
