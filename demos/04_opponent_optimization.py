@@ -61,8 +61,7 @@ small = OptimizeProblem(
                               equilibrium_tol=1e-9),
 )
 sweep = sweep_initial_value(small, np.linspace(0.0, 1.5, 6))
-for x_start in sweep.grid:
-    outcomes = [v for g0, _mask, v in sweep.rows if g0 == x_start]
+for x_start, outcomes in zip(sweep.grid, sweep.values):
     print(f"  x_0(0) = {x_start:.2f}: outcomes span "
           f"[{min(outcomes):.4f}, {max(outcomes):.4f}] over "
           f"{len(outcomes)} masks")

@@ -300,13 +300,11 @@ def _run_fig5(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
     candidates = problem.candidates
     orig_mask = sum(1 << k for k, j in enumerate(candidates) if g.has_edge(alpha, j))
     star_value = evaluate_choice(problem, orig_mask)
-    values_by_grid = {}
-    for gx, _mask, v in sweep.rows:
-        values_by_grid.setdefault(gx, []).append(v)
-    extremes = {
-        f"{gx:.6g}": {"min": min(vs), "max": max(vs)}
-        for gx, vs in values_by_grid.items()
-    }
+    extremes = {}  # a key's min and max are over every grid value that prints as it
+    for gx, row in zip(sweep.grid, sweep.values):
+        vs = row.tolist()
+        e = extremes.setdefault(f"{gx:.6g}", {"min": vs[0], "max": vs[0]})
+        e["min"], e["max"] = min(e["min"], *vs), max(e["max"], *vs)
     if want_svg:
         sweep.write_svg(out / "fig5_sweep.svg", star=(problem.x_alpha0, star_value))
     return {

@@ -26,8 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import _dense_fits
-from .errors import (SEED_MAX, ConfigError, TooManyCandidatesError, read_integer,
-                     read_number, read_numbers)
+from .errors import (SEED_MAX, ConfigError, TooManyCandidatesError, read_array,
+                     read_integer, read_number, read_numbers)
 from .graph import MAX_AGENTS, Graph, _finish, new_graph
 from .integrate import MAX_STEPS, IntegratorOptions, _simulate, _write_csv, simulate
 from . import svg
@@ -62,6 +62,16 @@ MAX_RESTARTS = 1 << 16
 LANE_BLOCK = 256
 
 
+def _mask_bits(masks: Iterable[int], width: int) -> np.ndarray:
+    """(len(masks), width) uint8 whose [r, k] is bit k of masks[r], the
+    character k of mask_to_bits. Bits come from the masks' bytes, so a mask
+    may be any width."""
+    size = width // 8 + 1
+    raw = b"".join(mask.to_bytes(size, "little") for mask in masks)
+    return np.unpackbits(np.frombuffer(raw, np.uint8).reshape(-1, size), axis=1,
+                         count=width, bitorder="little")
+
+
 def mask_to_bits(mask: int, width: int) -> str:
     """Bitstring with character k for candidate k (ascending node id);
     '1' means the edge to that candidate is enabled. mask is an integer in
@@ -70,35 +80,21 @@ def mask_to_bits(mask: int, width: int) -> str:
     width = read_integer(width, "width", 0, MAX_AGENTS)
     if mask >> width:
         raise ConfigError(f"mask must be below 2^width = 2^{width}, got {mask}")
-    return "".join("1" if mask >> k & 1 else "0" for k in range(width))
+    return (_mask_bits([mask], width)[0] + ord("0")).tobytes().decode()
 
 
-class _MaskBits:
-    """A column of masks as text, mask_to_bits of each, made a slice of
-    rows at a time from the masks' bytes: a text column for _write_csv."""
+@dataclass(frozen=True)
+class _MaskColumn:
+    """A sweep's CSV mask column, whose row r is mask_to_bits(r mod
+    2^width), made a slice of rows at a time: a text column for _write_csv."""
 
-    def __init__(self, masks: Sequence[int], width: int):
-        self.masks = masks
-        self.width = read_integer(width, "width", 0, MAX_AGENTS)
+    width: int
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        width = self.width
-        masks = [m if type(m) is int else read_integer(m, "mask", lo=0)
-                 for m in self.masks[rows]]
-        size = width // 8 + 1  # a byte past the bits, where a mask >= 2^width shows
-        try:
-            raw = b"".join(m.to_bytes(size, "little") for m in masks)
-        except OverflowError:  # below 0, or at least 2^(8 * size)
-            raw = b""
-        bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(-1, size), axis=1,
-                             bitorder="little")
-        if len(bits) < len(masks) or bits[:, width:].any():
-            for mask in masks:
-                mask_to_bits(mask, width)  # raises ConfigError at the first bad mask
+        bits = _mask_bits([r % (1 << self.width) for r in range(rows.start, rows.stop)],
+                          self.width)
         # one NUL column past the bits, so that width 0 gives b""
-        text = np.zeros((len(masks), width + 1), np.uint8)
-        np.add(bits[:, :width], ord("0"), out=text[:, :width])
-        return text.view(f"S{width + 1}").ravel()
+        return np.pad(bits + ord("0"), ((0, 0), (0, 1))).view(f"S{self.width + 1}").ravel()
 
 
 @dataclass(frozen=True)
@@ -141,9 +137,10 @@ class OptimizeProblem:
         if not isinstance(self.options, IntegratorOptions):
             raise ConfigError(f"options must be IntegratorOptions, got {self.options!r}")
         # the arena: the graph with every candidate edge, the candidate bit of
-        # each of its edges i < j (-1 for base edges) and the run options,
-        # which record only the first and last stamps: a search reads nothing
-        # but alpha's final value, and a skipped record keeps every bit
+        # each of its edges i < j (for base edges bit n - 1, which _keep sets
+        # in every mask) and the run options, which record only the first and
+        # last stamps: a search reads nothing but alpha's final value, and a
+        # skipped record keeps every bit
         a = self.alpha
         arena = new_graph(n, self.base_graph.edges() + [
             (min(a, j), max(a, j), self.candidate_weight) for j in self.candidates])
@@ -152,7 +149,7 @@ class OptimizeProblem:
         other = src + dst - a
         object.__setattr__(self, "_arena", arena)
         object.__setattr__(self, "_edge_bit", np.where(
-            (src == a) | (dst == a), other - (other > a), -1))
+            (src == a) | (dst == a), other - (other > a), n - 1))
         object.__setattr__(self, "_run_options", dataclasses.replace(
             self.options, t_end=self.horizon, record_stride=MAX_STEPS))
 
@@ -176,14 +173,9 @@ class OptimizeProblem:
 
     def _keep(self, masks: Sequence[int]) -> np.ndarray:
         """(len(masks), arena edges) bool over the edges in arena.edges() order:
-        every base edge and the alpha edge to each candidate whose bit is set.
-        Bits come from bytes, so a mask may be any width."""
-        # a trailing 0x80 byte sets the last column, which base edges (bit -1) read
-        width = (self.num_candidates + 7) // 8 + 1
-        raw = b"".join(k.to_bytes(width - 1, "little") + b"\x80" for k in masks)
-        on = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(masks), width), axis=1,
-                           bitorder="little")
-        return on[:, self._edge_bit] == 1
+        every base edge and the alpha edge to each candidate whose bit is set."""
+        m = self.num_candidates
+        return _mask_bits([mask | (1 << m) for mask in masks], m + 1)[:, self._edge_bit] == 1
 
     def graph_for_mask(self, mask: int) -> Graph:
         """The arena restricted to the edges the mask enables (no new check needed)."""
@@ -200,7 +192,7 @@ def evaluate_choice(p: OptimizeProblem, mask: int, x_alpha0: Optional[float] = N
 
 
 def _lane_values(p: OptimizeProblem, pairs: Iterable[tuple[float, int]]):
-    """Yield (x_alpha0, mask, value) for each (x_alpha0, mask) of pairs, in
+    """Yield alpha's final value for each (x_alpha0, mask) of pairs, in
     order, reading pairs LANE_BLOCK at a time.
 
     Each block of pairs runs as lanes of one _simulate block on the arena,
@@ -212,12 +204,11 @@ def _lane_values(p: OptimizeProblem, pairs: Iterable[tuple[float, int]]):
     pairs = iter(pairs)
     while block := tuple(itertools.islice(pairs, LANE_BLOCK)):
         x_alpha0, masks = zip(*block)
-        x_alpha0 = np.array(x_alpha0, dtype=float)
         x0 = np.tile(x, (len(block), 1))
         x0[:, p.alpha] = x_alpha0
         final = _simulate(p._arena, x0, p._run_options, "forward", None,
                           keep=p._keep(masks)).states
-        yield from zip(x_alpha0.tolist(), masks, final[:, p.alpha].tolist())
+        yield from final[:, p.alpha].tolist()
 
 
 def _guard(grid_points: int, m: int) -> None:
@@ -301,7 +292,7 @@ def exhaustive_search(p: OptimizeProblem) -> OptimizeResult:
     table: list[tuple[int, float]] = []
     best = (0, -np.inf, False)
     vmin, vmax = np.inf, -np.inf
-    for _x0, mask, v in _lane_values(p, ((p.x_alpha0, mask) for mask in range(1 << m))):
+    for mask, v in enumerate(_lane_values(p, ((p.x_alpha0, mask) for mask in range(1 << m)))):
         if keep_table:
             table.append((mask, v))
         vmin, vmax = min(vmin, v), max(vmax, v)
@@ -368,34 +359,51 @@ def greedy_search(p: OptimizeProblem, restarts: int = 8, seed: int = 0) -> Optim
             asks = dict.fromkeys(climbs.values())
             dense = [c for c in asks if _dense_fits(n, base_edges + c.bit_count())]
             cache.update((c, evaluate_choice(p, c)) for c in dense)
-            cache.update((c, v) for _x0, c, v in _lane_values(
-                p, ((p.x_alpha0, c) for c in asks if c not in dense)))
+            lanes = [c for c in asks if c not in dense]
+            cache.update(zip(lanes, _lane_values(p, ((p.x_alpha0, c) for c in lanes))))
         for end in ends:  # in restart order: near-ties make _fold order-sensitive
             best = _fold(best, *end)
     return _result(p, "greedy", best, len(cache), min(cache.values()), max(cache.values()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Per-(initial value, mask) final values: the scatter behind the
-    final-vs-initial figure."""
+    """Alpha's final value at every (initial value, mask): the scatter
+    behind the final-vs-initial figure. values[i, mask] is the final value
+    from grid[i], a float64 array of shape (len(grid), 2^num_candidates)."""
 
     alpha: int
     grid: tuple[float, ...]
     num_candidates: int
-    rows: tuple[tuple[float, int, float], ...]  # (x_alpha0, mask, final value)
+    values: np.ndarray
     others_mass: float  # sum of the fixed agents' initial values
+
+    def __post_init__(self):
+        width = read_integer(self.num_candidates, "num_candidates", 0, EXHAUSTIVE_GUARD_BITS)
+        grid, values = read_array(self.grid, "grid"), read_array(self.values, "values")
+        if grid.ndim != 1 or values.shape != (grid.size, 1 << width):
+            raise ConfigError(f"values must have shape (len(grid), 2^num_candidates) = "
+                              f"({grid.size}, {1 << width}), got {values.shape}")
+        if not (np.isfinite(grid).all() and np.isfinite(values).all()):
+            raise ConfigError("grid and values must be finite (no NaN or infinity)")
+        checked = {"grid": tuple(grid.tolist()), "num_candidates": width, "values": values,
+                   "others_mass": read_number(self.others_mass, "others_mass")}
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     def write_csv(self, path) -> None:
         """Header x_alpha0,mask,final_value, one row per (value, mask)."""
-        x0, masks, values = zip(*self.rows) if self.rows else ((), (), ())
         _write_csv(path, ["x_alpha0", "mask", "final_value"],
-                   [np.array(x0, float), _MaskBits(masks, self.num_candidates),
-                    np.array(values, float)])
+                   [np.repeat(self.grid, self.values.shape[1]), _MaskColumn(self.num_candidates),
+                    self.values.ravel()])
 
     def write_svg(self, path, star: Optional[tuple[float, float]] = None) -> None:
-        """Final vs. initial value, with lines y = x + others_mass and y = x; * marks star."""
-        svg.scatter_chart([(x0, v) for x0, _mask, v in self.rows], path,
+        """Final vs. initial value, with lines y = x + others_mass and y = x;
+        * marks star, two finite numbers (x, y)."""
+        if star is not None and len(star := read_numbers(star, "star")) != 2:
+            raise ConfigError(f"star must be two numbers (x, y), got {star!r}")
+        x0 = np.repeat(self.grid, self.values.shape[1])
+        svg.scatter_chart(list(zip(x0.tolist(), self.values.ravel().tolist())), path,
                           title="Final vs. initial value over all opponent masks",
                           x_label="initial value", y_label="final value",
                           ref_lines=[(1.0, self.others_mass), (1.0, 0.0)], star=star)
@@ -416,10 +424,6 @@ def sweep_initial_value(p: OptimizeProblem, x_alpha0_grid) -> SweepResult:
     grid = tuple(read_numbers(grid, "x_alpha0_grid", lo=0.0))
     if not grid:
         raise ConfigError("x_alpha0_grid must hold at least one value, got none")
-    return SweepResult(
-        alpha=p.alpha,
-        grid=grid,
-        num_candidates=m,
-        rows=tuple(_lane_values(p, ((x0, mask) for x0 in grid for mask in range(1 << m)))),
-        others_mass=float(sum(p.x0_others)),
-    )
+    pairs = ((x0, mask) for x0 in grid for mask in range(1 << m))
+    values = np.fromiter(_lane_values(p, pairs), float, len(grid) << m)
+    return SweepResult(p.alpha, grid, m, values.reshape(len(grid), -1), sum(p.x0_others))

@@ -183,8 +183,7 @@ class TestAcceptance:
 
         # reported, not asserted: shape of the initial-value sweep
         sweep = sweep_initial_value(problem, np.linspace(0.0, 1.5, 16))
-        values = [v for _x0, _m, v in sweep.rows]
-        lo, hi = min(values), max(values)
+        lo, hi = sweep.values.min(), sweep.values.max()
         total = problem.total_mass()
         print(
             "ACCEPTANCE 7 sweep report (not asserted): "

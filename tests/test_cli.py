@@ -723,6 +723,13 @@ def problem(**fields):
     return OptimizeProblem(**spec)
 
 
+def sweep(**fields):
+    """A hand-built SweepResult: one grid point, one candidate, unless fields say."""
+    spec = {"alpha": 0, "grid": (0.0,), "num_candidates": 1, "values": np.ones((1, 2)),
+            "others_mass": 1.0, **fields}
+    return optimize.SweepResult(**spec)
+
+
 def experiment(out, seed=0, **overrides):
     return run_experiment("fig5_sweep", out, seed=seed, overrides=overrides)
 
@@ -887,6 +894,29 @@ def a_file(path: Path) -> Path:
         dt=0.1, t_end=0.1))[0].write_csv(out.parent), ConfigError, id="csv-path-is-a-directory"),
     pytest.param(lambda out: sweep_initial_value(problem(), [1.0]).write_svg(out / "s.svg"),
                  ConfigError, id="svg-path-no-parent"),
+    # the star is read before the file is opened
+    pytest.param(lambda out: sweep().write_svg(out, star=("a", 1)), ConfigError,
+                 id="svg-star-string"),
+    pytest.param(lambda out: sweep().write_svg(out, star=(1.0,)), ConfigError,
+                 id="svg-star-one-number"),
+    pytest.param(lambda out: sweep().write_svg(out, star=(1.0, 2.0, 3.0)), ConfigError,
+                 id="svg-star-three-numbers"),
+    pytest.param(lambda out: sweep().write_svg(out, star=(float("nan"), 1.0)), ConfigError,
+                 id="svg-star-nan"),
+    pytest.param(lambda out: sweep().write_svg(out, star=1.0), ConfigError,
+                 id="svg-star-number"),
+    pytest.param(lambda out: sweep(values=np.ones((1, 3))).write_csv(out), ConfigError,
+                 id="sweep-result-shape"),
+    pytest.param(lambda out: sweep(grid=(0.0, 1.0)).write_csv(out), ConfigError,
+                 id="sweep-result-grid-length"),
+    pytest.param(lambda out: sweep(num_candidates=1.0).write_csv(out), ConfigError,
+                 id="sweep-result-width-float"),
+    pytest.param(lambda out: sweep(num_candidates=25).write_csv(out), ConfigError,
+                 id="sweep-result-width-past-guard"),
+    pytest.param(lambda out: sweep(values=[["a", "b"]]).write_csv(out), ConfigError,
+                 id="sweep-result-values-string"),
+    pytest.param(lambda out: sweep(grid=("a",)).write_csv(out), ConfigError,
+                 id="sweep-result-grid-string"),
 ])
 def test_library_boundary_rejects_bad_input(tmp_path, call, error):
     """Each entry point named in README "CLI" rejects what the CLI rejects,
@@ -948,6 +978,22 @@ def test_library_boundary_keeps_normalized_values():
     w = float(np.float32(0.1))
     assert new_graph(2, [(0, 1, np.float32(0.1))]).edge_w.tolist() == [w, w]
     assert random_graph(2, np.float32(0.5)).n == 2
+
+
+def test_fig5_extremes_cover_every_grid_point_of_a_key(tmp_path, monkeypatch):
+    """Grid values that print alike to 6 digits share one per_grid_extremes
+    key, whose min and max are over the masks of both points."""
+    def two_points(p, grid):
+        values = np.ones((2, 1 << p.num_candidates))
+        values[0, 0], values[1, -1] = 0.25, 4.0
+        return optimize.SweepResult(alpha=p.alpha, grid=(1.0000001, 1.0000002),
+                                    num_candidates=p.num_candidates, values=values,
+                                    others_mass=3.0)
+
+    monkeypatch.setattr(experiments, "sweep_initial_value", two_points)
+    experiment(tmp_path / "out", agents=3, grid_count=2, horizon=0.1)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["summary"]["per_grid_extremes"] == {"1": {"min": 0.25, "max": 4.0}}
 
 
 # --- the README's example configs (canon.README_CONFIGS), every leaf of them mutated ---

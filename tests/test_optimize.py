@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -296,7 +298,7 @@ class TestGreedy:
         for module in (wta.optimize, conftest):
             monkeypatch.setattr(module, "evaluate_choice", lambda p, mask: table[mask])
         monkeypatch.setattr(wta.optimize, "_lane_values", lambda p, pairs: (
-            (x0, mask, table[mask]) for x0, mask in pairs))
+            table[mask] for _x0, mask in pairs))
         fold, want_ends, ends = wta.optimize._fold, [], []
         monkeypatch.setattr(conftest, "_fold",
                             lambda best, *end: want_ends.append(end) or fold(best, *end))
@@ -346,7 +348,7 @@ class TestSweep:
     def test_zero_initial_value_stays_zero(self):
         p = two_agent_problem(2.0, 1.0, horizon=2.0)
         sweep = sweep_initial_value(p, [0.0])
-        assert all(v == 0.0 for _x0, _mask, v in sweep.rows)
+        assert sweep.values.shape == (1, 2) and (sweep.values == 0.0).all()
 
     def test_lanes_bit_identical_to_evaluate_choice(self):
         g = random_graph(6, 0.6, ("uniform", 0.5, 1.5), seed=8)
@@ -364,10 +366,10 @@ class TestSweep:
         )
         grid = [0.0, 0.25, 0.8, 1.6]
         sweep = sweep_initial_value(p, grid)
-        assert [(x0, mask) for x0, mask, _v in sweep.rows] == [
-            (x0, mask) for x0 in grid for mask in range(32)]
-        for x0, mask, v in sweep.rows:
-            assert v == evaluate_choice(p, mask, x_alpha0=x0)
+        assert sweep.grid == tuple(grid) and sweep.values.shape == (len(grid), 32)
+        for i, x0 in enumerate(grid):
+            for mask in range(32):
+                assert sweep.values[i, mask] == evaluate_choice(p, mask, x_alpha0=x0)
 
     def test_non_finite_grid_rejected(self):
         with pytest.raises(ConfigError):
@@ -392,47 +394,61 @@ class TestSweep:
     def test_cap_and_csv(self, tmp_path):
         p = two_agent_problem(2.0, 1.0, horizon=2.0)
         sweep = sweep_initial_value(p, [0.0, 0.5, 1.5])
-        for x0, _mask, v in sweep.rows:
-            assert 0.0 <= v <= x0 + sum(p.x0_others) + 1e-6
+        for x0, row in zip(sweep.grid, sweep.values):
+            assert all(0.0 <= v <= x0 + sum(p.x0_others) + 1e-6 for v in row)
         path = tmp_path / "sweep.csv"
         sweep.write_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == "x_alpha0,mask,final_value"
-        assert len(lines) == 1 + len(sweep.rows)
+        assert len(lines) == 1 + sweep.values.size
+
+    @staticmethod
+    def per_value_lines(sweep):
+        """The sweep's CSV body, value by value: numbers as '%.17g' writes
+        them, and character k of a mask its bit k."""
+        width = sweep.num_candidates
+        return [f"{x0:.17g},{''.join(str(mask >> k & 1) for k in range(width))},{v:.17g}"
+                for x0, row in zip(sweep.grid, sweep.values.tolist())
+                for mask, v in enumerate(row)]
 
     def test_csv_same_bytes_as_per_value_formatting(self, tmp_path):
-        rows = ((0.0, 0, -0.0), (5e-324, 5, 1e300), (1 / 3, 6, 2.2250738585072014e-308))
-        sweep = SweepResult(alpha=0, grid=(0.0, 5e-324, 1 / 3), num_candidates=3, rows=rows,
-                            others_mass=1.0)
+        values = np.linspace(0.1, 2.3, 24).reshape(3, 8)
+        values[0, 0], values[1, 5], values[2, 6] = -0.0, 1e300, 2.2250738585072014e-308
+        sweep = SweepResult(alpha=0, grid=(0.0, 5e-324, 1 / 3), num_candidates=3,
+                            values=values, others_mass=1.0)
         path = tmp_path / "sweep.csv"
         sweep.write_csv(path)
-        lines = [f"{x0:.17g},{mask_to_bits(mask, 3)},{v:.17g}" for x0, mask, v in rows]
+        lines = self.per_value_lines(sweep)
         assert path.read_text() == "\n".join(["x_alpha0,mask,final_value", *lines]) + "\n"
-        assert lines[:2] == ["0,000,-0", "4.9406564584124654e-324,101,1.0000000000000001e+300"]
+        assert lines[0] == "0,000,-0"
+        assert lines[8 + 5] == "4.9406564584124654e-324,101,1.0000000000000001e+300"
 
     def test_csv_masks_in_blocks_same_bytes(self, tmp_path):
-        """Mask text made a block of rows at a time from the masks' bytes:
-        numpy integer masks, widths 0, 9 (two bytes) and 70, more rows than
-        one block; no rows writes the header alone."""
-        for width, masks in ((0, [0] * 3), (9, [0, 1, 256, 511, np.int64(300)]),
-                             (70, [0, 2 ** 69 + 5, 2 ** 70 - 1])):
-            rows = tuple((0.5 * k, mask, 1.0 / (k + 1))
-                         for k, mask in enumerate(masks * 700))
-            sweep = SweepResult(alpha=0, grid=(0.0,), num_candidates=width, rows=rows,
+        """Mask text made a slice of rows at a time from the masks' bytes:
+        widths 0 and 9 (two bytes), tables past one 512-row CSV chunk; an
+        empty grid writes the header alone."""
+        for width, points in ((0, 1500), (9, 3)):
+            grid = tuple(0.5 * k for k in range(points))
+            values = 1.0 / np.arange(1.0, 1 + (points << width)).reshape(points, 1 << width)
+            sweep = SweepResult(alpha=0, grid=grid, num_candidates=width, values=values,
                                 others_mass=1.0)
             sweep.write_csv(tmp_path / "sweep.csv")
-            lines = [f"{x0:.17g},{mask_to_bits(mask, width)},{v:.17g}" for x0, mask, v in rows]
             assert (tmp_path / "sweep.csv").read_text() == "\n".join(
-                ["x_alpha0,mask,final_value", *lines]) + "\n"
-        empty = SweepResult(alpha=0, grid=(0.0,), num_candidates=3, rows=(), others_mass=1.0)
+                ["x_alpha0,mask,final_value", *self.per_value_lines(sweep)]) + "\n"
+        empty = SweepResult(alpha=0, grid=(), num_candidates=3, values=np.empty((0, 8)),
+                            others_mass=1.0)
         empty.write_csv(tmp_path / "sweep.csv")
         assert (tmp_path / "sweep.csv").read_text() == "x_alpha0,mask,final_value\n"
 
-    @pytest.mark.parametrize("mask", [8, 2 ** 20, -1, True, 1.0])
-    def test_csv_mask_outside_width_is_rejected(self, tmp_path, mask):
-        """A hand-built sweep whose mask is not an integer in [0, 2^width)
-        raises ConfigError, as mask_to_bits does."""
-        sweep = SweepResult(alpha=0, grid=(0.0,), num_candidates=3,
-                            rows=((0.0, 1, 1.0), (0.5, mask, 1.0)), others_mass=1.0)
-        with pytest.raises(ConfigError):
-            sweep.write_csv(tmp_path / "sweep.csv")
+    def test_memory_is_one_float_an_evaluation(self):
+        """A 2^16-evaluation sweep holds its table as float64: the tracemalloc
+        peak stays under 4 MiB, where one tuple a row took about 9 MiB."""
+        p = nine_agent_problem(horizon=0.02)  # 8 candidates x 256 grid points
+        tracemalloc.start()
+        try:
+            sweep = sweep_initial_value(p, np.linspace(0.0, 1.5, 256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sweep.values.shape == (256, 256)
+        assert peak < 4 * 2**20
