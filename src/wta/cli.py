@@ -32,6 +32,7 @@ from .optimize import (
     MAX_RESTARTS,
     OptimizeProblem,
     _guard,
+    _svg_guard,
     exhaustive_search,
     greedy_search,
     sweep_initial_value,
@@ -284,6 +285,8 @@ def cmd_optimize(args) -> int:
     problem = _problem_from_config(cfg, args.seed)
     if args.sweep:
         grid = _grid_from_config(cfg.get("sweep_grid", {}), problem)
+        if args.svg:
+            _svg_guard(len(grid), problem.num_candidates)
         sweep = sweep_initial_value(problem, grid)
         out = _out_dir(args)
         sweep.write_csv(out / "sweep.csv")

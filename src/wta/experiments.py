@@ -33,8 +33,8 @@ from .graph import (
     random_graph,
 )
 from .integrate import IntegratorOptions, _write_csv, simulate, simulate_reverse
-from .optimize import (GRID_MAX, OptimizeProblem, _guard, evaluate_choice, mask_to_bits,
-                       sweep_initial_value)
+from .optimize import (GRID_MAX, OptimizeProblem, _guard, _svg_guard, evaluate_choice,
+                       mask_to_bits, sweep_initial_value)
 from . import svg
 
 __all__ = ["EXPERIMENTS", "run_experiment"]
@@ -125,18 +125,31 @@ def _can_fork() -> bool:
     return (cpus or 1) >= 2 and threading.active_count() == 1
 
 
+# The result pipe's size. fig2's child pickles about 212 KB; in the default
+# 64 KiB pipe it waited for the parent to finish its own branch and read,
+# so the child's exit sat on the critical path.
+_PIPE_BYTES = 1 << 20
+
+
 def _both(first, second) -> tuple:
     """(first(), second()), with second run in a forked child while this
     process runs first, when _can_fork(); otherwise both here, in order.
 
-    The child pickles (ok, value) into a pipe and leaves by os._exit. The
-    parent reads the whole pipe before it reaps the child, since a result
-    may outgrow the pipe's buffer, and reaps it even when first raises.
+    The child pickles (ok, value) into a pipe of _PIPE_BYTES, where Linux
+    lets the pipe grow, and leaves by os._exit. The parent reads the whole
+    pipe before it reaps the child, since a result may outgrow the pipe's
+    buffer, and reaps it even when first raises.
     first's error is raised before second's, each as it was raised.
     """
     if not _can_fork():
         return first(), second()
     r, w = os.pipe()
+    try:
+        import fcntl  # POSIX only, as is os.fork
+
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (AttributeError, OSError):  # not Linux, or above its pipe-max-size: keep the size
+        pass
     try:
         pid = os.fork()
     except OSError:  # no process to be had: run both here
@@ -368,10 +381,12 @@ def run_experiment(
         read, bounds = OVERRIDES[key]
         params[key] = read(value, key, **bounds)
     # check the step count (IntegratorOptions) and a sweep's size against the
-    # search guard before any output is written or a grid is built
+    # search guard, and its SVG's, before any output is written or a grid is built
     IntegratorOptions(dt=params["dt"], t_end=params.get("t_end", params.get("horizon")))
     if "grid_count" in params:
         _guard(params["grid_count"], params["agents"] - 1)
+        if want_svg:
+            _svg_guard(params["grid_count"], params["agents"] - 1)
     with writing(out, "out_dir"):
         out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(name, seed, params)

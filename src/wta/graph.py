@@ -8,6 +8,7 @@ is built on demand. Graphs are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -60,7 +61,8 @@ class Graph:
     pair-major.
 
     Graphs compare and hash by hash_hex, which covers n and every edge
-    with its weight."""
+    with its weight. It is computed on its first read, so a graph whose
+    hash nobody reads builds no text."""
 
     n: int
     # directed edge arrays of 2m entries: the m edges i < j in row-major
@@ -70,7 +72,17 @@ class Graph:
     edge_src: np.ndarray = field(repr=False)
     edge_dst: np.ndarray = field(repr=False)
     edge_w: np.ndarray = field(repr=False)
-    hash_hex: str = field(repr=False, default="")
+
+    @functools.cached_property
+    def hash_hex(self) -> str:
+        """SHA-256 hex digest of n, then "i,j,w;" for every edge in edges()
+        order, w by repr."""
+        m = self.num_edges
+        digest = hashlib.sha256(str(self.n).encode())
+        for text in _edge_text(self.edge_src[m:], self.edge_dst[m:], self.edge_w[m:],
+                               "%d,%d,%r;"):
+            digest.update(text)
+        return digest.hexdigest()
 
     @property
     def weights(self) -> np.ndarray:
@@ -129,25 +141,66 @@ def _validate_nodes(nodes: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(sorted({_check_node(i, n) for i in _read_iterable(nodes, "node set")}))
 
 
-# Most edges rendered as text at once, for the graph hash and graph JSON. At
-# n=100, p=0.8 (3,960 edges) dump_graph peaked at 0.11 MiB (tracemalloc)
-# against 0.39 MiB at 2^12, in the same time at 2^8 to 2^12 within noise
-# (2.5-2.9 ms, medians of 101, 2 vCPUs, numpy 2.4.6).
+# Most edges rendered as text at once, for the graph hash and graph JSON. A
+# chunk's working memory is O(edges) in it: at n=100, p=0.8 (3,936 edges)
+# dump_graph peaked at 0.12 MiB (tracemalloc), and at 0.52 MiB on a full
+# chunk of 7-digit ids and distinct 23-character weights.
 _TEXT_CHUNK = 1 << 10
+# Most characters in the repr of a float64, "-2.2250738585072014e-308"
+_REPR_ROOM = 24
+
+
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, at): the distinct values of the int array a, ascending, and each
+    entry of a as its index in u. Values that span fewer than a.size are
+    marked in a table of that span, a wider spread is sorted, so either way
+    it costs O(a.size) memory. On a dense chunk's 2,048 ids (n=100) the
+    table took about 26 us against 64 us for np.unique (2 vCPUs, numpy
+    2.4.6)."""
+    lo, hi = int(a.min()), int(a.max())
+    if hi - lo >= a.size:
+        return np.unique(a, return_inverse=True)
+    seen = np.zeros(hi - lo + 1, bool)
+    seen[a - lo] = True
+    return np.flatnonzero(seen) + lo, (np.cumsum(seen) - 1)[a - lo]
+
+
+def _spelled(values: list, conv: str, room: int) -> np.ndarray:
+    """The text "%" + conv gives each of values, none longer than room
+    characters or holding a space, as an S array as wide as the longest
+    text: one %-format for them all, whose padding spaces become NULs."""
+    text = (f"%-{room}{conv}" * len(values) % tuple(values)).encode().replace(b" ", b"\0")
+    cells = np.frombuffer(text, np.uint8).reshape(len(values), room)
+    width = int(np.count_nonzero(cells.any(axis=0)))  # left-aligned: the first columns
+    return np.ascontiguousarray(cells[:, :width]).view(f"S{width}").ravel()
 
 
 def _edge_text(i: np.ndarray, j: np.ndarray, w: np.ndarray, fmt: str, sep: str = ""):
-    """sep.join(fmt % (i[k], j[k], w[k]) for every edge k), yielded a chunk
-    of at most _TEXT_CHUNK edges at a time. A chunk is one %-format of a
-    flat list of its edges' values, so no per-edge object is ever built.
-    On a graph's int ids and finite weights %d and %r give the reprs that
-    json and f-strings give."""
+    """The ASCII bytes of sep.join(fmt % (i[k], j[k], w[k]) for every edge
+    k), for fmt of the form "a%db%dc%rd", int ids i, j >= 0 and float
+    weights w: uint8 arrays of at most _TEXT_CHUNK edges each, in order.
+
+    A chunk is a matrix of byte cells, a row an edge: sep + a, i's text, b,
+    j's text, c, w's text and d, each text NUL padded to the chunk's widest.
+    Each distinct id and weight of the chunk is spelled once, by Python's
+    %d and %r, the reprs that json and f-strings give; one boolean compress
+    drops the padding. Time and memory are O(edges) a chunk."""
+    a, b, c, d = fmt.replace("%r", "%d").split("%d")
     for s in range(0, len(i), _TEXT_CHUNK):
         part = slice(s, s + _TEXT_CHUNK)
-        values = [None] * (3 * len(i[part]))
-        values[0::3], values[1::3], values[2::3] = (
-            i[part].tolist(), j[part].tolist(), w[part].tolist())
-        yield (sep if s else "") + sep.join([fmt] * (len(values) // 3)) % tuple(values)
+        k = len(i[part])
+        ids, at = _distinct(np.concatenate((i[part], j[part])))
+        ws, w_at = np.unique(w[part], return_inverse=True)
+        id_text = _spelled(ids.tolist(), "d", len(str(ids[-1])))
+        w_text = _spelled(ws.tolist(), "r", _REPR_ROOM)
+        cells = [sep + a, id_text.take(at[:k]), b, id_text.take(at[k:]), c, w_text.take(w_at), d]
+        cells = [np.asarray(x, "S") for x in cells if len(x)]  # an empty literal takes no column
+        rows = np.empty(k, [(str(n), x.dtype) for n, x in enumerate(cells)])
+        for n, x in enumerate(cells):
+            rows[str(n)] = x
+        text = rows.view(np.uint8)
+        text = text[text != 0]
+        yield text[len(sep):] if s == 0 else text
 
 
 def _finish(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> Graph:
@@ -156,17 +209,7 @@ def _finish(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> Graph:
     src, dst, edge_w = np.concatenate((j, i)), np.concatenate((i, j)), np.concatenate((w, w))
     for a in (src, dst, edge_w):
         a.setflags(write=False)
-    # n, then "i,j,w;" per edge with w by repr, one update per chunk
-    digest = hashlib.sha256(str(n).encode())
-    for text in _edge_text(i, j, w, "%d,%d,%r;"):
-        digest.update(text.encode())
-    return Graph(
-        n=n,
-        edge_src=src,
-        edge_dst=dst,
-        edge_w=edge_w,
-        hash_hex=digest.hexdigest(),
-    )
+    return Graph(n=n, edge_src=src, edge_dst=dst, edge_w=edge_w)
 
 
 def new_graph(n: int, edges: Iterable[tuple[int, int, float]]) -> Graph:
@@ -384,6 +427,7 @@ def dump_graph(g: Graph, path) -> None:
     m = g.num_edges
     with writing(path, "graph path") as path, open(path, "w") as fh:
         fh.write('{"edges": [')
-        fh.writelines(_edge_text(g.edge_src[m:], g.edge_dst[m:], g.edge_w[m:],
-                                 "[%d, %d, %r]", ", "))
+        for text in _edge_text(g.edge_src[m:], g.edge_dst[m:], g.edge_w[m:],
+                               "[%d, %d, %r]", ", "):
+            fh.write(text.tobytes().decode())
         fh.write(f'], "n": {g.n}}}\n')

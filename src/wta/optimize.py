@@ -46,6 +46,11 @@ __all__ = [
 EXHAUSTIVE_GUARD_BITS = 24
 GRID_MAX = 1 << EXHAUSTIVE_GUARD_BITS  # most sweep grid points
 TABLE_LIMIT_BITS = 16
+# Most points a sweep's SVG plots: grid points times 2^m masks. A point
+# takes about 91 bytes of SVG text, so such an SVG stays near 6 MiB, where
+# one at the 2^24-evaluation guard would take about 1.4 GiB. fig5 plots
+# 7,936 points at its defaults and the README sweep 4,096.
+SVG_POINTS_MAX = 1 << 16
 TIE_TOL = 1e-12
 # Most restarts greedy_search takes. A restart whose masks are all memoized
 # took about 3.3 us on a 3-agent arena and 3.9 us on the README's 9-agent
@@ -218,6 +223,13 @@ def _guard(grid_points: int, m: int) -> None:
                                      f"than the guard's 2^{EXHAUSTIVE_GUARD_BITS} evaluations")
 
 
+def _svg_guard(grid_points: int, m: int) -> None:
+    """Refuse a sweep SVG of more than SVG_POINTS_MAX points (ConfigError)."""
+    if grid_points << m > SVG_POINTS_MAX:
+        raise ConfigError(f"a sweep SVG of {grid_points} grid point(s) x 2^{m} masks is more "
+                          f"than {SVG_POINTS_MAX} points")
+
+
 @dataclass(frozen=True)
 class OptimizeResult:
     alpha: int
@@ -249,9 +261,11 @@ class OptimizeResult:
             "value_max": self.value_max,
         }
         if self.table is not None:
-            d["table"] = [
-                [mask_to_bits(m, self.num_candidates), v] for m, v in self.table
-            ]
+            # every mask's text from one _mask_bits call, a row of width characters each
+            width = self.num_candidates
+            text = (_mask_bits([m for m, _v in self.table], width) + ord("0")).tobytes().decode()
+            d["table"] = [[text[k * width:(k + 1) * width], v]
+                          for k, (_m, v) in enumerate(self.table)]
         return d
 
 
@@ -399,7 +413,9 @@ class SweepResult:
 
     def write_svg(self, path, star: Optional[tuple[float, float]] = None) -> None:
         """Final vs. initial value, with lines y = x + others_mass and y = x;
-        * marks star, two finite numbers (x, y)."""
+        * marks star, two finite numbers (x, y). At most SVG_POINTS_MAX
+        points."""
+        _svg_guard(len(self.grid), self.num_candidates)
         if star is not None and len(star := read_numbers(star, "star")) != 2:
             raise ConfigError(f"star must be two numbers (x, y), got {star!r}")
         x0 = np.repeat(self.grid, self.values.shape[1])

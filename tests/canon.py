@@ -9,7 +9,7 @@ bytes the project checks.
 
 The first form runs the set in-process through wta.cli.main, with every
 warning raised as an error, into OUT_DIR (new or empty), one directory a
-command: 97 files in all. It writes OUT_DIR/SHA256SUMS, one "digest  path"
+command: 100 files in all. It writes OUT_DIR/SHA256SUMS, one "digest  path"
 line a file, sorted by path (the format of sha256sum), and prints the
 contract report: a line for each contract a trajectory CSV breaks, then a
 count. A broken contract does not change the exit code; a command that
@@ -25,7 +25,7 @@ src against one on a change's src shows every output byte the change
 moved.
 
 Pinned digests. tests/canon.sha256 holds the lines of SHA256SUMS for the
-run directories that pinned() selects: 46 files from 13 directories, which
+run directories that pinned() selects: 49 files from 14 directories, which
 tests/test_canon.py writes and compares in tier-1 (about 3 s). The rule
 leaves out whole directories, those whose bytes moved with the CPU code
 that numpy runs (numpy 2.4.6 on one x86-64 machine with AVX-512):
@@ -115,6 +115,16 @@ def runs():
         "x0": {"inline": [*(math.nextafter(v, d) for v in (1e-4, 1e16, 1e17) for d in (0, math.inf)),
                           1234567890123456.25, 5e-324, 0.1, 0.0]},
         "integrator": {"dt": 0.1, "t_end": 0.3}}, ["simulate"]
+    # graph text at each form of a weight's repr, which the report's graph
+    # hash covers: the subnormal, exponent and 17-digit weights join agents
+    # that start at 0, whose terms stay 0 (zero stays zero)
+    yield "simulate-weight-reprs", {
+        "graph": {"inline": {"n": 12, "edges": [
+            [0, 1, 5e-324], [0, 2, 1e-05], [1, 2, 0.0001], [2, 3, 0.1], [3, 4, 2.5],
+            [4, 5, 0.7377425673954161], [5, 6, 0.30000000000000004], [6, 11, 1.0],
+            [7, 8, 1e16], [8, 9, 1.2345678901234568e17], [9, 10, 1e-05], [10, 11, 1e16]]}},
+        "x0": {"inline": [0.0, 0.0, 0.5, 0.9, 0.2, 0.7, 0.4, 0.0, 0.0, 0.0, 0.0, 0.3]},
+        "integrator": {"dt": 0.01, "t_end": 0.5, "record_stride": 10}}, ["simulate"]
 
 
 # Run directories left out of tests/canon.sha256, by a part of their name:

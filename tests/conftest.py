@@ -75,6 +75,15 @@ def graph_to_json_dict(g) -> dict:
     return {"n": g.n, "edges": [[i, j, w] for i, j, w in g.edges()]}
 
 
+def edge_text(i, j, w, fmt: str, sep: str = "") -> str:
+    """sep.join(fmt % (i[k], j[k], w[k]) for every edge k), as one %-format
+    of a flat list of the edges' values: the reference that the byte cells
+    of wta.graph._edge_text must match, byte for byte."""
+    values = [None] * (3 * len(i))
+    values[0::3], values[1::3], values[2::3] = i.tolist(), j.tolist(), w.tolist()
+    return sep.join([fmt] * len(i)) % tuple(values)
+
+
 @pytest.fixture
 def paired_builds(monkeypatch) -> list:
     """The entry count of each closure wta.dynamics._paired_kernel builds

@@ -370,6 +370,20 @@ class TestOptimize:
             assert peak < 8 << 20
             assert not out.exists()
 
+    def test_oversized_sweep_svg_exits_1_before_any_lane(self, tmp_path, capsys, monkeypatch):
+        # 257 grid points x 2^8 masks is just over SVG_POINTS_MAX (2^16)
+        monkeypatch.setattr(wta.optimize, "_lane_values", fail(AssertionError("a lane ran")))
+        configs = [write(tmp_path / f"{name}.json",
+                         dict(README_CONFIGS["optimize"], sweep_grid=grid))
+                   for name, grid in (("count", {"count": 257}), ("list", [0.5] * 257))]
+        out = tmp_path / "o"
+        for argv in (*(["optimize", "--config", cfg, "--sweep", "--svg"] for cfg in configs),
+                     ["experiment", "fig5_sweep", "--svg", "--grid-count", "257"]):
+            assert main([*argv, "--out", str(out), "--quiet"]) == 1
+            assert capsys.readouterr().err == (
+                "error: a sweep SVG of 257 grid point(s) x 2^8 masks is more than 65536 points\n")
+            assert not out.exists()
+
     def test_sweep_csv(self, tmp_path):
         cfg = optimize_config(
             tmp_path, horizon=2.0,
@@ -470,6 +484,30 @@ class TestForkedBranches:
         for name in ("fig2_trajectories", "fig3_entropy"):
             assert len(runs["forked", name]) == 5
             assert runs["forked", name] == runs["serial", name]
+
+    @pytest.mark.parametrize("size", [(64 << 10) + 1, (1 << 20) + 1],
+                             ids=["over-64KiB", "over-1MiB"])
+    def test_large_result_same_as_serial(self, monkeypatch, size):
+        """A child result larger than the default pipe buffer, or than the
+        pipe _both asks for, comes back whole, as the serial run gives it."""
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return fork()
+
+        def second():
+            return np.random.default_rng(size).bytes(size)
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        forked = experiments._can_fork()
+        runs = [experiments._both(lambda: "first", second)]
+        assert_no_child_left()
+        monkeypatch.setattr(experiments, "_can_fork", lambda: False)
+        runs.append(experiments._both(lambda: "first", second))
+        assert len(forks) == (1 if forked else 0)
+        assert runs[0] == runs[1] == ("first", second())
 
     def test_reverse_error_keeps_class_and_message(self, tmp_path, monkeypatch, fork_gate):
         monkeypatch.setattr(experiments, "simulate_reverse",
@@ -905,6 +943,8 @@ def a_file(path: Path) -> Path:
                  id="svg-star-nan"),
     pytest.param(lambda out: sweep().write_svg(out, star=1.0), ConfigError,
                  id="svg-star-number"),
+    pytest.param(lambda out: sweep(num_candidates=17, values=np.ones((1, 1 << 17))).write_svg(
+        out), ConfigError, id="svg-past-point-limit"),
     pytest.param(lambda out: sweep(values=np.ones((1, 3))).write_csv(out), ConfigError,
                  id="sweep-result-shape"),
     pytest.param(lambda out: sweep(grid=(0.0, 1.0)).write_csv(out), ConfigError,

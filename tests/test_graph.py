@@ -28,7 +28,7 @@ from wta.errors import (
     WtaError,
 )
 
-from conftest import graph_to_json_dict
+from conftest import edge_text, graph_to_json_dict
 
 
 def path3():
@@ -314,6 +314,7 @@ class TestRandomGraph:
     @pytest.mark.parametrize("chunk", [1, 999])
     def test_hash_chunk_size_keeps_digest(self, monkeypatch, chunk):
         whole = random_graph(100, 0.8)
+        whole.hash_hex  # computed on first read: read it at the default chunk
         monkeypatch.setattr(wta.graph, "_TEXT_CHUNK", chunk)
         assert random_graph(100, 0.8).hash_hex == whole.hash_hex
 
@@ -472,17 +473,67 @@ class TestJson:
     def test_text_peak_memory(self, tmp_path):
         # graph JSON and the graph hash hold one chunk of edge text at a
         # time, not a tuple, list or string per edge: at n=100, p=0.8
-        # (3,960 edges) dump_graph peaked at 1.44 MiB and random_graph at
-        # 0.73 MiB when they did
+        # (3,936 edges) dump_graph peaked at 1.44 MiB and random_graph with
+        # its hash at 0.73 MiB when they did
         g, path = random_graph(100, 0.8), tmp_path / "g.json"
         tracemalloc.start()
         try:
             dump_graph(g, path)
             dump_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            random_graph(100, 0.8)
+            random_graph(100, 0.8).hash_hex  # the hash is made on its first read
             draw_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert dump_peak < 0.25 * 2**20
         assert draw_peak < 0.55 * 2**20
+
+
+# a weight of each form its repr takes: subnormal, exponent below -4, fixed
+# below 1, one and more digits, exponent from 16, 17 significant digits
+WEIGHT_REPRS = [5e-324, 1e-05, 0.0001, 0.1, 2.5, 1e16, 1.2345678901234568e17]
+
+
+def many_digit_ids():
+    """A graph of 2^20 agents, each edge joining ids of 1 to 7 digits (up to
+    2^20 - 1), its weights cycling through WEIGHT_REPRS."""
+    ids = [0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10**4, 10**5 - 1, 10**5, 10**6 - 1, 10**6,
+           2**20 - 1]
+    pairs = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1:k + 4]]
+    return new_graph(2**20, [(a, b, WEIGHT_REPRS[k % len(WEIGHT_REPRS)])
+                             for k, (a, b) in enumerate(pairs)])
+
+
+class TestEdgeText:
+    @pytest.mark.parametrize("build", [
+        many_digit_ids,
+        lambda: new_graph(8, [(i, j, WEIGHT_REPRS[(i * j) % 7]) for i in range(8)
+                              for j in range(i + 1, 8)]),
+        lambda: random_graph(100, 0.8, ("uniform", 1e-3, 1e3), 3),
+        lambda: random_graph(100, 0.8),
+        lambda: random_graph(1000, 5 / 999, "unit", 0),
+        lambda: new_graph(5, []),
+    ], ids=["ids-1-to-7-digits", "weight-reprs", "uniform", "dense", "sparse", "edgeless"])
+    @pytest.mark.parametrize("chunk", [1, 999, 1024])
+    def test_same_bytes_as_percent_format(self, monkeypatch, build, chunk):
+        """Each chunk's byte cells join to the %-format of every edge, for
+        the hash's text and for graph JSON's."""
+        g = build()
+        m = g.num_edges
+        edges = g.edge_src[m:], g.edge_dst[m:], g.edge_w[m:]
+        monkeypatch.setattr(wta.graph, "_TEXT_CHUNK", chunk)
+        for fmt, sep in (("%d,%d,%r;", ""), ("[%d, %d, %r]", ", ")):
+            parts = list(wta.graph._edge_text(*edges, fmt, sep))
+            assert len(parts) == -(-m // chunk)
+            assert b"".join(parts) == edge_text(*edges, fmt, sep).encode()
+
+    def test_text_is_not_O_n(self):
+        # an id table over [0, n) would hold 1 MiB at n = 2^20
+        g = many_digit_ids()
+        tracemalloc.start()
+        try:
+            g.hash_hex
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10

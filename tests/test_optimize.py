@@ -7,10 +7,12 @@ import wta.optimize
 from wta import (
     IntegratorOptions,
     OptimizeProblem,
+    classify_equilibrium,
     connected_components,
     evaluate_choice,
     exhaustive_search,
     greedy_search,
+    linearize_at,
     new_graph,
     random_graph,
     sweep_initial_value,
@@ -113,6 +115,17 @@ class TestProblem:
 
     def test_mask_bits_round_trip(self):
         assert mask_to_bits(0b1011, 8) == "11010000"
+
+    @pytest.mark.parametrize("m", [0, 10, 12])
+    def test_table_masks_spelled_as_mask_to_bits(self, m):
+        """to_json_dict spells the whole table through one _mask_bits call,
+        each mask as mask_to_bits does, in the table's order."""
+        masks = np.random.default_rng(m).permutation(1 << m).tolist()
+        table = tuple((mask, mask / 3.0) for mask in masks)
+        result = wta.optimize.OptimizeResult(0, 0, 0.0, 1 << m, False, "exhaustive", m,
+                                             tuple(range(1, m + 1)), 0.0, 1.0, table)
+        assert result.to_json_dict()["table"] == [[mask_to_bits(mask, m), v]
+                                                  for mask, v in table]
 
 
 def weighted_problem(n, alpha, seed, candidate_weight=1.7):
@@ -342,6 +355,22 @@ class TestGreedy:
         monkeypatch.undo()
         with pytest.raises(ConfigError, match="restarts"):
             greedy_search(p, restarts=10**12)
+
+
+def test_searches_and_linearization_build_no_graph_text(monkeypatch):
+    """The graphs a search or a linearization builds for itself leave
+    hash_hex unread, so none of them spells its edges as text."""
+    p = seeded_arena_problem(6, 0.5, 1.25)
+    g = random_graph(6, 1.0)
+    report = classify_equilibrium(g, np.ones(6))
+
+    def no_text(*_args):
+        raise AssertionError("graph text built")
+
+    monkeypatch.setattr(wta.graph, "_edge_text", no_text)
+    exhaustive_search(p)
+    greedy_search(p, restarts=4)
+    assert linearize_at(g, report).verdict == "unstable"
 
 
 class TestSweep:
