@@ -125,31 +125,18 @@ def _can_fork() -> bool:
     return (cpus or 1) >= 2 and threading.active_count() == 1
 
 
-# The result pipe's size. fig2's child pickles about 212 KB; in the default
-# 64 KiB pipe it waited for the parent to finish its own branch and read,
-# so the child's exit sat on the critical path.
-_PIPE_BYTES = 1 << 20
-
-
 def _both(first, second) -> tuple:
     """(first(), second()), with second run in a forked child while this
     process runs first, when _can_fork(); otherwise both here, in order.
 
-    The child pickles (ok, value) into a pipe of _PIPE_BYTES, where Linux
-    lets the pipe grow, and leaves by os._exit. The parent reads the whole
-    pipe before it reaps the child, since a result may outgrow the pipe's
-    buffer, and reaps it even when first raises.
+    The child pickles (ok, value) into a pipe and leaves by os._exit. The
+    parent reads the whole pipe before it reaps the child, since a result
+    may outgrow the pipe's buffer, and reaps it even when first raises.
     first's error is raised before second's, each as it was raised.
     """
     if not _can_fork():
         return first(), second()
     r, w = os.pipe()
-    try:
-        import fcntl  # POSIX only, as is os.fork
-
-        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    except (AttributeError, OSError):  # not Linux, or above its pipe-max-size: keep the size
-        pass
     try:
         pid = os.fork()
     except OSError:  # no process to be had: run both here

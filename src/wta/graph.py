@@ -143,34 +143,34 @@ def _validate_nodes(nodes: Iterable[int], n: int) -> tuple[int, ...]:
 
 # Most edges rendered as text at once, for the graph hash and graph JSON. A
 # chunk's working memory is O(edges) in it: at n=100, p=0.8 (3,936 edges)
-# dump_graph peaked at 0.12 MiB (tracemalloc), and at 0.52 MiB on a full
+# dump_graph peaked at 0.14 MiB (tracemalloc), and at 0.19 MiB on a full
 # chunk of 7-digit ids and distinct 23-character weights.
 _TEXT_CHUNK = 1 << 10
 # Most characters in the repr of a float64, "-2.2250738585072014e-308"
 _REPR_ROOM = 24
 
 
-def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u, at): the distinct values of the int array a, ascending, and each
-    entry of a as its index in u. Values that span fewer than a.size are
-    marked in a table of that span, a wider spread is sorted, so either way
-    it costs O(a.size) memory. On a dense chunk's 2,048 ids (n=100) the
-    table took about 26 us against 64 us for np.unique (2 vCPUs, numpy
-    2.4.6)."""
-    lo, hi = int(a.min()), int(a.max())
-    if hi - lo >= a.size:
-        return np.unique(a, return_inverse=True)
-    seen = np.zeros(hi - lo + 1, bool)
-    seen[a - lo] = True
-    return np.flatnonzero(seen) + lo, (np.cumsum(seen) - 1)[a - lo]
+def _digits(a: np.ndarray) -> np.ndarray:
+    """The %d text of each int of a (nonempty, all >= 0) as an S array as
+    wide as the longest text, each text right-aligned behind NUL bytes:
+    one floor division by ten a digit column, for all of a at once."""
+    width = len(str(int(a.max())))
+    cells = np.empty((len(a), width), np.uint8)
+    q = a
+    for col in range(width - 1, -1, -1):
+        q, r = q // 10, q
+        np.subtract(r, q * 10, out=cells[:, col], casting="unsafe")
+    cells += ord("0")
+    for col in range(width - 1):  # a leading zero is a NUL; the last column never is one
+        cells[:, col] *= a >= 10 ** (width - 1 - col)
+    return cells.view(f"S{width}").ravel()
 
 
-def _spelled(values: list, conv: str, room: int) -> np.ndarray:
-    """The text "%" + conv gives each of values, none longer than room
-    characters or holding a space, as an S array as wide as the longest
-    text: one %-format for them all, whose padding spaces become NULs."""
-    text = (f"%-{room}{conv}" * len(values) % tuple(values)).encode().replace(b" ", b"\0")
-    cells = np.frombuffer(text, np.uint8).reshape(len(values), room)
+def _reprs(values: list) -> np.ndarray:
+    """The repr of each of the floats values as an S array as wide as the
+    longest: one %r-format for them all, whose padding spaces become NULs."""
+    text = (f"%-{_REPR_ROOM}r" * len(values) % tuple(values)).encode().replace(b" ", b"\0")
+    cells = np.frombuffer(text, np.uint8).reshape(len(values), _REPR_ROOM)
     width = int(np.count_nonzero(cells.any(axis=0)))  # left-aligned: the first columns
     return np.ascontiguousarray(cells[:, :width]).view(f"S{width}").ravel()
 
@@ -182,18 +182,17 @@ def _edge_text(i: np.ndarray, j: np.ndarray, w: np.ndarray, fmt: str, sep: str =
 
     A chunk is a matrix of byte cells, a row an edge: sep + a, i's text, b,
     j's text, c, w's text and d, each text NUL padded to the chunk's widest.
-    Each distinct id and weight of the chunk is spelled once, by Python's
-    %d and %r, the reprs that json and f-strings give; one boolean compress
-    drops the padding. Time and memory are O(edges) a chunk."""
+    The ids are spelled by _digits; each distinct weight of the chunk is
+    spelled once, by Python's %r, the repr that json and f-strings give.
+    One boolean compress drops the padding. Time and memory are O(edges)
+    a chunk."""
     a, b, c, d = fmt.replace("%r", "%d").split("%d")
     for s in range(0, len(i), _TEXT_CHUNK):
         part = slice(s, s + _TEXT_CHUNK)
         k = len(i[part])
-        ids, at = _distinct(np.concatenate((i[part], j[part])))
+        id_text = _digits(np.concatenate((i[part], j[part])))
         ws, w_at = np.unique(w[part], return_inverse=True)
-        id_text = _spelled(ids.tolist(), "d", len(str(ids[-1])))
-        w_text = _spelled(ws.tolist(), "r", _REPR_ROOM)
-        cells = [sep + a, id_text.take(at[:k]), b, id_text.take(at[k:]), c, w_text.take(w_at), d]
+        cells = [sep + a, id_text[:k], b, id_text[k:], c, _reprs(ws.tolist()).take(w_at), d]
         cells = [np.asarray(x, "S") for x in cells if len(x)]  # an empty literal takes no column
         rows = np.empty(k, [(str(n), x.dtype) for n, x in enumerate(cells)])
         for n, x in enumerate(cells):

@@ -88,6 +88,22 @@ def mask_to_bits(mask: int, width: int) -> str:
     return (_mask_bits([mask], width)[0] + ord("0")).tobytes().decode()
 
 
+def _read_masks(masks: list, width: int) -> list[int]:
+    """masks as ints, each an integer in [0, 2^width), checked together:
+    ConfigError otherwise, as mask_to_bits raises for one mask. Masks must
+    also fit an int64, which every table exhaustive_search keeps does (it
+    keeps one up to TABLE_LIMIT_BITS candidates)."""
+    try:
+        arr = np.asarray(masks)
+        ok = arr.ndim == 1 and (arr.dtype.kind in "iu" or not masks)
+        ok = ok and not (masks and (arr.min() < 0 or arr.max() >> width))
+    except (TypeError, ValueError):  # a ragged entry
+        ok = False
+    if not ok:
+        raise ConfigError(f"each table mask must be an integer in [0, 2^{width})")
+    return arr.tolist()
+
+
 @dataclass(frozen=True)
 class _MaskColumn:
     """A sweep's CSV mask column, whose row r is mask_to_bits(r mod
@@ -261,9 +277,11 @@ class OptimizeResult:
             "value_max": self.value_max,
         }
         if self.table is not None:
-            # every mask's text from one _mask_bits call, a row of width characters each
+            # every mask's text from one _mask_bits call, a row of width characters each;
+            # best_mask_bits has read the width, and the masks are read here at once
             width = self.num_candidates
-            text = (_mask_bits([m for m, _v in self.table], width) + ord("0")).tobytes().decode()
+            masks = _read_masks([m for m, _v in self.table], width)
+            text = (_mask_bits(masks, width) + ord("0")).tobytes().decode()
             d["table"] = [[text[k * width:(k + 1) * width], v]
                           for k, (_m, v) in enumerate(self.table)]
         return d

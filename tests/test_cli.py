@@ -485,11 +485,10 @@ class TestForkedBranches:
             assert len(runs["forked", name]) == 5
             assert runs["forked", name] == runs["serial", name]
 
-    @pytest.mark.parametrize("size", [(64 << 10) + 1, (1 << 20) + 1],
-                             ids=["over-64KiB", "over-1MiB"])
-    def test_large_result_same_as_serial(self, monkeypatch, size):
-        """A child result larger than the default pipe buffer, or than the
-        pipe _both asks for, comes back whole, as the serial run gives it."""
+    def test_large_result_same_as_serial(self, monkeypatch):
+        """A child result larger than the pipe's buffer (64 KiB by default
+        on Linux) comes back whole, as the serial run gives it."""
+        size = (1 << 20) + 1
         forks = []
         fork = os.fork
 
@@ -768,6 +767,14 @@ def sweep(**fields):
     return optimize.SweepResult(**spec)
 
 
+def optimize_result(table):
+    """A hand-built exhaustive OptimizeResult over 3 candidates with this table."""
+    return optimize.OptimizeResult(
+        alpha=0, best_mask=0, best_value=1.0, evaluations=len(table), tie_break_applied=False,
+        mode="exhaustive", num_candidates=3, candidates=(1, 2, 3), value_min=1.0,
+        value_max=1.0, table=table)
+
+
 def experiment(out, seed=0, **overrides):
     return run_experiment("fig5_sweep", out, seed=seed, overrides=overrides)
 
@@ -957,6 +964,16 @@ def a_file(path: Path) -> Path:
                  id="sweep-result-values-string"),
     pytest.param(lambda out: sweep(grid=("a",)).write_csv(out), ConfigError,
                  id="sweep-result-grid-string"),
+    pytest.param(lambda out: optimize_result(((0, 1.0), (8, 1.0))).to_json_dict(), ConfigError,
+                 id="optimize-table-mask-above-width"),
+    pytest.param(lambda out: optimize_result(((0, 1.0), (-1, 1.0))).to_json_dict(), ConfigError,
+                 id="optimize-table-mask-negative"),
+    pytest.param(lambda out: optimize_result(((0, 1.0), (1.0, 1.0))).to_json_dict(), ConfigError,
+                 id="optimize-table-mask-float"),
+    pytest.param(lambda out: optimize_result(((0, 1.0), ("1", 1.0))).to_json_dict(), ConfigError,
+                 id="optimize-table-mask-string"),
+    pytest.param(lambda out: optimize_result(((True, 1.0),)).to_json_dict(), ConfigError,
+                 id="optimize-table-mask-bool"),
 ])
 def test_library_boundary_rejects_bad_input(tmp_path, call, error):
     """Each entry point named in README "CLI" rejects what the CLI rejects,
