@@ -302,9 +302,9 @@ def _run_fig5(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
     star_value = evaluate_choice(problem, orig_mask)
     extremes = {}  # a key's min and max are over every grid value that prints as it
     for gx, row in zip(sweep.grid, sweep.values):
-        vs = row.tolist()
-        e = extremes.setdefault(f"{gx:.6g}", {"min": vs[0], "max": vs[0]})
-        e["min"], e["max"] = min(e["min"], *vs), max(e["max"], *vs)
+        lo, hi = float(row.min()), float(row.max())
+        e = extremes.setdefault(f"{gx:.6g}", {"min": lo, "max": hi})
+        e["min"], e["max"] = min(e["min"], lo), max(e["max"], hi)
     if want_svg:
         sweep.write_svg(out / "fig5_sweep.svg", star=(problem.x_alpha0, star_value))
     return {

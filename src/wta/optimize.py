@@ -2,17 +2,17 @@
 
 Agent alpha chooses which of the other agents to compete with (a binary
 mask over candidate edges of fixed weight); the objective is alpha's final
-value after integrating the dynamics to a fixed horizon. Exhaustive search
-enumerates all masks (guarded), greedy search hill-climbs over bit flips,
-and the initial-value sweep evaluates the whole mask table over a grid of
-starting values for alpha. Each problem builds its arena once: the graph
-with every candidate edge, from which a mask keeps its base edges and the
-alpha edges it enables. Exhaustive search, the sweep and greedy search
-integrate their (initial value, mask) pairs as lanes of blocks on the arena
-(_lane_values), bit-for-bit equal to evaluate_choice: exhaustive search and
-the sweep send every pair; greedy search climbs up to LANE_BLOCK restarts
-in lockstep and sends each round's new asks as one block. Greedy's first
-start mask and its dense-kernel masks run alone through evaluate_choice.
+value after integrating the dynamics to a fixed horizon. The initial-value
+sweep evaluates every mask at each value of a grid of starting values for
+alpha, one table of final values (_table); exhaustive search (guarded) is
+that table at alpha's own initial value, and greedy search hill-climbs over
+bit flips. Each problem builds its arena once: the graph with every
+candidate edge, from which a mask keeps its base edges and the alpha edges
+it enables. The table sends every (initial value, mask) pair, and greedy
+search each round's new asks of up to LANE_BLOCK restarts climbing in
+lockstep, as lanes of blocks on the arena (_lane_values), bit-for-bit equal
+to evaluate_choice. Greedy's first start mask and its dense-kernel masks
+run alone through evaluate_choice.
 """
 
 from __future__ import annotations
@@ -88,26 +88,10 @@ def mask_to_bits(mask: int, width: int) -> str:
     return (_mask_bits([mask], width)[0] + ord("0")).tobytes().decode()
 
 
-def _read_masks(masks: list, width: int) -> list[int]:
-    """masks as ints, each an integer in [0, 2^width), checked together:
-    ConfigError otherwise, as mask_to_bits raises for one mask. Masks must
-    also fit an int64, which every table exhaustive_search keeps does (it
-    keeps one up to TABLE_LIMIT_BITS candidates)."""
-    try:
-        arr = np.asarray(masks)
-        ok = arr.ndim == 1 and (arr.dtype.kind in "iu" or not masks)
-        ok = ok and not (masks and (arr.min() < 0 or arr.max() >> width))
-    except (TypeError, ValueError):  # a ragged entry
-        ok = False
-    if not ok:
-        raise ConfigError(f"each table mask must be an integer in [0, 2^{width})")
-    return arr.tolist()
-
-
 @dataclass(frozen=True)
 class _MaskColumn:
-    """A sweep's CSV mask column, whose row r is mask_to_bits(r mod
-    2^width), made a slice of rows at a time: a text column for _write_csv."""
+    """The mask column of a sweep's CSV and of exhaustive search's JSON:
+    row r is mask_to_bits(r mod 2^width), made a slice of rows at a time."""
 
     width: int
 
@@ -232,6 +216,15 @@ def _lane_values(p: OptimizeProblem, pairs: Iterable[tuple[float, int]]):
         yield from final[:, p.alpha].tolist()
 
 
+def _table(p: OptimizeProblem, grid: Sequence[float]) -> np.ndarray:
+    """(len(grid), 2^m) float64 whose [i, mask] is alpha's final value from
+    grid[i] under mask, for m candidates: every pair as lanes, masks
+    ascending within each grid value."""
+    m = p.num_candidates
+    pairs = ((x0, mask) for x0 in grid for mask in range(1 << m))
+    return np.fromiter(_lane_values(p, pairs), float, len(grid) << m).reshape(len(grid), -1)
+
+
 def _guard(grid_points: int, m: int) -> None:
     """Refuse more than 2^24 evaluations: grid points times 2^m masks."""
     if grid_points << m > 1 << EXHAUSTIVE_GUARD_BITS:
@@ -248,6 +241,10 @@ def _svg_guard(grid_points: int, m: int) -> None:
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """A search's best mask and value and the range of the values it read.
+    table, kept by exhaustive search up to TABLE_LIMIT_BITS candidates, is a
+    float64 row whose table[mask] is mask's value; == and hash skip it."""
+
     alpha: int
     best_mask: int
     best_value: float
@@ -258,7 +255,17 @@ class OptimizeResult:
     candidates: tuple[int, ...]
     value_min: float
     value_max: float
-    table: Optional[tuple[tuple[int, float], ...]] = None
+    table: Optional[np.ndarray] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.table is not None:  # checked as SweepResult checks values
+            width = read_integer(self.num_candidates, "num_candidates", 0, EXHAUSTIVE_GUARD_BITS)
+            table = read_array(self.table, "table")
+            if table.shape != (1 << width,):
+                raise ConfigError(f"table must have shape ({1 << width},), got {table.shape}")
+            if not np.isfinite(table).all():
+                raise ConfigError("table must be finite (no NaN or infinity)")
+            object.__setattr__(self, "table", table)
 
     @property
     def best_mask_bits(self) -> str:
@@ -276,14 +283,10 @@ class OptimizeResult:
             "value_min": self.value_min,
             "value_max": self.value_max,
         }
-        if self.table is not None:
-            # every mask's text from one _mask_bits call, a row of width characters each;
-            # best_mask_bits has read the width, and the masks are read here at once
+        if self.table is not None:  # [mask_to_bits(mask), table[mask]] in mask order
             width = self.num_candidates
-            masks = _read_masks([m for m, _v in self.table], width)
-            text = (_mask_bits(masks, width) + ord("0")).tobytes().decode()
-            d["table"] = [[text[k * width:(k + 1) * width], v]
-                          for k, (_m, v) in enumerate(self.table)]
+            masks = _MaskColumn(width)[0:1 << width].astype(str).tolist()
+            d["table"] = [[bits, v] for bits, v in zip(masks, self.table.tolist())]
         return d
 
 
@@ -315,22 +318,18 @@ def exhaustive_search(p: OptimizeProblem) -> OptimizeResult:
     """Evaluate every opponent mask and return the argmax.
 
     Ties within 1e-12 are broken by fewer set bits, then by the smaller
-    mask. The full per-mask table is kept up to 2^16 masks; beyond that only
-    streamed statistics survive. Guarded at 2^24 evaluations.
+    mask. Its values are the sweep at alpha's own initial value, a row kept
+    as the result's table up to 2^16 masks. Guarded at 2^24 evaluations.
     """
     m = p.num_candidates
     _guard(1, m)
-    keep_table = m <= TABLE_LIMIT_BITS
-    table: list[tuple[int, float]] = []
+    row = _table(p, (p.x_alpha0,))[0]
+    values = row.tolist()
     best = (0, -np.inf, False)
-    vmin, vmax = np.inf, -np.inf
-    for mask, v in enumerate(_lane_values(p, ((p.x_alpha0, mask) for mask in range(1 << m)))):
-        if keep_table:
-            table.append((mask, v))
-        vmin, vmax = min(vmin, v), max(vmax, v)
+    for mask, v in enumerate(values):
         best = _fold(best, mask, v)
-    return _result(p, "exhaustive", best, 1 << m, vmin, vmax,
-                   tuple(table) if keep_table else None)
+    return _result(p, "exhaustive", best, 1 << m, min(values), max(values),
+                   row if m <= TABLE_LIMIT_BITS else None)
 
 
 def greedy_search(p: OptimizeProblem, restarts: int = 8, seed: int = 0) -> OptimizeResult:
@@ -458,6 +457,4 @@ def sweep_initial_value(p: OptimizeProblem, x_alpha0_grid) -> SweepResult:
     grid = tuple(read_numbers(grid, "x_alpha0_grid", lo=0.0))
     if not grid:
         raise ConfigError("x_alpha0_grid must hold at least one value, got none")
-    pairs = ((x0, mask) for x0 in grid for mask in range(1 << m))
-    values = np.fromiter(_lane_values(p, pairs), float, len(grid) << m)
-    return SweepResult(p.alpha, grid, m, values.reshape(len(grid), -1), sum(p.x0_others))
+    return SweepResult(p.alpha, grid, m, _table(p, grid), sum(p.x0_others))

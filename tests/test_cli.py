@@ -770,7 +770,7 @@ def sweep(**fields):
 def optimize_result(table):
     """A hand-built exhaustive OptimizeResult over 3 candidates with this table."""
     return optimize.OptimizeResult(
-        alpha=0, best_mask=0, best_value=1.0, evaluations=len(table), tie_break_applied=False,
+        alpha=0, best_mask=0, best_value=1.0, evaluations=8, tie_break_applied=False,
         mode="exhaustive", num_candidates=3, candidates=(1, 2, 3), value_min=1.0,
         value_max=1.0, table=table)
 
@@ -964,16 +964,16 @@ def a_file(path: Path) -> Path:
                  id="sweep-result-values-string"),
     pytest.param(lambda out: sweep(grid=("a",)).write_csv(out), ConfigError,
                  id="sweep-result-grid-string"),
-    pytest.param(lambda out: optimize_result(((0, 1.0), (8, 1.0))).to_json_dict(), ConfigError,
-                 id="optimize-table-mask-above-width"),
-    pytest.param(lambda out: optimize_result(((0, 1.0), (-1, 1.0))).to_json_dict(), ConfigError,
-                 id="optimize-table-mask-negative"),
-    pytest.param(lambda out: optimize_result(((0, 1.0), (1.0, 1.0))).to_json_dict(), ConfigError,
-                 id="optimize-table-mask-float"),
-    pytest.param(lambda out: optimize_result(((0, 1.0), ("1", 1.0))).to_json_dict(), ConfigError,
-                 id="optimize-table-mask-string"),
-    pytest.param(lambda out: optimize_result(((True, 1.0),)).to_json_dict(), ConfigError,
-                 id="optimize-table-mask-bool"),
+    pytest.param(lambda out: optimize_result([1.0] * 7), ConfigError,
+                 id="optimize-table-wrong-length"),
+    pytest.param(lambda out: optimize_result(tuple((mask, 1.0) for mask in range(8))),
+                 ConfigError, id="optimize-table-pair-layout"),
+    pytest.param(lambda out: optimize_result([1.0] * 7 + [float("nan")]), ConfigError,
+                 id="optimize-table-nan"),
+    pytest.param(lambda out: optimize_result([1.0] * 7 + ["1.0"]), ConfigError,
+                 id="optimize-table-string"),
+    pytest.param(lambda out: optimize_result([True] * 8), ConfigError,
+                 id="optimize-table-bool"),
 ])
 def test_library_boundary_rejects_bad_input(tmp_path, call, error):
     """Each entry point named in README "CLI" rejects what the CLI rejects,

@@ -118,14 +118,12 @@ class TestProblem:
 
     @pytest.mark.parametrize("m", [0, 10, 12])
     def test_table_masks_spelled_as_mask_to_bits(self, m):
-        """to_json_dict spells the whole table through one _mask_bits call,
-        each mask as mask_to_bits does, in the table's order."""
-        masks = np.random.default_rng(m).permutation(1 << m).tolist()
-        table = tuple((mask, mask / 3.0) for mask in masks)
+        """to_json_dict lists [mask_to_bits(mask), table[mask]] in mask order."""
+        table = np.random.default_rng(m).random(1 << m)
         result = wta.optimize.OptimizeResult(0, 0, 0.0, 1 << m, False, "exhaustive", m,
                                              tuple(range(1, m + 1)), 0.0, 1.0, table)
         assert result.to_json_dict()["table"] == [[mask_to_bits(mask, m), v]
-                                                  for mask, v in table]
+                                                  for mask, v in enumerate(table.tolist())]
 
 
 def weighted_problem(n, alpha, seed, candidate_weight=1.7):
@@ -192,7 +190,7 @@ class TestExhaustive:
         res = exhaustive_search(p)
         assert res.best_mask == 1
         assert res.best_value == pytest.approx(3.0, abs=1e-6)
-        assert dict(res.table)[0] == p.x_alpha0
+        assert res.table[0] == p.x_alpha0
         assert res.evaluations == 2
 
     def test_smaller_agent_prefers_isolation(self):
@@ -221,12 +219,36 @@ class TestExhaustive:
         p = seeded_arena_problem()
         res = exhaustive_search(p)
         scalar = [evaluate_choice(p, mask) for mask in range(256)]
-        assert [v for _mask, v in res.table] == scalar
-        assert [mask for mask, _v in res.table] == list(range(256))
+        assert res.table.tolist() == scalar
         best_mask, best_value, tie = scalar_argmax(scalar)
         assert (res.best_mask, res.best_value, res.tie_break_applied) == (
             best_mask, best_value, tie)
         assert (res.value_min, res.value_max) == (min(scalar), max(scalar))
+
+    def test_row_is_the_sweep_at_alpha_initial_value(self):
+        p = seeded_arena_problem(6, 0.5, 1.25)
+        row = exhaustive_search(p).table
+        assert row.dtype == np.float64
+        assert row.tobytes() == sweep_initial_value(p, [p.x_alpha0]).values[0].tobytes()
+
+    def test_no_table_past_the_limit(self, monkeypatch):
+        # a 5-candidate arena stands in for one past 2^16 masks: the result
+        # drops its table and keeps its fold and extremes
+        p = seeded_arena_problem(6, 0.5, 1.25)
+        kept = exhaustive_search(p)
+        monkeypatch.setattr(wta.optimize, "TABLE_LIMIT_BITS", p.num_candidates - 1)
+        res = exhaustive_search(p)
+        assert kept.table is not None and res.table is None
+        assert (res.best_mask, res.best_value, res.tie_break_applied) == (
+            kept.best_mask, kept.best_value, kept.tie_break_applied)
+        assert (res.value_min, res.value_max) == (kept.value_min, kept.value_max)
+        assert res.to_json_dict() == {k: v for k, v in kept.to_json_dict().items()
+                                      if k != "table"}
+
+    def test_results_compare_and_hash(self):
+        p = seeded_arena_problem(6, 0.5, 1.25)
+        a, b = exhaustive_search(p), exhaustive_search(p)
+        assert a == b and hash(a) == hash(b)
 
     def test_guard(self):
         with pytest.raises(TooManyCandidatesError):
