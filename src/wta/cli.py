@@ -75,19 +75,21 @@ def _seed(spec: dict, key: str, default: int) -> int:
 
 
 def _one_of(d, keys, key: str) -> str:
-    present = [k for k in keys if k in read_object(d, key)]
+    present = [k for k in keys if k in read_object(d, key, keys)]
     if len(present) != 1:
         raise ConfigError(f"{key} needs exactly one of {keys}, got {present}")
     return present[0]
 
 
-# --- config blocks ---
+# --- config blocks: each object is read with the keys its reader reads ---
+
+SIMULATE_KEYS = ("graph", "x0", "direction", "integrator", "interaction")
+OPTIMIZE_KEYS = ("graph", "alpha", "x_alpha0", "x0_others", "horizon", "candidate_weight",
+                 "integrator", "greedy", "sweep_grid")
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        raise ConfigError("--config is required for this subcommand")
-    return read_object(_read_json(path, "config"), "config root")
+def _load_config(path, keys) -> dict:
+    return read_object(_read_json(path, "config"), "config root", keys)
 
 
 def _weight_mode(spec, key: str):
@@ -106,7 +108,7 @@ def _graph_from_config(cfg, default_seed: int):
         return graph_from_json_dict(cfg["inline"])
     if src == "file":
         return load_graph(read_path(cfg["file"], "graph.file"))
-    spec = read_object(cfg["random"], "graph.random")
+    spec = read_object(cfg["random"], "graph.random", ("n", "p", "weight_mode", "seed"))
     return random_graph(
         read_integer(spec.get("n"), "graph.random.n", lo=1),
         read_number(spec.get("p"), "graph.random.p", lo=0.0, hi=1.0),
@@ -125,25 +127,23 @@ def _state(values, key: str, n: int) -> np.ndarray:
 def _x0_from_config(cfg, n: int, default_seed: int) -> np.ndarray:
     if _one_of(cfg, ("inline", "random"), "x0") == "inline":
         return _state(cfg["inline"], "x0.inline", n)
-    spec = read_object(cfg["random"], "x0.random")
+    spec = read_object(cfg["random"], "x0.random", ("low", "high", "seed"))
     lo = read_number(spec.get("low", 0.0), "x0.random.low", lo=0.0)
     hi = read_number(spec.get("high", 1.0), "x0.random.high", gt=lo)
     return np.random.default_rng(_seed(spec, "x0.random.seed", default_seed)).uniform(lo, hi, n)
 
 
-def _options_from_config(cfg, default: IntegratorOptions) -> IntegratorOptions:
-    """The integrator block, whose fields IntegratorOptions checks; an
-    empty block means default."""
-    unknown = set(read_object(cfg, "integrator")) - set(IntegratorOptions.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown integrator options {sorted(unknown)}")
-    return IntegratorOptions(**cfg) if cfg else default
+def _options_from_config(cfg, default=IntegratorOptions(),
+                         keys=IntegratorOptions.__dataclass_fields__) -> IntegratorOptions:
+    """The integrator block, whose keys are among keys and whose fields
+    IntegratorOptions checks; an empty block means default."""
+    return IntegratorOptions(**cfg) if read_object(cfg, "integrator", keys) else default
 
 
 def _interaction_from_config(cfg):
     if cfg is None:
         return None
-    cfg = read_object(cfg, "interaction")
+    cfg = read_object(cfg, "interaction", ("f", "g"))
     return interaction_from_names(cfg.get("f", "identity"), cfg.get("g", "product"))
 
 
@@ -189,11 +189,11 @@ def _say(args, message: str) -> None:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, SIMULATE_KEYS)
     g = _graph_from_config(cfg.get("graph", {}), args.seed)
     x0 = _x0_from_config(cfg.get("x0", {}), g.n, args.seed + 1)
     direction = read_choice(cfg.get("direction", "forward"), "direction", ("forward", "reverse"))
-    opts = _options_from_config(cfg.get("integrator", {}), IntegratorOptions())
+    opts = _options_from_config(cfg.get("integrator", {}))
     interaction = _interaction_from_config(cfg.get("interaction"))
 
     run = simulate if direction == "forward" else simulate_reverse
@@ -240,10 +240,8 @@ def cmd_simulate(args) -> int:
 def cmd_classify(args) -> int:
     g = load_graph(args.graph)
     payload = _read_json(args.state, "state")
-    if isinstance(payload, dict):
-        if "x" not in payload:
-            raise ConfigError(f'state object needs an "x" field, got {sorted(payload)}')
-        payload = payload["x"]
+    if isinstance(payload, dict):  # {"x": [...]}, or else a list
+        payload = read_object(payload, "state", ("x",)).get("x", payload)
     x = _state(payload, "state", g.n)
     report = classify_equilibrium(g, x, zero_tol=args.zero_tol, equal_tol=args.equal_tol)
     _print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
@@ -263,6 +261,8 @@ def _problem_from_config(cfg: dict, default_seed: int) -> OptimizeProblem:
         options=_options_from_config(
             cfg.get("integrator", {}),
             OptimizeProblem.__dataclass_fields__["options"].default_factory(),
+            # horizon and the two-stamp record replace t_end and record_stride
+            ("dt", "stop_on_equilibrium", "equilibrium_tol"),
         ),
     )
 
@@ -272,7 +272,7 @@ def _grid_from_config(cfg, problem: OptimizeProblem) -> np.ndarray:
         if not cfg:
             raise ConfigError("sweep_grid must hold at least one value, got []")
         return np.array(read_numbers(cfg, "sweep_grid", lo=0.0))
-    cfg = read_object(cfg, "sweep_grid")
+    cfg = read_object(cfg, "sweep_grid", ("start", "stop", "count"))
     start = read_number(cfg.get("start", 0.0), "sweep_grid.start", lo=0.0)
     stop = read_number(cfg.get("stop", 1.5), "sweep_grid.stop", lo=0.0)
     count = read_integer(cfg.get("count", 31), "sweep_grid.count", 1, GRID_MAX)
@@ -281,7 +281,9 @@ def _grid_from_config(cfg, problem: OptimizeProblem) -> np.ndarray:
 
 
 def cmd_optimize(args) -> int:
-    cfg = _load_config(args.config)
+    if args.svg and not args.sweep:
+        raise ConfigError("--svg needs --sweep: only the sweep draws a chart")
+    cfg = _load_config(args.config, OPTIMIZE_KEYS)
     problem = _problem_from_config(cfg, args.seed)
     if args.sweep:
         grid = _grid_from_config(cfg.get("sweep_grid", {}), problem)
@@ -294,16 +296,16 @@ def cmd_optimize(args) -> int:
             sweep.write_svg(out / "sweep.svg")
         _say(args, f"wrote {out / 'sweep.csv'}")
         return 0
-    if args.mode == "exhaustive":
-        result = exhaustive_search(problem)
-    else:
-        greedy = read_object(cfg.get("greedy", {}), "greedy")
+    if args.mode == "greedy":
+        greedy = read_object(cfg.get("greedy", {}), "greedy", ("restarts", "seed"))
         result = greedy_search(
             problem,
             restarts=read_integer(greedy.get("restarts", 8), "greedy.restarts", 1,
                                   MAX_RESTARTS),
             seed=_seed(greedy, "greedy.seed", args.seed),
         )
+    else:  # exhaustive, the default
+        result = exhaustive_search(problem)
     out = _out_dir(args)
     payload = result.to_json_dict()
     payload["version"] = __version__
@@ -336,33 +338,37 @@ def cmd_experiment(args) -> int:
 
 @functools.cache  # built on the first main() call, then reused: parsing leaves it unchanged
 def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="JSON config path")
+    # each subcommand takes only the flags it reads
+    common = _Parser(add_help=False)  # those of every subcommand that writes files
     common.add_argument("--seed", type=_flag("--seed", read_integer, lo=0, hi=SEED_MAX),
                         default=0, help="default seed (u64)")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--svg", action="store_true", help="also emit SVG charts")
     common.add_argument("--quiet", action="store_true", help="suppress progress chatter")
+    config = _Parser(add_help=False)
+    config.add_argument("--config", required=True, help="JSON config path")
 
     parser = _Parser(prog="wta", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sub.add_parser("simulate", parents=[common],
+    sub.add_parser("simulate", parents=[config, common],
                    help="integrate a run config, write CSV/JSON (+SVG)")
 
-    p_cls = sub.add_parser("classify", parents=[common],
-                           help="classify a state on a graph, print report JSON")
+    p_cls = sub.add_parser("classify", help="classify a state on a graph, print report JSON")
     p_cls.add_argument("--graph", required=True, help="graph JSON file")
     p_cls.add_argument("--state", required=True, help="state JSON file")
     p_cls.add_argument("--zero-tol", type=_flag("--zero-tol", read_number, lo=0.0), default=1e-8)
     p_cls.add_argument("--equal-tol", type=_flag("--equal-tol", read_number, lo=0.0), default=1e-6)
 
-    p_opt = sub.add_parser("optimize", parents=[common],
+    p_opt = sub.add_parser("optimize", parents=[config, common],
                            help="opponent-selection search / initial-value sweep")
-    p_opt.add_argument("--mode", choices=("exhaustive", "greedy"), default="exhaustive")
-    p_opt.add_argument("--sweep", action="store_true",
-                       help="run the initial-value sweep instead of a single search")
+    run = p_opt.add_mutually_exclusive_group()
+    # no default: argparse tells a given --mode from its default by identity,
+    # and an interned "exhaustive" in an argv list is the default string itself
+    run.add_argument("--mode", choices=("exhaustive", "greedy"), help="default exhaustive")
+    run.add_argument("--sweep", action="store_true",
+                     help="run the initial-value sweep (which --svg charts) instead of a search")
 
     p_exp = sub.add_parser("experiment", parents=[common],
                            help="run a named experiment manifest")

@@ -317,13 +317,10 @@ BUILTIN_G: dict[str, Callable] = {
 class InteractionSpec:
     """Pluggable interaction: f acts on the state difference (odd, positive
     on positives), g on the state pair (symmetric, vanishing at the
-    boundary). f_name and g_name label the pair in its repr, as the
-    BUILTIN_F and BUILTIN_G keys of a builtin one; no output records them."""
+    boundary)."""
 
     f: Callable
     g: Callable
-    f_name: str = "custom"
-    g_name: str = "custom"
 
     @property
     def is_default(self) -> bool:
@@ -334,7 +331,7 @@ def interaction_from_names(f: str = "identity", g: str = "product") -> Interacti
     """The builtin interaction with f a key of BUILTIN_F and g one of BUILTIN_G."""
     f = read_choice(f, "interaction.f", BUILTIN_F)
     g = read_choice(g, "interaction.g", BUILTIN_G)
-    return InteractionSpec(BUILTIN_F[f], BUILTIN_G[g], f, g)
+    return InteractionSpec(BUILTIN_F[f], BUILTIN_G[g])
 
 
 @dataclass(frozen=True)

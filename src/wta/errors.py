@@ -136,17 +136,24 @@ def read_array(value, key: str) -> np.ndarray:
     floats: bools, strings, ragged lists and object arrays are rejected."""
     try:
         arr = np.asarray(value)
-        if arr.dtype.kind in "iuf":
+        # np.asarray([1.0, True]) is already float64, so the entries of a
+        # value that is not an ndarray, at any depth, are searched for a bool
+        if arr.dtype.kind in "iuf" and (arr is value or not any(
+                isinstance(v, (bool, np.bool_)) for v in np.asarray(value, object).flat)):
             return arr.astype(float, copy=False)
     except (TypeError, ValueError):  # a ragged list
         pass
     raise ConfigError(f"{key} must be an array of numbers, got {value!r}")
 
 
-def read_object(value, key: str) -> dict:
-    """A dict: a JSON object, or a container of values such as overrides."""
+def read_object(value, key: str, keys) -> dict:
+    """A dict (a JSON object, or a container of values such as overrides) with keys in keys."""
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+    for name in value:
+        if name not in keys:
+            raise ConfigError(f'{key} has unknown key "{name}"; it takes '
+                              + ", ".join(f'"{k}"' for k in sorted(keys)))
     return value
 
 

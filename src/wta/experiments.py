@@ -354,17 +354,15 @@ def run_experiment(
     Writes manifest.json and report.json next to the data files. out_dir
     is a path (wta.errors.read_path), the seed an integer in
     [0, 2^64 - 1], and each override is checked by its
-    OVERRIDES reader; unknown override keys are rejected so a manifest
-    stays self-describing.
+    OVERRIDES reader; a key that is not one of the manifest's parameters
+    raises ConfigError, so a manifest stays self-describing.
     """
     runner, defaults = EXPERIMENTS[read_choice(name, "experiment", EXPERIMENTS)]
     out = Path(read_path(out_dir, "out_dir"))
     seed = read_integer(seed, "seed", 0, SEED_MAX)
     want_svg = read_bool(want_svg, "want_svg")
     params = dict(defaults)
-    for key, value in read_object(overrides or {}, "overrides").items():
-        if key not in params:
-            raise ConfigError(f"unknown override {key!r} for {name}")
+    for key, value in read_object(overrides or {}, f"overrides for {name}", params).items():
         read, bounds = OVERRIDES[key]
         params[key] = read(value, key, **bounds)
     # check the step count (IntegratorOptions) and a sweep's size against the

@@ -26,6 +26,7 @@ from .errors import (
     SelfLoopError,
     read_integer,
     read_number,
+    read_object,
     read_path,
     writing,
 )
@@ -390,7 +391,7 @@ def is_independent_set(g: Graph, nodes: Iterable[int]) -> bool:
 
 def graph_from_json_dict(d: dict) -> Graph:
     """Graph from its JSON object; new_graph checks the values."""
-    if not isinstance(d, dict) or "n" not in d or "edges" not in d:
+    if len(read_object(d, "graph JSON", ("n", "edges"))) != 2:  # both, as no other is taken
         raise ConfigError('graph JSON must be {"n": int, "edges": [[i,j,w],...]}')
     edges = d["edges"]
     if not isinstance(edges, (list, tuple)):

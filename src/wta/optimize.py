@@ -108,7 +108,10 @@ class OptimizeProblem:
 
     base_graph carries the edges among the other agents; it must have no
     edges at alpha (those are what the search chooses). x0_others lists the
-    other agents' initial values in ascending node-id order.
+    other agents' initial values in ascending node-id order. A run takes
+    dt, stop_on_equilibrium and equilibrium_tol from options; horizon and a
+    record of the first and last stamps replace its t_end and record_stride,
+    which go unrefused, since a default cannot be told from a value given.
     """
 
     base_graph: Graph

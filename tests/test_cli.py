@@ -52,6 +52,10 @@ from wta.errors import (ComponentTooSmallError, ConfigError, InvalidProbabilityE
 from canon import README_CONFIGS
 
 
+PAIR_JSON = {"n": 2, "edges": [[0, 1, 1.0]]}
+BAD_GRAPH = {**PAIR_JSON, "m": 1}  # graph JSON with a key no reader reads
+
+
 def write(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
@@ -593,15 +597,76 @@ def test_largest_seed_runs_every_manifest(tmp_path, name, flags):
 def test_bad_flag_exits_1(tmp_path, capsys, argv):
     if argv[0] == "simulate":
         argv = [argv[0], "--config", run_config(tmp_path), *argv[1:]]
-    if argv[0] == "classify":
+    out = tmp_path / "out"
+    if argv[0] == "classify":  # which takes no --out or --quiet
         graph = write(tmp_path / "g.json", {"n": 2, "edges": [[0, 1, 1.0]]})
         state = write(tmp_path / "s.json", {"x": [1.0, 1.0]})
         # a later --graph in argv wins over this one
         argv = [argv[0], "--graph", graph, "--state", state, *argv[1:]]
-    out = tmp_path / "out"
-    assert main([*argv, "--out", str(out), "--quiet"]) == 1
+    else:
+        argv = [*argv, "--out", str(out), "--quiet"]
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["classify", "--config", "CFG"], "--config"),
+    (["classify", "--seed", "3"], "--seed"),
+    (["classify", "--out", "OUT"], "--out"),
+    (["classify", "--svg"], "--svg"),
+    (["classify", "--quiet"], "--quiet"),
+    (["experiment", "fig4_nine_agents", "--config", "CFG", "--out", "OUT"], "--config"),
+    (["simulate", "--out", "OUT"], "--config"),
+    (["optimize", "--out", "OUT"], "--config"),
+    (["optimize", "--config", "CFG", "--mode", "exhaustive", "--sweep", "--out", "OUT"],
+     "--sweep"),
+    (["optimize", "--config", "CFG", "--sweep", "--mode", "greedy", "--out", "OUT"], "--mode"),
+    (["optimize", "--config", "CFG", "--svg", "--out", "OUT"], "--svg"),
+    (["optimize", "--config", "CFG", "--mode", "greedy", "--svg", "--out", "OUT"], "--svg"),
+])
+def test_unread_flag_exits_1(tmp_path, capsys, argv, flag):
+    """A flag that its subcommand does not read, a missing --config, or a
+    combination that leaves a flag unread exits 1 with one error line that
+    names the flag, and no output directory is created."""
+    out = tmp_path / "out"
+    if argv[0] == "classify":
+        argv = [*argv, "--graph", write(tmp_path / "g.json", PAIR_JSON),
+                "--state", write(tmp_path / "s.json", {"x": [1.0, 1.0]})]
+    argv = [{"CFG": optimize_config(tmp_path), "OUT": str(out)}.get(a, a) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    pytest.param(lambda d: ["simulate", "--config", run_config(
+        d, graph={"file": write(d / "g.json", BAD_GRAPH)})], "m", id="graph-file"),
+    pytest.param(lambda d: ["simulate", "--config", run_config(
+        d, interaction={"f": "cubic", "h": "product"})], "h", id="interaction"),
+    pytest.param(lambda d: ["optimize", "--config", optimize_config(
+        d, integrator={"t_end": 1.0})], "t_end", id="optimize-t-end"),
+    pytest.param(lambda d: ["optimize", "--config", optimize_config(
+        d, integrator={"record_stride": 10})], "record_stride", id="optimize-record-stride"),
+    pytest.param(lambda d: ["classify", "--graph", write(d / "g.json", BAD_GRAPH),
+                            "--state", write(d / "s.json", [1.0, 1.0])], "m",
+                 id="classify-graph"),
+    pytest.param(lambda d: ["classify", "--graph", write(d / "g.json", PAIR_JSON),
+                            "--state", write(d / "s.json", {"x": [1.0, 1.0], "y": 0})], "y",
+                 id="classify-state"),
+])
+def test_unknown_key_exits_1(tmp_path, capsys, argv, key):
+    """Config objects that README's example configs do not hold take only
+    the keys their readers read too: optimize's integrator block has no
+    t_end or record_stride, which horizon and the two-stamp record replace."""
+    argv, out = argv(tmp_path), tmp_path / "out"
+    if argv[0] != "classify":
+        argv += ["--out", str(out), "--quiet"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f'"{key}"' in err, err
     assert not out.exists()
 
 
@@ -675,7 +740,7 @@ def test_dispatch_reads_current_bindings(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(wta.cli, "cmd_optimize", lambda args: seen.append(args) or 7)
     assert main(argv) == 7
-    assert [(args.command, args.mode) for args in seen] == [("optimize", "exhaustive")]
+    assert [(args.command, args.mode) for args in seen] == [("optimize", None)]  # no --mode
 
 
 class UnwritableStream(io.StringIO):
@@ -700,8 +765,9 @@ def test_unwritable_stdout_exits_1(tmp_path, capsys, monkeypatch, error, command
         "optimize": ["--config", optimize_config(tmp_path)],
         "experiment": ["fig4_nine_agents", "--t-end", "0.05"],
     }.get(command, [])
+    out = [] if command == "classify" else ["--out", str(tmp_path / "out")]  # classify writes none
     monkeypatch.setattr(sys, "stdout", UnwritableStream(error))
-    assert main([*command.split(), *argv, "--out", str(tmp_path / "out")]) == 1
+    assert main([*command.split(), *argv, *out]) == 1
     err = capsys.readouterr().err
     assert err == f"error: cannot write standard output: {error.strerror}\n"
 
@@ -974,6 +1040,19 @@ def a_file(path: Path) -> Path:
                  id="optimize-table-string"),
     pytest.param(lambda out: optimize_result([True] * 8), ConfigError,
                  id="optimize-table-bool"),
+    # np.asarray makes these float64 before any dtype test could see the bool
+    pytest.param(lambda out: prepare_state([1.0, True], 2), ConfigError,
+                 id="prepare-state-bool-in-list"),
+    pytest.param(lambda out: optimize_result([1.0] * 7 + [True]), ConfigError,
+                 id="optimize-table-bool-in-list"),
+    pytest.param(lambda out: sweep(values=[[1.0, True]]), ConfigError,
+                 id="sweep-values-bool-in-list"),
+    pytest.param(lambda out: graph.graph_from_json_dict(BAD_GRAPH), ConfigError,
+                 id="graph-json-unknown-key"),
+    pytest.param(lambda out: graph.load_graph(write(out.with_name("g.json"), BAD_GRAPH)),
+                 ConfigError, id="graph-file-unknown-key"),
+    pytest.param(lambda out: run_experiment("fig1_bars", out, overrides={"grid_count": 4}),
+                 ConfigError, id="override-of-another-manifest"),
 ])
 def test_library_boundary_rejects_bad_input(tmp_path, call, error):
     """Each entry point named in README "CLI" rejects what the CLI rejects,
@@ -1024,6 +1103,21 @@ def test_package_api_is_the_module_lists():
 def test_readme_names_every_public_name():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     assert [name for name in wta.__all__ if f"`{name}`" not in readme] == []
+
+
+def test_readme_lists_each_subcommands_flags():
+    """README's CLI list names, for each subcommand, exactly the flags its
+    parser takes, --help aside."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    cli = readme.split("\n## CLI\n", 1)[1].split("\n### ", 1)[0]
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    assert list(subparsers) == ["simulate", "classify", "optimize", "experiment"]
+    for name, sub in subparsers.items():
+        item = re.search(rf"^- `{name}`:(.*?)(?=^- |^$)", cli, re.M | re.S).group(1)
+        listed = set(re.findall(r"--[a-z][a-z-]*", item))
+        assert listed == {flag for action in sub._actions for flag in action.option_strings
+                          } - {"-h", "--help"}, name
 
 
 def test_library_boundary_keeps_normalized_values():
@@ -1095,6 +1189,14 @@ def leaf_paths(node, path=()):
         yield path
 
 
+def object_paths(node, path=()):
+    """Key paths to every object in a JSON value, itself first."""
+    if isinstance(node, dict):
+        yield path
+        for key, child in node.items():
+            yield from object_paths(child, path + (key,))
+
+
 def replace_leaf(cfg, path, value):
     cfg = json.loads(json.dumps(cfg))
     node = cfg
@@ -1108,16 +1210,18 @@ def replace_leaf(cfg, path, value):
 def test_readme_config_leaf_mutations(tmp_path, capsys, command):
     """Each README config runs; with any one leaf replaced by a value of
     the wrong type or range, a run either succeeds or exits 1 with one
-    error line and no output directory, never with a traceback."""
+    error line and no output directory, never with a traceback; with one
+    key added to any of its objects, it exits 1 so, naming the key."""
     cfg = README_CONFIGS[command]
     out = tmp_path / "out"
 
-    def run(config, flags):
+    def run(config, flags, key=None):
         path = write(tmp_path / "cfg.json", config)
         code = main([command, "--config", path, "--out", str(out), "--quiet", *flags])
         err = capsys.readouterr().err
         if code == 1:
             assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert key is None or f'"{key}"' in err, err
             assert not out.exists()
         shutil.rmtree(out, ignore_errors=True)
         return code
@@ -1125,11 +1229,16 @@ def test_readme_config_leaf_mutations(tmp_path, capsys, command):
     modes = [[], ["--mode", "greedy"], ["--sweep"]] if command == "optimize" else [[]]
     for flags in modes:
         assert run(cfg, flags) == 0
+    # greedy and sweep_grid are read only in their own mode; all modes read
+    # the other leaves alike before they start, so exhaustive does
+    mode_flags = {"greedy": ["--mode", "greedy"], "sweep_grid": ["--sweep"]}
     for path in leaf_paths(cfg):
-        # greedy and sweep_grid are read only in their own mode; all modes
-        # read the other leaves alike before they start, so exhaustive does
-        flags = {"greedy": ["--mode", "greedy"], "sweep_grid": ["--sweep"]}.get(path[0], [])
+        flags = mode_flags.get(path[0], [])
         for value in MUTATIONS:
             mutated = replace_leaf(cfg, path, value)
             if json.dumps(mutated) != json.dumps(cfg):  # 1.5 may be the leaf's own value
                 assert run(mutated, flags) in (0, 1), (path, value)
+    # one unread key added to any object, the root included, exits 1 naming it
+    for path in object_paths(cfg):
+        flags = mode_flags.get(path[0] if path else None, [])
+        assert run(replace_leaf(cfg, (*path, "unread"), 1), flags, key="unread") == 1, path

@@ -384,12 +384,12 @@ class TestCheckInteractions:
                 assert check_interactions(interaction_from_names(f, gname)).passed
 
     def test_even_f_fails_oddness(self):
-        spec = InteractionSpec(lambda a: a**2, lambda u, v: u * v, "square", "product")
+        spec = InteractionSpec(lambda a: a**2, lambda u, v: u * v)
         report = check_interactions(spec)
         assert not report.passed
         assert "odd" in report.violations[0]
 
     def test_additive_g_fails_boundary(self):
-        spec = InteractionSpec(lambda a: a, lambda u, v: u + v, "identity", "sum")
+        spec = InteractionSpec(lambda a: a, lambda u, v: u + v)
         report = check_interactions(spec)
         assert not report.passed
