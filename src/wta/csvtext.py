@@ -16,12 +16,16 @@ import numpy as np
 
 # Values formatted at once. Each costs about 240 bytes of working arrays
 # while its chunk is made (tracemalloc), and each chunk is written before
-# the next, so the writer's memory stays near CSV_CHUNK * 240 bytes
-# whatever the table's size. On fig2's 26,606-value table, 1024 took 6.3
-# ms, 2048 4.9 ms and 4096 4.3 ms (2 vCPUs, numpy 2.4.6); against the
-# row loop, dense_fan's peak RSS rose about 1.0 MiB at 2048 and 1.8 MiB
-# at 4096, most of it numpy code pages and tables that any size pays.
-CSV_CHUNK = 1024
+# the next, so the writer's memory stays near CSV_CHUNK * 240 bytes, about
+# 1 MiB, whatever the table's size. A chunk also pays a fixed cost of about
+# 0.1 ms, for about 100 numpy calls. fig2's 26,606-value table, best of
+# 5x20 writes (2 vCPUs, numpy 2.4.6):
+#   values a chunk     512   1024  2048  4096  8192  32768
+#   time (ms)          8.95  6.07  4.92  4.47  4.52  4.85
+#   peak (KiB)         109   237   495   983   1987  4498
+# 4096 is the knee: larger chunks no longer save time, only add memory.
+# Against 1024, dense_fan's peak RSS rose about 0.9 MiB.
+CSV_CHUNK = 4096
 # 10^k for k = 16 - X, X the decimal exponent of a finite double (-324 to
 # 308), and one more each side for _decimal's fix-up
 _KMIN, _KMAX = 16 - 309, 16 + 325

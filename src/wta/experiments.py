@@ -175,10 +175,14 @@ def _both(first, second) -> tuple:
     return value, other
 
 
-def _fig2_runs(params: dict, seed: int, out: Path | None = None):
-    """fig2's instance, run forward in this process and in reverse time in
-    a child (_both). With out, each branch then writes its own CSV,
-    fig2_forward.csv and fig2_reverse.csv."""
+def _fig2_runs(params: dict, seed: int, keep, out: Path | None = None):
+    """(g, forward, reverse) for fig2's instance, run forward in this
+    process and in reverse time in a child (_both). Each branch returns
+    keep(trajectory, audit), only what its manifest reads, since the
+    child's value is pickled back to this process: a result that fits the
+    pipe's buffer lets the child exit before this process's branch ends.
+    With out, each branch first writes its own CSV, fig2_forward.csv and
+    fig2_reverse.csv."""
     g, x0 = _instance(random_graph(params["agents"], params["edge_prob"], "unit", seed), seed)
     steps = int(round(params["t_end"] / params["dt"]))
     stride = max(1, steps // 200)
@@ -191,23 +195,28 @@ def _fig2_runs(params: dict, seed: int, out: Path | None = None):
             traj, audit = run(g, x0, opts)
             if out is not None:
                 traj.write_csv(out / name)
-            return traj, audit
+            return keep(traj, audit)
         return thunk
 
-    (fwd, fwd_audit), (rev, rev_audit) = _both(
-        branch(simulate, "fig2_forward.csv"), branch(simulate_reverse, "fig2_reverse.csv"))
-    return g, x0, fwd, fwd_audit, rev, rev_audit
+    fwd, rev = _both(branch(simulate, "fig2_forward.csv"),
+                     branch(simulate_reverse, "fig2_reverse.csv"))
+    return g, fwd, rev
 
 
 def _run_fig2(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
-    g, _x0, fwd, fwd_audit, rev, rev_audit = _fig2_runs(params, seed, out)
+    def keep(traj, audit):
+        # the states only when they are plotted
+        return (audit, traj.times, traj.states) if want_svg else (audit, None, None)
+
+    g, (fwd_audit, fwd_t, fwd_x), (rev_audit, rev_t, rev_x) = _fig2_runs(
+        params, seed, keep, out)
     if want_svg:
         series = []
         # reverse branch plotted at negative time, forward at positive
         for i in range(g.n):
-            series.append((-rev.times[::-1], rev.states[::-1, i]))
+            series.append((-rev_t[::-1], rev_x[::-1, i]))
         for i in range(g.n):
-            series.append((fwd.times, fwd.states[:, i]))
+            series.append((fwd_t, fwd_x[:, i]))
         svg.line_chart(series, out / "fig2_trajectories.svg",
                        title="Agent trajectories (negative and positive time)",
                        x_label="t", y_label="state")
@@ -219,24 +228,25 @@ def _run_fig2(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
 
 
 def _run_fig3(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
-    g, _x0, fwd, _fa, rev, _ra = _fig2_runs(params, seed)
+    g, (fwd_t, fwd_h), (rev_t, rev_h) = _fig2_runs(
+        params, seed, lambda traj, _audit: (traj.times, traj.entropy))
     # + 0.0 writes tau = 0 as 0, not -0
     _write_csv(out / "fig3_entropy.csv", ["branch", "t", "entropy"],
-               [["reverse"] * len(rev.times) + ["forward"] * len(fwd.times),
-                np.concatenate([-rev.times + 0.0, fwd.times]),
-                np.concatenate([rev.entropy, fwd.entropy])])
+               [["reverse"] * len(rev_t) + ["forward"] * len(fwd_t),
+                np.concatenate([-rev_t + 0.0, fwd_t]),
+                np.concatenate([rev_h, fwd_h])])
     if want_svg:
-        svg.line_chart([(fwd.times, fwd.entropy)], out / "fig3_entropy_forward.svg",
+        svg.line_chart([(fwd_t, fwd_h)], out / "fig3_entropy_forward.svg",
                        title="Entropy, positive time", x_label="t", y_label="H")
-        svg.line_chart([(rev.times, rev.entropy)], out / "fig3_entropy_reverse.svg",
+        svg.line_chart([(rev_t, rev_h)], out / "fig3_entropy_reverse.svg",
                        title="Entropy, negative time (log scale)", x_label="tau",
                        y_label="log10 H", log_y=True)
     return {
-        "forward_entropy_final": float(fwd.entropy[-1]),
+        "forward_entropy_final": float(fwd_h[-1]),
         "forward_entropy_nondecreasing": bool(
-            np.all(np.diff(fwd.entropy) >= -1e-9)
+            np.all(np.diff(fwd_h) >= -1e-9)
         ),
-        "reverse_entropy_final": float(rev.entropy[-1]),
+        "reverse_entropy_final": float(rev_h[-1]),
         "graph_hash": g.hash_hex,
     }
 

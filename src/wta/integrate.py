@@ -117,7 +117,8 @@ def _write_csv(path, header: list[str], columns) -> None:
     round-trip; trailing zeros dropped, and the point when no digit follows
     it; fixed notation from 1e-4 to below 1e17, else d.ddde+XX; nan and inf
     as Python spells them. numpy makes that text CSV_CHUNK values at a time
-    (wta.csvtext), and each chunk is written before the next is made."""
+    (wta.csvtext; 4096, about 1 MiB of working arrays), and each chunk is
+    written before the next is made, so the text is never held whole."""
     from . import csvtext  # compiled on first use, not by `import wta`
 
     with writing(path, "CSV path") as path, open(path, "wb") as fh:

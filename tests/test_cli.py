@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import os
+import pickle
 import re
 import shutil
 import subprocess
@@ -488,6 +489,48 @@ class TestForkedBranches:
         for name in ("fig2_trajectories", "fig3_entropy"):
             assert len(runs["forked", name]) == 5
             assert runs["forked", name] == runs["serial", name]
+        # both branches plotted: 8 agents at negative time and 8 at positive
+        assert runs["forked", "fig2_trajectories"]["fig2_trajectories.svg"].count(
+            b"<polyline") == 16
+
+    def test_unplotted_reverse_branch_sends_back_no_states(self, tmp_path, monkeypatch):
+        """fig2 without --svg writes the same bytes forked and serial, and
+        the reverse branch's value holds no per-stamp state array: the audit
+        alone, whose pickle fits the pipe's buffer (64 KiB on Linux)."""
+        both = experiments._both
+        reverse = []
+
+        def recording_both(first, second):
+            value = both(first, second)
+            reverse.append(value[1])
+            return value
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from arrays(item)
+            elif dataclasses.is_dataclass(value):
+                for item in dataclasses.fields(value):
+                    yield from arrays(getattr(value, item.name))
+
+        monkeypatch.setattr(experiments, "_both", recording_both)
+        runs = {}
+        for mode in ("forked", "serial"):
+            if mode == "serial":
+                monkeypatch.setattr(experiments, "_can_fork", lambda: False)
+            out = tmp_path / mode
+            assert main(["experiment", "fig2_trajectories", *SMALL_FAN, "--out", str(out)]) == 0
+            assert_no_child_left()
+            runs[mode] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(runs["forked"]) == ["fig2_forward.csv", "fig2_reverse.csv",
+                                          "manifest.json", "report.json"]
+        assert runs["forked"] == runs["serial"]
+        assert len(reverse) == 2
+        for value in reverse:
+            assert not any(a.ndim == 2 for a in arrays(value))
+            assert len(pickle.dumps((True, value), pickle.HIGHEST_PROTOCOL)) < 1 << 16
 
     def test_large_result_same_as_serial(self, monkeypatch):
         """A child result larger than the pipe's buffer (64 KiB by default

@@ -560,11 +560,13 @@ class TestCsvText:
         assert path.read_text() == "\n".join(["id," + ",".join(map(str, range(k))), *lines]) + "\n"
 
     def test_writer_memory_bounded_by_chunk(self, tmp_path):
-        """tracemalloc's peak while writing a 2^16-value trajectory CSV
-        stays within 768 KiB of the stacked array it formats: the text is
-        made and written a chunk at a time (about 250 KiB at CSV_CHUNK =
-        1024), never held whole (about 1.3 MB here)."""
-        steps, n = 1 << 10, 59  # 1024 stamps x 64 columns
+        """tracemalloc's peak while writing a 2^19-value trajectory CSV
+        stays within about 256 B a value of one chunk, plus 256 KiB, of the
+        stacked array it formats (1.25 MiB at CSV_CHUNK = 4096, where about
+        1.0 MiB was measured): the text is made and written a chunk at a
+        time, never held whole (about 10 MiB here, over 4 times the
+        bound)."""
+        steps, n = 1 << 13, 59  # 8192 stamps x 64 columns
         rng = np.random.default_rng(4)
         states = rng.random((steps, n))
         traj = Trajectory(times=np.arange(steps) * 1e-3, states=states, mass=states.sum(axis=1),
@@ -573,15 +575,16 @@ class TestCsvText:
                           direction="forward")
         traj.write_csv(tmp_path / "warm.csv")  # the tables, built on first use
         stacked = steps * (n + 5) * 8
-        assert stacked == 8 << 16
+        assert stacked == 8 << 19
+        bound = csvtext.CSV_CHUNK * 256 + (256 << 10)
         tracemalloc.start()
         try:
             traj.write_csv(tmp_path / "t.csv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (tmp_path / "t.csv").stat().st_size > 2 * stacked
-        assert peak - stacked < 768 << 10
+        assert (tmp_path / "t.csv").stat().st_size > 4 * bound
+        assert peak - stacked < bound
 
 
 def _reference_two_agent(a, b, t, sign=1.0):
