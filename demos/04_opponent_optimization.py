@@ -10,7 +10,6 @@ depends on the starting resource.
 import numpy as np
 
 from wta import (
-    IntegratorOptions,
     OptimizeProblem,
     exhaustive_search,
     greedy_search,
@@ -31,8 +30,9 @@ problem = OptimizeProblem(
     x_alpha0=float(x0[alpha]),
     x0_others=tuple(float(v) for v in x0[1:]),
     horizon=5.0,
-    options=IntegratorOptions(dt=1e-2, stop_on_equilibrium=True,
-                              equilibrium_tol=1e-9),
+    dt=1e-2,
+    stop_on_equilibrium=True,
+    equilibrium_tol=1e-9,
 )
 
 print(f"agent {alpha} starts at {problem.x_alpha0:.3f}; "
@@ -57,8 +57,9 @@ small = OptimizeProblem(
     x_alpha0=float(small_x0[alpha]),
     x0_others=tuple(float(v) for v in small_x0[1:]),
     horizon=4.0,
-    options=IntegratorOptions(dt=1e-2, stop_on_equilibrium=True,
-                              equilibrium_tol=1e-9),
+    dt=1e-2,
+    stop_on_equilibrium=True,
+    equilibrium_tol=1e-9,
 )
 sweep = sweep_initial_value(small, np.linspace(0.0, 1.5, 6))
 for x_start, outcomes in zip(sweep.grid, sweep.values):

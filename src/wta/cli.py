@@ -86,6 +86,9 @@ def _one_of(d, keys, key: str) -> str:
 SIMULATE_KEYS = ("graph", "x0", "direction", "integrator", "interaction")
 OPTIMIZE_KEYS = ("graph", "alpha", "x_alpha0", "x0_others", "horizon", "candidate_weight",
                  "integrator", "greedy", "sweep_grid")
+# the optimize integrator block: horizon stands in for t_end, and a run
+# records only its first and last stamps
+RUN_KEYS = ("dt", "stop_on_equilibrium", "equilibrium_tol")
 
 
 def _load_config(path, keys) -> dict:
@@ -133,11 +136,10 @@ def _x0_from_config(cfg, n: int, default_seed: int) -> np.ndarray:
     return np.random.default_rng(_seed(spec, "x0.random.seed", default_seed)).uniform(lo, hi, n)
 
 
-def _options_from_config(cfg, default=IntegratorOptions(),
-                         keys=IntegratorOptions.__dataclass_fields__) -> IntegratorOptions:
-    """The integrator block, whose keys are among keys and whose fields
-    IntegratorOptions checks; an empty block means default."""
-    return IntegratorOptions(**cfg) if read_object(cfg, "integrator", keys) else default
+def _options_from_config(cfg) -> IntegratorOptions:
+    """The integrator block, whose keys are IntegratorOptions' fields, which it checks."""
+    return IntegratorOptions(**read_object(cfg, "integrator",
+                                           IntegratorOptions.__dataclass_fields__))
 
 
 def _interaction_from_config(cfg):
@@ -250,6 +252,10 @@ def cmd_classify(args) -> int:
 
 def _problem_from_config(cfg: dict, default_seed: int) -> OptimizeProblem:
     base = _graph_from_config(cfg.get("graph", {}), default_seed)
+    # a non-empty integrator block replaces the problem's run settings as a
+    # whole: a key it leaves out takes IntegratorOptions' default
+    run = read_object(cfg.get("integrator", {}), "integrator", RUN_KEYS)
+    defaults = IntegratorOptions.__dataclass_fields__
     # OptimizeProblem checks each leaf under its field name, the config key
     return OptimizeProblem(
         base_graph=base,
@@ -258,12 +264,7 @@ def _problem_from_config(cfg: dict, default_seed: int) -> OptimizeProblem:
         x0_others=cfg.get("x0_others"),
         horizon=cfg.get("horizon"),
         candidate_weight=cfg.get("candidate_weight", 1.0),
-        options=_options_from_config(
-            cfg.get("integrator", {}),
-            OptimizeProblem.__dataclass_fields__["options"].default_factory(),
-            # horizon and the two-stamp record replace t_end and record_stride
-            ("dt", "stop_on_equilibrium", "equilibrium_tol"),
-        ),
+        **({k: run.get(k, defaults[k].default) for k in RUN_KEYS} if run else {}),
     )
 
 

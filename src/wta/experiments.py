@@ -298,9 +298,8 @@ def _run_fig5(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
         x_alpha0=float(x0[alpha]),
         x0_others=others,
         horizon=params["horizon"],
-        options=IntegratorOptions(
-            dt=params["dt"], stop_on_equilibrium=True, equilibrium_tol=1e-9
-        ),
+        dt=params["dt"],
+        equilibrium_tol=1e-9,
     )
     grid = np.linspace(0.0, params["grid_max"], params["grid_count"])
     sweep = sweep_initial_value(problem, grid)

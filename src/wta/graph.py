@@ -412,7 +412,9 @@ def _read_json(path, what: str):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
+    # malformed JSON, bytes that are not UTF-8, or nesting deeper than the
+    # parser's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 

@@ -17,7 +17,6 @@ run alone through evaluate_choice.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -108,10 +107,10 @@ class OptimizeProblem:
 
     base_graph carries the edges among the other agents; it must have no
     edges at alpha (those are what the search chooses). x0_others lists the
-    other agents' initial values in ascending node-id order. A run takes
-    dt, stop_on_equilibrium and equilibrium_tol from options; horizon and a
-    record of the first and last stamps replace its t_end and record_stride,
-    which go unrefused, since a default cannot be told from a value given.
+    other agents' initial values in ascending node-id order. Each run
+    integrates to horizon in steps of dt, at most MAX_STEPS of them, stops
+    early at equilibrium (within equilibrium_tol) if stop_on_equilibrium is
+    set, and records only its first and last stamps.
     """
 
     base_graph: Graph
@@ -120,9 +119,9 @@ class OptimizeProblem:
     x0_others: tuple[float, ...]
     horizon: float
     candidate_weight: float = 1.0
-    options: IntegratorOptions = field(
-        default_factory=lambda: IntegratorOptions(dt=1e-2, stop_on_equilibrium=True)
-    )
+    dt: float = 1e-2
+    stop_on_equilibrium: bool = True
+    equilibrium_tol: float = 1e-10
 
     def __post_init__(self):
         n = self.base_graph.n
@@ -134,6 +133,13 @@ class OptimizeProblem:
             "horizon": read_number(self.horizon, "horizon", gt=0.0),
             "candidate_weight": read_number(self.candidate_weight, "candidate_weight", gt=0.0),
         }
+        # the run options check dt, stop_on_equilibrium and equilibrium_tol,
+        # and record only the first and last stamps: a search reads nothing
+        # but alpha's final value, and a skipped record keeps every bit
+        run = IntegratorOptions(self.dt, checked["horizon"], MAX_STEPS, self.stop_on_equilibrium,
+                                self.equilibrium_tol)
+        checked.update(dt=run.dt, stop_on_equilibrium=run.stop_on_equilibrium,
+                       equilibrium_tol=run.equilibrium_tol, _run_options=run)
         for name, value in checked.items():
             object.__setattr__(self, name, value)
         if self.base_graph.neighbors(self.alpha):
@@ -142,13 +148,9 @@ class OptimizeProblem:
             raise ConfigError(
                 f"x0_others has {len(self.x0_others)} entries, expected {n - 1}"
             )
-        if not isinstance(self.options, IntegratorOptions):
-            raise ConfigError(f"options must be IntegratorOptions, got {self.options!r}")
-        # the arena: the graph with every candidate edge, the candidate bit of
-        # each of its edges i < j (for base edges bit n - 1, which _keep sets
-        # in every mask) and the run options, which record only the first and
-        # last stamps: a search reads nothing but alpha's final value, and a
-        # skipped record keeps every bit
+        # the arena: the graph with every candidate edge and the candidate bit
+        # of each of its edges i < j (for base edges bit n - 1, which _keep
+        # sets in every mask)
         a = self.alpha
         arena = new_graph(n, self.base_graph.edges() + [
             (min(a, j), max(a, j), self.candidate_weight) for j in self.candidates])
@@ -158,8 +160,6 @@ class OptimizeProblem:
         object.__setattr__(self, "_arena", arena)
         object.__setattr__(self, "_edge_bit", np.where(
             (src == a) | (dst == a), other - (other > a), n - 1))
-        object.__setattr__(self, "_run_options", dataclasses.replace(
-            self.options, t_end=self.horizon, record_stride=MAX_STEPS))
 
     @property
     def candidates(self) -> tuple[int, ...]:
@@ -254,7 +254,6 @@ class OptimizeResult:
     evaluations: int
     tie_break_applied: bool
     mode: str  # "exhaustive" | "greedy"
-    num_candidates: int
     candidates: tuple[int, ...]
     value_min: float
     value_max: float
@@ -269,6 +268,10 @@ class OptimizeResult:
             if not np.isfinite(table).all():
                 raise ConfigError("table must be finite (no NaN or infinity)")
             object.__setattr__(self, "table", table)
+
+    @property
+    def num_candidates(self) -> int:
+        return len(self.candidates)
 
     @property
     def best_mask_bits(self) -> str:
@@ -314,7 +317,7 @@ def _result(p: OptimizeProblem, mode: str, best: tuple[int, float, bool],
             evaluations: int, vmin: float, vmax: float, table=None) -> OptimizeResult:
     best_mask, best_value, tie_applied = best
     return OptimizeResult(p.alpha, best_mask, best_value, evaluations, tie_applied, mode,
-                          p.num_candidates, p.candidates, vmin, vmax, table)
+                          p.candidates, vmin, vmax, table)
 
 
 def exhaustive_search(p: OptimizeProblem) -> OptimizeResult:

@@ -168,8 +168,8 @@ class TestAcceptance:
             x_alpha0=float(x0[alpha]),
             x0_others=tuple(float(v) for v in x0[1:]),
             horizon=5.0,
-            options=IntegratorOptions(dt=1e-2, stop_on_equilibrium=True,
-                                      equilibrium_tol=1e-9),
+            dt=1e-2,
+            equilibrium_tol=1e-9,
         )
         exh = exhaustive_search(problem)
         assert exh.evaluations == 2**8

@@ -402,6 +402,58 @@ class TestOptimize:
         assert len(lines) == 1 + 3 * 2
         assert (out / "sweep.svg").exists()
 
+    @pytest.mark.parametrize("block, run", [
+        (None, (1e-2, True, 1e-10)),
+        ({}, (1e-2, True, 1e-10)),
+        ({"dt": 0.05}, (0.05, False, 1e-10)),
+        ({"stop_on_equilibrium": True}, (1e-3, True, 1e-10)),
+    ], ids=["no-block", "empty", "dt", "stop"])
+    def test_integrator_block_replaces_defaults_as_a_whole(self, block, run):
+        """A non-empty optimize integrator block replaces the problem's run
+        settings as a whole: a key it leaves out takes IntegratorOptions'
+        default, not the problem's."""
+        cfg = {key: value for key, value in README_CONFIGS["optimize"].items()
+               if key != "integrator"}
+        if block is not None:
+            cfg["integrator"] = block
+        p = _problem_from_config(cfg, 0)
+        assert (p.dt, p.stop_on_equilibrium, p.equilibrium_tol) == run
+        assert p._run_options == IntegratorOptions(run[0], p.horizon, integrate.MAX_STEPS,
+                                                   *run[1:])
+
+    def test_tiny_dt_within_the_horizon_runs(self, tmp_path):
+        """Steps are counted against horizon alone: 1e-6 / 1e-9 is 1,000 steps."""
+        cfg = optimize_config(tmp_path, horizon=1e-6,
+                              integrator={"dt": 1e-9, "stop_on_equilibrium": True})
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 0
+        p = problem(horizon=1e-6, dt=1e-9)
+        assert evaluate_choice(p, 0) == 2.0 and 2.0 < evaluate_choice(p, 1) < 3.0
+
+    def test_horizon_past_the_step_bound_exits_1_before_any_step(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # 2e6 / 1e-2 is 2e8 steps, twice MAX_STEPS
+        monkeypatch.setattr(wta.optimize, "_simulate", fail(AssertionError("a step ran")))
+        monkeypatch.setattr(wta.optimize, "simulate", fail(AssertionError("a step ran")))
+        cfg = optimize_config(tmp_path, horizon=2e6, integrator={"dt": 1e-2})
+        out = tmp_path / "o"
+        assert main(["optimize", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "steps" in err, err
+        assert not out.exists()
+        with pytest.raises(ConfigError):
+            problem(horizon=2e6)
+
+    def test_problem_fields_are_config_keys(self):
+        """Each OptimizeProblem field but base_graph (the graph block) is a
+        root key of the optimize config or a key of its integrator block,
+        and each integrator key is a field."""
+        fields = set(OptimizeProblem.__dataclass_fields__) - {"base_graph"}
+        run_keys = {"dt", "stop_on_equilibrium", "equilibrium_tol"}
+        assert run_keys <= fields
+        assert fields <= set(wta.cli.OPTIMIZE_KEYS) | run_keys
+        assert set(wta.cli.RUN_KEYS) == run_keys
+
 
 class TestExperiment:
     def test_unknown_name_exit_1(self, tmp_path):
@@ -713,6 +765,29 @@ def test_unknown_key_exits_1(tmp_path, capsys, argv, key):
     assert not out.exists()
 
 
+def deep_json(path: Path) -> str:
+    """A JSON file of 100,000 nested lists, deeper than the parser recurses."""
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(lambda d: ["simulate", "--config", deep_json(d / "c.json"),
+                            "--out", str(d / "out"), "--quiet"], id="simulate-config"),
+    pytest.param(lambda d: ["classify", "--graph", deep_json(d / "g.json"),
+                            "--state", write(d / "s.json", [1.0, 1.0])], id="classify-graph"),
+    pytest.param(lambda d: ["classify", "--graph", write(d / "g.json", PAIR_JSON),
+                            "--state", deep_json(d / "s.json")], id="classify-state"),
+])
+def test_deeply_nested_json_exits_1(tmp_path, capsys, argv):
+    """JSON nested past the parser's recursion limit is malformed input:
+    one error line, no traceback."""
+    assert main(argv(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed JSON in ") and err.count("\n") == 1, err[:300]
+    assert not (tmp_path / "out").exists()
+
+
 # --- one parser serves every main call; standard output that cannot be written ---
 
 
@@ -864,8 +939,7 @@ def test_unwritable_stdout_for_argparse_text_in_a_process(target, unbuffered, co
 
 def problem(**fields):
     spec = {"base_graph": new_graph(2, []), "alpha": 0, "x_alpha0": 2.0,
-            "x0_others": (1.0,), "horizon": 1.0,
-            "options": IntegratorOptions(dt=1e-2, stop_on_equilibrium=True), **fields}
+            "x0_others": (1.0,), "horizon": 1.0, **fields}
     return OptimizeProblem(**spec)
 
 
@@ -880,7 +954,7 @@ def optimize_result(table):
     """A hand-built exhaustive OptimizeResult over 3 candidates with this table."""
     return optimize.OptimizeResult(
         alpha=0, best_mask=0, best_value=1.0, evaluations=8, tie_break_applied=False,
-        mode="exhaustive", num_candidates=3, candidates=(1, 2, 3), value_min=1.0,
+        mode="exhaustive", candidates=(1, 2, 3), value_min=1.0,
         value_max=1.0, table=table)
 
 
@@ -934,7 +1008,11 @@ def a_file(path: Path) -> Path:
     pytest.param(lambda out: sweep_initial_value(problem(), []), ConfigError, id="grid-empty"),
     pytest.param(lambda out: IntegratorOptions(stop_on_equilibrium=1), ConfigError,
                  id="stop-on-equilibrium-int"),
-    pytest.param(lambda out: problem(options=None), ConfigError, id="options-none"),
+    pytest.param(lambda out: problem(dt="0.01"), ConfigError, id="problem-dt-string"),
+    pytest.param(lambda out: problem(stop_on_equilibrium=1), ConfigError,
+                 id="problem-stop-int"),
+    pytest.param(lambda out: problem(equilibrium_tol=float("nan")), ConfigError,
+                 id="problem-tol-nan"),
     pytest.param(lambda out: problem().graph_for_mask(True), ConfigError, id="mask-bool"),
     pytest.param(lambda out: evaluate_choice(problem(), 1.0), ConfigError, id="mask-float"),
     pytest.param(lambda out: evaluate_choice(problem(), 2), ConfigError, id="mask-range"),
@@ -1094,6 +1172,8 @@ def a_file(path: Path) -> Path:
                  id="graph-json-unknown-key"),
     pytest.param(lambda out: graph.load_graph(write(out.with_name("g.json"), BAD_GRAPH)),
                  ConfigError, id="graph-file-unknown-key"),
+    pytest.param(lambda out: graph.load_graph(deep_json(out.with_name("g.json"))),
+                 ConfigError, id="load-graph-deep"),
     pytest.param(lambda out: run_experiment("fig1_bars", out, overrides={"grid_count": 4}),
                  ConfigError, id="override-of-another-manifest"),
 ])
@@ -1202,10 +1282,10 @@ def test_evaluate_choice_same_bits_as_recorded_run(monkeypatch, stop):
     mask of the README optimize arena. Horizon 0.7 (70 steps) keeps each
     case's 512 runs near 1.5 s; tolerance 0.2 stops 32 masks, at steps 39
     to 67, where the README's 1e-10 stops none."""
-    p = _problem_from_config(README_CONFIGS["optimize"], 0)
-    options = dataclasses.replace(p.options, stop_on_equilibrium=stop, equilibrium_tol=0.2)
-    p = dataclasses.replace(p, horizon=0.7, options=options)
-    recorded = dataclasses.replace(options, t_end=p.horizon, record_stride=1)
+    p = dataclasses.replace(_problem_from_config(README_CONFIGS["optimize"], 0), horizon=0.7,
+                            stop_on_equilibrium=stop, equilibrium_tol=0.2)
+    recorded = IntegratorOptions(dt=p.dt, t_end=p.horizon, stop_on_equilibrium=stop,
+                                 equilibrium_tol=0.2)
     stamps = []
 
     def counting_simulate(*args):

@@ -5,7 +5,6 @@ import pytest
 
 import wta.optimize
 from wta import (
-    IntegratorOptions,
     OptimizeProblem,
     classify_equilibrium,
     connected_components,
@@ -32,7 +31,7 @@ def two_agent_problem(x_alpha0=2.0, other=1.0, horizon=10.0):
         x_alpha0=x_alpha0,
         x0_others=(other,),
         horizon=horizon,
-        options=IntegratorOptions(dt=1e-3, stop_on_equilibrium=True),
+        dt=1e-3,
     )
 
 
@@ -49,8 +48,8 @@ def nine_agent_problem(seed=0, horizon=5.0):
         x_alpha0=float(x0[alpha]),
         x0_others=tuple(float(v) for v in x0[1:]),
         horizon=horizon,
-        options=IntegratorOptions(dt=1e-2, stop_on_equilibrium=True,
-                                  equilibrium_tol=1e-9),
+        dt=1e-2,
+        equilibrium_tol=1e-9,
     )
 
 
@@ -70,8 +69,8 @@ def seeded_arena_problem(n=9, p_edge=0.4, horizon=5.0):
         x_alpha0=float(x0[0]),
         x0_others=tuple(float(v) for v in x0[1:]),
         horizon=horizon,
-        options=IntegratorOptions(dt=1e-2, stop_on_equilibrium=True,
-                                  equilibrium_tol=1e-9),
+        dt=1e-2,
+        equilibrium_tol=1e-9,
     )
 
 
@@ -120,7 +119,7 @@ class TestProblem:
     def test_table_masks_spelled_as_mask_to_bits(self, m):
         """to_json_dict lists [mask_to_bits(mask), table[mask]] in mask order."""
         table = np.random.default_rng(m).random(1 << m)
-        result = wta.optimize.OptimizeResult(0, 0, 0.0, 1 << m, False, "exhaustive", m,
+        result = wta.optimize.OptimizeResult(0, 0, 0.0, 1 << m, False, "exhaustive",
                                              tuple(range(1, m + 1)), 0.0, 1.0, table)
         assert result.to_json_dict()["table"] == [[mask_to_bits(mask, m), v]
                                                   for mask, v in enumerate(table.tolist())]
@@ -302,8 +301,8 @@ class TestGreedy:
             x0_others=tuple(float(v) for v in x0[1:]),
             horizon=0.3 if n == 40 else 2.0,
             candidate_weight=0.8 if n % 2 else 1.0,
-            options=IntegratorOptions(dt=1e-2, stop_on_equilibrium=True,
-                                      equilibrium_tol=1e-9),
+            dt=1e-2,
+            equilibrium_tol=1e-9,
         )
         want, asked = reference_greedy(p, restarts=restarts, seed=seed)
         calls, lanes = [], []
@@ -412,8 +411,8 @@ class TestSweep:
             x0_others=tuple(float(v) for j, v in enumerate(x0) if j != 2),
             horizon=2.0,
             candidate_weight=0.7,
-            options=IntegratorOptions(dt=2e-2, stop_on_equilibrium=True,
-                                      equilibrium_tol=1e-9),
+            dt=2e-2,
+            equilibrium_tol=1e-9,
         )
         grid = [0.0, 0.25, 0.8, 1.6]
         sweep = sweep_initial_value(p, grid)
