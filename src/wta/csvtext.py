@@ -2,10 +2,13 @@
 chunk of values at a time.
 
 The digits come from exact IEEE arithmetic (frexp, Dekker's product with a
-double-double power of ten, ldexp, floor), so the text does not depend on
-the CPU; Python's own formatting decides near-ties and non-finite values,
-one value at a time. wta.integrate._write_csv writes the chunks; this
-module is imported on its first call, so `import wta` does not compile it.
+double-double power of ten, ldexp, floor). The decimal exponent starts from
+numpy's log10, whose last bits change with the SIMD loop numpy dispatches
+to, but _decimal's fix-up moves any estimate within 2 onto the true
+exponent, so the text does not depend on the CPU. Python's own formatting
+decides near-ties and non-finite values, one value at a time.
+wta.integrate._write_csv writes the chunks; this module is imported on its
+first call, so `import wta` does not compile it.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into 26-bit halve
 # D's remainder r is within 2^-46 of exact, so rounding r half up is right
 # unless r is this close to 1/2: a tie or near-tie, which Python decides
 _NEAR_TIE = 2.0 ** -40
-_LOG10_2 = 0.30102999566398120
-_LOG10_FIT = (-0.79742416, 1.20104734, -0.40564428)  # c0 + c1 f + c2 f^2 ~ log10 f on [0.5, 1)
 
 
 @functools.cache
@@ -62,16 +63,10 @@ def _powers() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _estimate(a: np.ndarray) -> np.ndarray:
-    """floor(log10 a) for finite positive a, within 1: the exponent of
-    frexp times log10(2), plus a quadratic in the mantissa that is within
-    0.003 of its log10. _decimal's fix-up absorbs a miss."""
-    f, e = np.frexp(a)
-    t = f * _LOG10_FIT[2]
-    t += _LOG10_FIT[1]
-    t *= f
-    t += _LOG10_FIT[0]
-    t += e * _LOG10_2
-    return np.floor(t).astype(np.int64)
+    """floor(log10 a) for finite positive a, within 1: log10 rounds, so a
+    value just below a power of ten may land one high (1e23's double gives
+    23). _decimal's fix-up absorbs a miss."""
+    return np.floor(np.log10(a)).astype(np.int64)
 
 
 def _scaled(f: np.ndarray, e: np.ndarray, x: np.ndarray):

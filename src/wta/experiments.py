@@ -32,7 +32,7 @@ from .graph import (
     new_graph,
     random_graph,
 )
-from .integrate import IntegratorOptions, _write_csv, simulate, simulate_reverse
+from .integrate import IntegratorOptions, _step_count, _write_csv, simulate, simulate_reverse
 from .optimize import (GRID_MAX, OptimizeProblem, _guard, _svg_guard, evaluate_choice,
                        mask_to_bits, sweep_initial_value)
 from . import svg
@@ -184,10 +184,9 @@ def _fig2_runs(params: dict, seed: int, keep, out: Path | None = None):
     With out, each branch first writes its own CSV, fig2_forward.csv and
     fig2_reverse.csv."""
     g, x0 = _instance(random_graph(params["agents"], params["edge_prob"], "unit", seed), seed)
-    steps = int(round(params["t_end"] / params["dt"]))
-    stride = max(1, steps // 200)
     opts = IntegratorOptions(
-        dt=params["dt"], t_end=params["t_end"], record_stride=stride
+        dt=params["dt"], t_end=params["t_end"],
+        record_stride=max(1, _step_count(params["t_end"], params["dt"]) // 200),
     )
 
     def branch(run, name):
@@ -254,10 +253,9 @@ def _run_fig3(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
 def _run_fig4(out: Path, seed: int, params: dict, want_svg: bool) -> dict:
     g, x0 = _instance(_connected_random_graph(params["agents"], params["edge_prob"], seed),
                       seed)
-    steps = int(round(params["t_end"] / params["dt"]))
     opts = IntegratorOptions(
         dt=params["dt"], t_end=params["t_end"],
-        record_stride=max(1, steps // 400),
+        record_stride=max(1, _step_count(params["t_end"], params["dt"]) // 400),
         stop_on_equilibrium=True, equilibrium_tol=1e-10,
     )
     traj, audit = simulate(g, x0, opts)
@@ -374,9 +372,11 @@ def run_experiment(
     for key, value in read_object(overrides or {}, f"overrides for {name}", params).items():
         read, bounds = OVERRIDES[key]
         params[key] = read(value, key, **bounds)
-    # check the step count (IntegratorOptions) and a sweep's size against the
-    # search guard, and its SVG's, before any output is written or a grid is built
-    IntegratorOptions(dt=params["dt"], t_end=params.get("t_end", params.get("horizon")))
+    # check the step count, under the manifest's own key, and a sweep's size
+    # against the search guard, and its SVG's, before any output is written
+    # or a grid is built
+    end = "t_end" if "t_end" in params else "horizon"
+    _step_count(params[end], params["dt"], f"{end} / dt")
     if "grid_count" in params:
         _guard(params["grid_count"], params["agents"] - 1)
         if want_svg:

@@ -40,6 +40,16 @@ MAX_STEPS = 10**8
 HALVINGS = 40
 
 
+def _step_count(t_end: float, dt: float, words: str = "t_end / dt") -> int:
+    """The fixed steps of a run to t_end at dt, ceil(t_end / dt) with a
+    1e-12 slack (at least one), else ConfigError past MAX_STEPS, naming the
+    quotient by words: the caller's own keys."""
+    steps = t_end / dt - 1e-12
+    if not steps <= MAX_STEPS:
+        raise ConfigError(f"{words} = {t_end} / {dt} is more than {MAX_STEPS} steps")
+    return max(1, int(np.ceil(steps)))
+
+
 @dataclass(frozen=True)
 class IntegratorOptions:
     dt: float = 1e-3
@@ -58,11 +68,7 @@ class IntegratorOptions:
                                                    "stop_on_equilibrium")
         for name, value in checked.items():
             object.__setattr__(self, name, value)
-        # ceil(t_end / dt - 1e-12) <= MAX_STEPS, as _simulate counts steps
-        if not self.t_end / self.dt - 1e-12 <= MAX_STEPS:
-            raise ConfigError(
-                f"t_end / dt = {self.t_end} / {self.dt} is more than {MAX_STEPS} steps"
-            )
+        _step_count(self.t_end, self.dt)
 
 
 @dataclass(frozen=True)
@@ -285,7 +291,7 @@ def _simulate(
     dt, t_end = opts.dt, opts.t_end
     stride, tol = opts.record_stride, _frozen(opts.equilibrium_tol)
     stop_eq = opts.stop_on_equilibrium
-    n_steps = max(1, int(np.ceil(t_end / dt - 1e-12)))
+    n_steps = _step_count(t_end, dt)
     x = x0.ravel().copy()
     mass0 = x0.sum(axis=1)
     run = _Run(

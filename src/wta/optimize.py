@@ -28,7 +28,8 @@ from .dynamics import _dense_fits
 from .errors import (SEED_MAX, ConfigError, TooManyCandidatesError, read_array,
                      read_integer, read_number, read_numbers)
 from .graph import MAX_AGENTS, Graph, _finish, new_graph
-from .integrate import MAX_STEPS, IntegratorOptions, _simulate, _write_csv, simulate
+from .integrate import (MAX_STEPS, IntegratorOptions, _simulate, _step_count, _write_csv,
+                        simulate)
 from . import svg
 
 __all__ = [
@@ -132,13 +133,16 @@ class OptimizeProblem:
             "x0_others": tuple(read_numbers(self.x0_others, "x0_others", lo=0.0)),
             "horizon": read_number(self.horizon, "horizon", gt=0.0),
             "candidate_weight": read_number(self.candidate_weight, "candidate_weight", gt=0.0),
+            "dt": read_number(self.dt, "dt", gt=0.0),
         }
-        # the run options check dt, stop_on_equilibrium and equilibrium_tol,
-        # and record only the first and last stamps: a search reads nothing
-        # but alpha's final value, and a skipped record keeps every bit
-        run = IntegratorOptions(self.dt, checked["horizon"], MAX_STEPS, self.stop_on_equilibrium,
-                                self.equilibrium_tol)
-        checked.update(dt=run.dt, stop_on_equilibrium=run.stop_on_equilibrium,
+        # the steps are counted under this class's keys before the run
+        # options, which check the other two settings and record only the
+        # first and last stamps: a search reads nothing but alpha's final
+        # value, and a skipped record keeps every bit
+        _step_count(checked["horizon"], checked["dt"], "horizon / dt")
+        run = IntegratorOptions(checked["dt"], checked["horizon"], MAX_STEPS,
+                                self.stop_on_equilibrium, self.equilibrium_tol)
+        checked.update(stop_on_equilibrium=run.stop_on_equilibrium,
                        equilibrium_tol=run.equilibrium_tol, _run_options=run)
         for name, value in checked.items():
             object.__setattr__(self, name, value)

@@ -11,6 +11,15 @@ digit; +-0, +-inf and nan. With the default 2,500,000 random patterns it
 holds about 4.1 million values and takes about 10 s on 2 vCPUs (Python
 3.11.7, numpy 2.4.6), most of it Python's own formatting.
 
+The exponent starts from numpy's log10, whose last bits depend on the SIMD
+loop numpy dispatches it to; to check the text with log10 on its baseline
+loop, disable the loop's targets (log10_targets()):
+
+    NPY_DISABLE_CPU_FEATURES="$(cd tests && python -c 'import csv_corpus; \
+        print(*csv_corpus.log10_targets())')" PYTHONPATH=src python tests/csv_corpus.py
+
+The last line printed names the loop log10 ran.
+
 Pytest does not collect this file; tests/test_integrate.py imports it and
 runs a smaller corpus in tier-1.
 """
@@ -37,6 +46,31 @@ def corpus(random_values: int, seed: int = 0) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def log10_loop() -> dict | None:
+    """numpy's float64 log10 loop as numpy.lib.introspect.opt_func_info
+    gives it, {"current": ..., "available": ...}, each a target name or
+    "baseline(...)"; None before numpy 2, which has no such report."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    (loop,) = opt_func_info(func_name="log10", signature="float64")["log10"].values()
+    return loop
+
+
+def log10_targets() -> list[str]:
+    """The targets of log10's loop that numpy dispatches and this CPU runs:
+    NPY_DISABLE_CPU_FEATURES set to them leaves log10 its baseline loop. Only
+    these names are passed, since numpy raises ImportWarning at import for a
+    name it does not dispatch."""
+    loop = log10_loop()
+    if loop is None:
+        return []
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return [t for t in loop["available"].split() if t in __cpu_dispatch__ and __cpu_features__[t]]
+
+
 def mismatches(values: np.ndarray) -> list[tuple[float, str, str]]:
     """(value, expected, got) for each value whose text differs from
     '%.17g' % value."""
@@ -54,7 +88,9 @@ def main(argv) -> int:
     bad = mismatches(values)
     for v, want, got in bad[:20]:
         print(f"{v!r}: want {want}, got {got}")
-    print(f"{len(bad)} mismatches in {values.size} values")
+    loop = log10_loop()
+    print(f"{len(bad)} mismatches in {values.size} values, log10 loop "
+          f"{loop['current'] if loop else 'unknown (numpy < 2)'}")
     return 1 if bad else 0
 
 

@@ -85,6 +85,14 @@ class TestSimulate:
         last = (out / "trajectory.csv").read_text().splitlines()[-1].split(",")
         assert abs(float(last[1]) - 3.0) < 1e-6
 
+    def test_t_end_past_the_step_bound_exits_1(self, tmp_path, capsys):
+        cfg = run_config(tmp_path, integrator={"dt": 1e-3, "t_end": 1e6})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "error: t_end / dt = 1000000.0 / 0.001 is more than 100000000 steps\n")
+        assert not out.exists()
+
     def test_reverse_consensus(self, tmp_path):
         cfg = run_config(
             tmp_path,
@@ -439,9 +447,9 @@ class TestOptimize:
         out = tmp_path / "o"
         assert main(["optimize", "--config", cfg, "--out", str(out), "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and "steps" in err, err
+        assert err == "error: horizon / dt = 2000000.0 / 0.01 is more than 100000000 steps\n", err
         assert not out.exists()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^horizon / dt = "):
             problem(horizon=2e6)
 
     def test_problem_fields_are_config_keys(self):
@@ -458,6 +466,15 @@ class TestOptimize:
 class TestExperiment:
     def test_unknown_name_exit_1(self, tmp_path):
         assert main(["experiment", "fig9_nope", "--out", str(tmp_path)]) == 1
+
+    def test_fig2_stride_from_the_steps_run(self, tmp_path):
+        """t_end 0.3993 at dt 1e-3 runs ceil(399.3) = 400 steps, so fig2
+        records every 400 // 200 = 2nd step: 201 stamps a branch, the last
+        at t_end."""
+        run_experiment("fig2_trajectories", tmp_path, overrides={"agents": 8, "t_end": 0.3993})
+        for branch in ("forward", "reverse"):
+            rows = (tmp_path / f"fig2_{branch}.csv").read_text().splitlines()[1:]
+            assert len(rows) == 201 and float(rows[-1].split(",")[0]) == 0.3993, branch
 
     def test_fig4_small_scale(self, tmp_path):
         out = tmp_path / "fig4"
@@ -690,6 +707,8 @@ def test_largest_seed_runs_every_manifest(tmp_path, name, flags):
     ["experiment", "fig5_sweep", "--horizon", "1e7"],
 ])
 def test_bad_flag_exits_1(tmp_path, capsys, argv):
+    # past the step bound, the quotient is named by the flag's own key
+    words = {"1e6": "t_end / dt", "1e7": "horizon / dt"}.get(argv[-1])
     if argv[0] == "simulate":
         argv = [argv[0], "--config", run_config(tmp_path), *argv[1:]]
     out = tmp_path / "out"
@@ -702,7 +721,7 @@ def test_bad_flag_exits_1(tmp_path, capsys, argv):
         argv = [*argv, "--out", str(out), "--quiet"]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {words} = " if words else "error: ") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -1,7 +1,12 @@
 import hashlib
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -541,6 +546,25 @@ class TestCsvText:
         estimate = csvtext._estimate
         monkeypatch.setattr(csvtext, "_estimate", lambda a: estimate(a) + shift)
         assert csv_corpus.mismatches(values) == []
+
+    def test_same_text_with_log10_on_its_baseline_loop(self):
+        """np.log10's last bits change with the SIMD loop numpy dispatches it
+        to, and the text must not: a corpus slice in a child whose log10
+        runs numpy's baseline loop, with warnings as errors."""
+        loop = csv_corpus.log10_loop()
+        if loop is None or loop["current"].startswith("baseline"):
+            pytest.skip("numpy < 2, or log10 already runs its baseline loop")
+        child = ("import json, csv_corpus\n"
+                 "bad = csv_corpus.mismatches(csv_corpus.corpus(100_000, seed=3))\n"
+                 "print(json.dumps([len(bad), csv_corpus.log10_loop()['current']]))")
+        paths = [str(Path(wta.__file__).parents[1]), str(Path(csv_corpus.__file__).parent)]
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(csv_corpus.log10_targets()),
+                   PYTHONWARNINGS="error", PYTHONPATH=os.pathsep.join(paths))
+        run = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                             text=True)
+        assert run.returncode == 0, run.stderr
+        bad, current = json.loads(run.stdout)
+        assert current.startswith("baseline") and bad == 0
 
     def test_chunks_and_partial_chunk_same_bytes(self, tmp_path):
         """Three whole chunks and a partial one, a text column among the
